@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import ive
 
 from .errors import BudgetExceededError, RejectionRateError
-from .simkit import Estimate, estimate_from_values
+from .simkit import Estimate, estimate_from_values, replicate
 
 __all__ = [
     "LocalTimeField",
@@ -189,25 +189,24 @@ def estimate_C(T_list, replicas, fineness, stream, max_reject_rate=1e-3):
     signals that the fineness is too small for the requested horizons and
     fails the run.
     """
-    if replicas <= 0:
-        raise ValueError("replicas must be positive")
     T_list = [float(T) for T in T_list]
     durations = np.diff([0.0] + T_list)
-    values = []
-    rejected = 0
-    for i in range(replicas):
-        sub = stream.substream(i)
+
+    def task(sub):
         _, increments = sample_local_time_fields(T_list, fineness, sub)
         gram = gram_of_fields(increments, normalization="raw")
         if gram.det <= 0.0 or gram.lambda_min == 0.0:
-            rejected += 1
-            continue
-        values.append(gram.det ** -0.5)
+            return np.nan
+        return gram.det ** -0.5
+
+    values = replicate(task, replicas, stream)
+    ok = ~np.isnan(values)
+    rejected = replicas - int(ok.sum())
     if rejected > max_reject_rate * replicas:
         raise RejectionRateError(
             f"{rejected}/{replicas} near-singular Gram samples; fineness too small"
         )
-    est = estimate_from_values(np.array(values), stream.master_seed)
+    est = estimate_from_values(values[ok], stream.master_seed)
     scale = float(np.prod(durations ** 0.75))
     return CResult(
         estimate=est,

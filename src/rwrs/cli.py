@@ -22,7 +22,7 @@ from . import __version__, brownian, delta_process, harness
 from .errors import DegenerateRatioError
 from .lattice_walk import StepLaw
 from .scenery import SceneryLaw
-from .simkit import derive_stream, write_manifest
+from .simkit import RngStream, replicate, write_manifest
 
 __all__ = ["main", "validate_config", "run", "export_results", "ExperimentConfig"]
 
@@ -116,6 +116,34 @@ def _parse_float_list(text):
     return [float(Fraction(tok)) for tok in text.replace(",", " ").split()]
 
 
+def _parse_fraction(text):
+    return float(Fraction(text))
+
+
+# param key -> (parser, default text; None when the key is optional)
+_PARAMS = {
+    "n_list": (_parse_int_list, "1024 2048 4096"),
+    "times": (_parse_int_list, None),
+    "n_max": (int, "8"),
+    "k": (int, "1"),
+    "t_ratios": (_parse_float_list, None),
+    "t_list": (_parse_float_list, "1.0"),
+    "fineness": (int, str(1 << 14)),
+    "n": (int, str(1 << 12)),
+    "y": (_parse_fraction, "1"),
+    "dt": (_parse_fraction, "1"),
+    "draws": (int, "100000"),
+    "level": (_parse_fraction, "1"),
+    "offset": (_parse_fraction, "1/2"),
+    "eps": (_parse_fraction, "1/20"),
+    "t": (_parse_fraction, "2"),
+    "t_ratio": (_parse_fraction, "1"),
+    "scales": (_parse_float_list, " ".join(f"1/{2 ** j}" for j in range(7, 15))),
+    "paths": (int, "100"),
+    "scenery_draws": (int, "64"),
+}
+
+
 def validate_config(path, overrides=None):
     """Parse and validate a config file.
 
@@ -191,12 +219,9 @@ def validate_config(path, overrides=None):
     out_dir = overrides.get("out") or get("run", "out", _DEFAULTS["out"])
     allow_inadmissible = bool(overrides.get("allow_inadmissible", False))
 
-    params = {}
     raw_params = dict(parser["params"]) if parser.has_section("params") else {}
-    try:
-        params = _resolve_params(sub, raw_params)
-    except ValueError as exc:
-        errors.append(str(exc))
+    params, param_errors = _resolve_params(sub, raw_params)
+    errors.extend(param_errors)
 
     derived = {}
     if scenery is not None:
@@ -231,54 +256,30 @@ def validate_config(path, overrides=None):
 
 
 def _resolve_params(sub, raw):
-    params = {}
-    def want(key):
-        return key in _SCHEMA[sub]["params"]
-
-    if want("n_list"):
-        params["n_list"] = _parse_int_list(raw.get("n_list", "1024 2048 4096"))
-    if want("times") and "times" in raw:
-        params["times"] = _parse_int_list(raw["times"])
-    if want("n_max"):
-        params["n_max"] = int(raw.get("n_max", "8"))
-    if want("k"):
-        params["k"] = int(raw.get("k", "1"))
-    if want("t_ratios") and "t_ratios" in raw:
-        params["t_ratios"] = _parse_float_list(raw["t_ratios"])
-    if want("t_list"):
-        params["t_list"] = _parse_float_list(raw.get("t_list", "1.0"))
-    if want("fineness"):
-        params["fineness"] = int(raw.get("fineness", str(1 << 14)))
-    if want("n"):
-        params["n"] = int(raw.get("n", str(1 << 12)))
-    if want("y"):
-        params["y"] = float(Fraction(raw.get("y", "1")))
-    if want("dt"):
-        params["dt"] = float(Fraction(raw.get("dt", "1")))
-    if want("draws"):
-        params["draws"] = int(raw.get("draws", "100000"))
-    if want("level"):
-        params["level"] = float(Fraction(raw.get("level", "1")))
-    if want("offset"):
-        params["offset"] = float(Fraction(raw.get("offset", "1/2")))
-    if want("eps"):
-        params["eps"] = float(Fraction(raw.get("eps", "1/20")))
-    if want("t"):
-        params["t"] = float(Fraction(raw.get("t", "2")))
-    if want("t_ratio"):
-        params["t_ratio"] = float(Fraction(raw.get("t_ratio", "1")))
-    if want("scales") and "scales" in raw:
-        params["scales"] = _parse_float_list(raw["scales"])
-    elif want("scales"):
-        params["scales"] = [2.0 ** -j for j in range(7, 15)]
-    if want("paths"):
-        params["paths"] = int(raw.get("paths", "100"))
-    if want("scenery_draws"):
-        params["scenery_draws"] = int(raw.get("scenery_draws", "64"))
-    for key in raw:
-        if key not in _SCHEMA[sub]["params"]:
-            raise ValueError(f"params.{key}: unknown key for {sub}")
-    return params
+    """Parse and range-check the params of `sub`; returns (params, errors)."""
+    params, errors = {}, []
+    for key in sorted(_SCHEMA[sub]["params"]):
+        parse, default = _PARAMS[key]
+        text = raw.get(key, default)
+        if text is None:
+            continue
+        try:
+            params[key] = parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            errors.append(f"params.{key}: {exc}")
+    n_list = params.get("n_list")
+    if n_list is not None and (
+        not n_list or n_list[0] <= 0
+        or any(b <= a for a, b in zip(n_list, n_list[1:]))
+    ):
+        errors.append("params.n_list: must be nonempty, positive, strictly increasing")
+    # these subcommands sample Brownian local-time fields, which need 10^3 steps
+    samples_fields = sub in ("gram", "estimate-c", "correlation-ratio")
+    if samples_fields and params.get("fineness", 1000) < 1000:
+        errors.append(f"params.fineness: must be at least 1000 for {sub}")
+    if params.get("paths", 2) < 2:
+        errors.append("params.paths: must be at least 2 for a standard error")
+    return params, errors
 
 
 def _rows_from_estimates(kind, n_list, estimates):
@@ -290,7 +291,7 @@ def _rows_from_estimates(kind, n_list, estimates):
 
 def run(config):
     """Execute a validated config; returns (exit_code, rows, report)."""
-    stream = derive_stream(config.seed, 0)
+    stream = RngStream(config.seed, 0)
     rows = []
     report = {"subcommand": config.subcommand, "seed": config.seed,
               "derived": config.derived, "tests": [], "fits": {}, "values": {}}
@@ -329,7 +330,10 @@ def run(config):
                                               config.replicas, stream),
                     config.seed,
                 )
-                assert est.value == 0.0, "inadmissible time with nonzero estimate"
+                if est.value != 0.0:
+                    raise RuntimeError(
+                        f"inadmissible time n={n} has nonzero estimate {est.value}"
+                    )
                 vals.append((n, est))
             rows.extend(_rows_from_estimates("return_prob_inadmissible",
                                              [n for n, _ in vals],
@@ -394,11 +398,12 @@ def run(config):
         m = p["fineness"]
         offset = p["offset"]
         j = int(round(offset * math.sqrt(m)))
-        vals = np.empty(config.replicas)
-        for i in range(config.replicas):
-            prof = brownian.ray_knight_profile_fast(p["level"], m,
-                                                    stream.substream(i))
-            vals[i] = prof[j] if j < prof.size else 0.0
+
+        def profile_at_offset(sub):
+            prof = brownian.ray_knight_profile_fast(p["level"], m, sub)
+            return prof[j] if j < prof.size else 0.0
+
+        vals = replicate(profile_at_offset, config.replicas, stream)
         other = brownian.besq0_step(p["level"], offset, stream.substream(1 << 32),
                                     size=config.replicas)
         stat = sps.ks_2samp(vals, other).statistic
@@ -410,12 +415,11 @@ def run(config):
                      "std_error": 0.0})
 
     elif sub == "delta-localtime":
-        vals = np.empty(config.replicas)
-        for i in range(config.replicas):
-            path = delta_process.sample_delta_path(p["t"], p["dt"], p["fineness"],
-                                                   stream.substream(i))
-            vals[i] = delta_process.mollified_values(path, p["eps"], p["t"],
-                                                     [0.0])[0]
+        def mollified_at_zero(sub):
+            path = delta_process.sample_delta_path(p["t"], p["dt"], p["fineness"], sub)
+            return delta_process.mollified_values(path, p["eps"], p["t"], [0.0])[0]
+
+        vals = replicate(mollified_at_zero, config.replicas, stream)
         rows.append({"name": "mollified_local_time", "n": config.replicas,
                      "value": float(vals.mean()),
                      "std_error": float(vals.std(ddof=1) / math.sqrt(len(vals)))})
@@ -445,15 +449,20 @@ def run(config):
         })
 
     elif sub == "boxcount":
-        slopes = []
-        for i in range(p["paths"]):
-            path = delta_process.sample_delta_path(1.0, p["dt"], p["fineness"],
-                                                   stream.substream(i))
+        def boxcount_slope(sub):
+            path = delta_process.sample_delta_path(1.0, p["dt"], p["fineness"], sub)
             try:
-                slopes.append(delta_process.zero_set_boxcount(path,
-                                                              p["scales"]).slope)
+                return delta_process.zero_set_boxcount(path, p["scales"]).slope
             except DegenerateRatioError:
-                continue
+                return np.nan
+
+        slopes = replicate(boxcount_slope, p["paths"], stream)
+        slopes = slopes[~np.isnan(slopes)]
+        if slopes.size < 2:
+            raise DegenerateRatioError(
+                f"only {slopes.size} of {p['paths']} paths have a countable "
+                "zero set; a slope estimate needs at least 2"
+            )
         mean = float(np.mean(slopes))
         se = float(np.std(slopes, ddof=1) / math.sqrt(len(slopes)))
         rows.append({"name": "boxcount_slope", "n": len(slopes), "value": mean,
@@ -479,6 +488,13 @@ def export_results(rows, report, out_dir):
     """Write results.csv (17 significant digits) and report.json."""
     if not rows:
         raise ValueError("no results to export")
+    for row in rows:
+        for key in ("value", "std_error"):
+            if not math.isfinite(row[key]):
+                raise ValueError(
+                    f"row {row['name']} n={row['n']}: {key} is {row[key]}; "
+                    "non-finite values are not exported"
+                )
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "results.csv")
     json_path = os.path.join(out_dir, "report.json")

@@ -21,7 +21,7 @@ from .brownian import (
     sample_local_time_fields,
 )
 from .errors import DegenerateRatioError, RejectionRateError
-from .simkit import Estimate, estimate_from_values
+from .simkit import Estimate, estimate_from_values, replicate
 
 __all__ = [
     "DeltaPath",
@@ -213,10 +213,8 @@ def estimate_Mk(k, t, replicas, fineness, stream, eps=0.0,
         raise ValueError("k must be >= 1")
     m = int(fineness)
     pref = math.factorial(k) * (2.0 * math.pi) ** (-k / 2.0)
-    values = np.empty(replicas)
-    rejected = 0
-    for i in range(replicas):
-        sub = stream.substream(i)
+
+    def task(sub):
         durations = _sample_ordered_durations(k, t, sub)
         q = _duration_density(durations, t)
         if eps > 0.0:
@@ -235,12 +233,11 @@ def estimate_Mk(k, t, replicas, fineness, stream, eps=0.0,
                 _, incs = sample_local_time_fields(horizons, m, sub)
                 gram = gram_of_fields(incs, normalization="raw")
                 det *= gram.det
-        if det <= 0.0:
-            rejected += 1
-            values[i] = np.nan
-            continue
-        values[i] = pref * det ** -0.5 / q
+        return pref * det ** -0.5 / q if det > 0.0 else np.nan
+
+    values = replicate(task, replicas, stream)
     ok = ~np.isnan(values)
+    rejected = replicas - int(ok.sum())
     if rejected > max(1e-3 * replicas, 1.0):
         raise RejectionRateError(
             f"{rejected}/{replicas} rejected Gram samples in moment estimate"

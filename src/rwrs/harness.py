@@ -21,7 +21,7 @@ from .scenery import (
     conditional_return_prob,
     joint_return_prob_sampled,
 )
-from .simkit import Estimate, estimate_from_values
+from .simkit import Estimate, estimate_from_values, replicate
 
 __all__ = [
     "ScalingFit",
@@ -131,9 +131,8 @@ def _round_admissible(value, d0):
 
 def _return_values_k1(step, scen, n, replicas, stream):
     """Per-replica conditional P(Z_n = 0 | walk) values, batched."""
-    profiles = []
-    for i in range(replicas):
-        profiles.append(simulate_local_times(step, [n], stream.substream(i))[0])
+    profiles = replicate(lambda sub: simulate_local_times(step, [n], sub)[0],
+                         replicas, stream)
     if n <= 64:
         method = ConditionalMethod("convolution")
         return np.array(
@@ -143,14 +142,13 @@ def _return_values_k1(step, scen, n, replicas, stream):
 
 
 def _return_values_joint(step, scen, times, replicas, stream, scenery_draws):
-    vals = np.empty(replicas)
-    for i in range(replicas):
-        sub = stream.substream(i)
+    def task(sub):
         profiles = simulate_local_times(step, times, sub)
-        vals[i] = joint_return_prob_sampled(
+        return joint_return_prob_sampled(
             profiles, scen, sub.substream(1 << 40), scenery_draws=scenery_draws
         )
-    return vals
+
+    return replicate(task, replicas, stream)
 
 
 def estimate_return_curve(step, scen, n_list, k=1, T_ratios=None,
@@ -242,21 +240,18 @@ def correlation_ratio(n, t_ratio, replicas, stream, step=None, scen=None,
     lhs = _ratio_estimate(joint, [p_n, p_m], stream.master_seed)
 
     t = m / n
-    num_vals = np.empty(replicas)
-    den_vals = np.empty(replicas)
-    rej = 0
-    s_num = stream.substream(4)
-    s_den = stream.substream(5)
-    for i in range(replicas):
-        a = _field_pair_stats(1.0, t, fineness, s_num.substream(i))
+
+    def num_task(sub):
+        a = _field_pair_stats(1.0, t, fineness, sub)
         det = a[0] * a[1] - a[2] ** 2
-        if det <= 0:
-            rej += 1
-            num_vals[i] = np.nan
-        else:
-            num_vals[i] = det ** -0.5
-        b = _field_pair_stats(1.0, t, fineness, s_den.substream(i))
-        den_vals[i] = (b[0] * b[1]) ** -0.5
+        return det ** -0.5 if det > 0 else np.nan
+
+    def den_task(sub):
+        b = _field_pair_stats(1.0, t, fineness, sub)
+        return (b[0] * b[1]) ** -0.5
+
+    num_vals = replicate(num_task, replicas, stream.substream(4))
+    den_vals = replicate(den_task, replicas, stream.substream(5))
     num = estimate_from_values(num_vals[~np.isnan(num_vals)], stream.master_seed)
     den = estimate_from_values(den_vals, stream.master_seed)
     rhs = _ratio_estimate(num, [den], stream.master_seed)
@@ -317,10 +312,12 @@ def counting_moment_curve(step, scen, k, n_list, replicas, stream):
         raise ValueError("k must be 1, 2 or 3")
     n_list = [int(n) for n in n_list]
     marks = np.asarray(n_list)
-    samples = np.empty((replicas, len(n_list)))
-    for i in range(replicas):
-        counts = _zero_count_trajectory(step, scen, n_list, stream.substream(i))
-        samples[i] = counts.astype(np.float64) ** k
+
+    def moments(sub):
+        counts = _zero_count_trajectory(step, scen, n_list, sub)
+        return counts.astype(np.float64) ** k
+
+    samples = replicate(moments, replicas, stream)
     estimates = [
         estimate_from_values(samples[:, j], stream.master_seed)
         for j in range(len(n_list))
@@ -356,10 +353,9 @@ def _walk_gram_samples(step, n, T_list, replicas, stream):
     """Samples of sigma_S * n^{-3/2} <N_[nTi], N_[nTj]> for every pair."""
     marks = [int(math.floor(n * t)) for t in T_list]
     k = len(marks)
-    out = np.empty((replicas, k, k))
     sigma = math.sqrt(step.variance)
-    for r in range(replicas):
-        sub = stream.substream(r)
+
+    def task(sub):
         steps = step.sample_steps(sub, marks[-1] - 1)
         positions = np.empty(marks[-1], dtype=np.int64)
         positions[0] = 0
@@ -369,11 +365,14 @@ def _walk_gram_samples(step, n, T_list, replicas, stream):
         counts = []
         for mark in marks:
             counts.append(np.bincount(positions[:mark] - lo, minlength=width))
+        out = np.empty((k, k))
         for i in range(k):
             for j in range(i, k):
                 v = sigma * float(np.dot(counts[i], counts[j])) * n ** -1.5
-                out[r, i, j] = out[r, j, i] = v
-    return out
+                out[i, j] = out[j, i] = v
+        return out
+
+    return replicate(task, replicas, stream)
 
 
 def gram_convergence_test(step, n, T_list, replicas, fineness, stream,
@@ -381,12 +380,12 @@ def gram_convergence_test(step, n, T_list, replicas, fineness, stream,
     """Entrywise two-sample KS: walk inner products vs Brownian Gram samples."""
     walk = _walk_gram_samples(step, n, T_list, replicas, stream.substream(0))
     k = len(T_list)
-    bro = np.empty((replicas, k, k))
-    s = stream.substream(1)
-    for r in range(replicas):
-        cum, _ = brownian.sample_local_time_fields(T_list, fineness, s.substream(r))
-        gram = brownian.gram_of_fields(cum, normalization="raw")
-        bro[r] = gram.entries
+
+    def brownian_task(sub):
+        cum, _ = brownian.sample_local_time_fields(T_list, fineness, sub)
+        return brownian.gram_of_fields(cum, normalization="raw").entries
+
+    bro = replicate(brownian_task, replicas, stream.substream(1))
     thr = threshold if threshold is not None else ks_threshold(replicas, replicas)
     reports = []
     for i in range(k):
@@ -405,15 +404,17 @@ def scaling_law_test(T, replicas, stream, eps=0.05, fineness=1 << 12,
     """KS check of the local-time scaling identity between horizons T and 1."""
     if T <= 0:
         raise ValueError("T must be positive")
-    side_a = np.empty(replicas)
-    side_b = np.empty(replicas)
-    sa = stream.substream(0)
-    sb = stream.substream(1)
-    for i in range(replicas):
-        pa = delta_process.sample_delta_path(T, dt, fineness, sa.substream(i))
-        side_a[i] = delta_process.mollified_values(pa, eps * T ** 1.5, T, [0.0])[0]
-        pb = delta_process.sample_delta_path(1.0, dt, fineness, sb.substream(i))
-        side_b[i] = T ** 0.25 * delta_process.mollified_values(pb, eps, 1.0, [0.0])[0]
+
+    def task_a(sub):
+        pa = delta_process.sample_delta_path(T, dt, fineness, sub)
+        return delta_process.mollified_values(pa, eps * T ** 1.5, T, [0.0])[0]
+
+    def task_b(sub):
+        pb = delta_process.sample_delta_path(1.0, dt, fineness, sub)
+        return T ** 0.25 * delta_process.mollified_values(pb, eps, 1.0, [0.0])[0]
+
+    side_a = replicate(task_a, replicas, stream.substream(0))
+    side_b = replicate(task_b, replicas, stream.substream(1))
     thr = threshold if threshold is not None else ks_threshold(replicas, replicas)
     stat = sps.ks_2samp(side_a, side_b).statistic
     return TestReport.build(f"scaling[T={T}]", "KS", stat, replicas, replicas, thr)
@@ -451,11 +452,11 @@ def tightness_stats(step, scen, n, t, h_list, replicas, stream):
     for idx, h in enumerate(h_list):
         m1 = max(1, int(n * t))
         m2 = int(n * (t + h))
-        sub = stream.substream(idx)
-        vals = np.empty(replicas)
-        for i in range(replicas):
-            counts = _zero_count_trajectory(step, scen, [m1, m2], sub.substream(i))
-            vals[i] = float(counts[1] - counts[0]) ** 2
+        def task(sub):
+            counts = _zero_count_trajectory(step, scen, [m1, m2], sub)
+            return float(counts[1] - counts[0]) ** 2
+
+        vals = replicate(task, replicas, stream.substream(idx))
         est = estimate_from_values(vals, stream.master_seed)
         rows.append((float(h), est))
     return rows

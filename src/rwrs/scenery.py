@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceededError
+from .lattice_walk import _gcd_all
 
 __all__ = [
     "SceneryLaw",
@@ -36,13 +37,6 @@ _LOG_FLOOR = -800.0  # exp underflows to an exact 0.0 well before this
 
 class UnsupportedMethodError(ValueError):
     pass
-
-
-def _gcd_all(values):
-    g = 0
-    for v in values:
-        g = math.gcd(g, abs(int(v)))
-    return g
 
 
 @dataclass(frozen=True)

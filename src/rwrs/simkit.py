@@ -3,14 +3,15 @@
 Every random quantity in this package is drawn from an RngStream keyed by
 (master_seed, stream_id).  Streams are counter-based (Philox), so distinct
 keys give independent, non-overlapping sequences without any coordination,
-and a stream replays exactly from its key alone.
+and a stream replays exactly from its key alone.  Replica i of every
+estimator draws from stream.substream(i) of the estimator's stream, through
+replicate().
 """
 
 import hashlib
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,11 +20,7 @@ __all__ = [
     "RngStream",
     "Estimate",
     "Manifest",
-    "derive_stream",
-    "run_replicated",
     "write_manifest",
-    "stream_base_for",
-    "thread_count",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -62,26 +59,6 @@ class RngStream:
         return f"RngStream(master_seed={self.master_seed}, stream_id={self.stream_id})"
 
 
-def derive_stream(master_seed, stream_id):
-    """Stream keyed by (master_seed, stream_id); deterministic in both."""
-    return RngStream(master_seed, stream_id)
-
-
-def stream_base_for(tag):
-    """Stable 63-bit stream-id base for a named sub-experiment."""
-    h = hashlib.sha256(tag.encode("utf-8")).digest()
-    return int.from_bytes(h[:8], "big") >> 1
-
-
-def thread_count():
-    """Worker cap from RWRS_THREADS; defaults to 1 (serial)."""
-    raw = os.environ.get("RWRS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 @dataclass(frozen=True)
 class Estimate:
     """Monte Carlo estimate: mean of i.i.d. replica outputs with its standard error."""
@@ -95,28 +72,18 @@ class Estimate:
         return math.sqrt(self.std_error ** 2 + other.std_error ** 2)
 
 
-def run_replicated(task, replicas, master_seed, stream_base=0, threads=None):
-    """Run `task(stream) -> float` over independent replica streams.
+def replicate(task, replicas, stream):
+    """Per-replica outputs of `task`, replica i run on stream.substream(i).
 
-    Replica i draws from stream (master_seed, stream_base + i).  The result
-    is independent of execution order and of the degree of parallelism:
-    outputs are stored per-replica and reduced with exact summation.
+    Replicas run serially in index order.  The outputs are stacked with
+    np.array, so the first axis is the replica: scalars give a vector,
+    vectors and matrices a 2-D or 3-D float array, other objects an object
+    array.  A task marks a rejected replica by returning NaN; filtering it
+    out is the caller's job.
     """
     if replicas <= 0:
         raise ValueError("replicas must be a positive integer")
-    values = np.empty(replicas, dtype=np.float64)
-
-    def _one(i):
-        values[i] = task(derive_stream(master_seed, stream_base + i))
-
-    nthreads = thread_count() if threads is None else max(1, int(threads))
-    if nthreads == 1 or replicas < 4:
-        for i in range(replicas):
-            _one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            list(pool.map(_one, range(replicas)))
-    return estimate_from_values(values, master_seed)
+    return np.array([task(stream.substream(i)) for i in range(replicas)])
 
 
 def estimate_from_values(values, master_seed):

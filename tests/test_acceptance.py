@@ -14,7 +14,7 @@ from scipy import stats as sps
 from scipy.integrate import quad
 
 from rwrs import brownian, delta_process
-from rwrs.simkit import derive_stream, estimate_from_values
+from rwrs.simkit import RngStream, estimate_from_values
 from rwrs.lattice_walk import StepLaw, simulate_local_times
 from rwrs.scenery import SceneryLaw
 from rwrs.exact_oracle import exact_joint_return
@@ -33,7 +33,7 @@ def report(num, ok, detail):
 @pytest.fixture(scope="module")
 def inv_norm():
     """E[1 / ||L_1||] at fineness 2^16 with its standard error."""
-    root = derive_stream(9001, 0)
+    root = RngStream(9001, 0)
     vals = np.empty(4000)
     for i in range(4000):
         cum, _ = brownian.sample_local_time_fields([1.0], FINE, root.substream(i))
@@ -48,7 +48,7 @@ def return_curve_full():
     n_list = [1 << j for j in range(10, 16)]
     ests, fit = harness.estimate_return_curve(
         STEP, RAD, n_list, k=1, walk_replicas=10_000,
-        stream=derive_stream(9002, 0),
+        stream=RngStream(9002, 0),
     )
     return n_list, ests, fit, time.time() - started
 
@@ -56,13 +56,13 @@ def return_curve_full():
 @pytest.fixture(scope="module")
 def m2_zero():
     """Moment functional at k=2 without regularization."""
-    res = delta_process.estimate_Mk(2, 1.0, 4000, 1 << 14, derive_stream(9003, 0))
+    res = delta_process.estimate_Mk(2, 1.0, 4000, 1 << 14, RngStream(9003, 0))
     return res.estimate
 
 
 def test_criterion_1_exact_oracle_gate():
     started = time.time()
-    stream = derive_stream(9101, 0)
+    stream = RngStream(9101, 0)
     details = []
     ok = True
     for idx, n in enumerate((2, 4, 6, 8, 10, 12)):
@@ -114,11 +114,11 @@ def test_criterion_4_joint_return_and_uniformity():
     n_list = [1 << j for j in range(8, 13)]
     _, fit = harness.estimate_return_curve(
         STEP, RAD, n_list, k=2, T_ratios=(1, 2), walk_replicas=1500,
-        stream=derive_stream(9104, 0),
+        stream=RngStream(9104, 0),
     )
     slope_ok = abs(fit.slope + 1.5) <= 0.08
     values, peak = harness.uniformity_shadow(
-        STEP, RAD, 1 << 14, 300, derive_stream(9105, 0), grid_points=4
+        STEP, RAD, 1 << 14, 300, RngStream(9105, 0), grid_points=4
     )
     budget = 4.0
     ok = slope_ok and peak <= budget
@@ -128,7 +128,7 @@ def test_criterion_4_joint_return_and_uniformity():
 
 def test_criterion_5_increment_correlation():
     lhs, rhs = harness.correlation_ratio(
-        1 << 12, 1.0, 5000, derive_stream(9106, 0), fineness=1 << 14,
+        1 << 12, 1.0, 5000, RngStream(9106, 0), fineness=1 << 14,
         scenery_draws=128,
     )
     se = math.hypot(lhs.std_error, rhs.std_error)
@@ -144,7 +144,7 @@ def test_criterion_6_gram_functional_bounds(inv_norm):
     ratios = {}
     for T in (0.25, 1.0, 4.0):
         res = brownian.estimate_C([T], 2000, FINE,
-                                  derive_stream(9107, int(T * 100)))
+                                  RngStream(9107, int(T * 100)))
         ratios[T] = res
     base = ratios[1.0]
     scaling_ok = all(
@@ -157,7 +157,7 @@ def test_criterion_6_gram_functional_bounds(inv_norm):
     rejections = 0
     for idx, Ts in enumerate(([1.0, 2.0], [0.5, 1.0], [1.0, 4.0],
                               [0.25, 1.0], [2.0, 3.0])):
-        res = brownian.estimate_C(Ts, 1200, FINE, derive_stream(9108, idx))
+        res = brownian.estimate_C(Ts, 1200, FINE, RngStream(9108, idx))
         band_ok &= low - 3 * res.bound_ratio_se <= res.bound_ratio <= 10 * low
         rejections += res.rejected
     ok = scaling_ok and band_ok and rejections == 0
@@ -173,13 +173,13 @@ def test_criterion_7_counting_moments(m2_zero):
     amplitude = None
     for k in (1, 2, 3):
         curve = harness.counting_moment_curve(
-            STEP, RAD, k, n_list, 6000, derive_stream(9109, k)
+            STEP, RAD, k, n_list, 6000, RngStream(9109, k)
         )
         slopes[k] = curve.fit.slope
         if k == 1:
             amplitude = (curve.amplitude, curve.amplitude_se)
     slope_ok = all(abs(slopes[k] - k / 4.0) <= tol[k] for k in (1, 2, 3))
-    m1 = delta_process.estimate_Mk(1, 1.0, 4000, FINE, derive_stream(9110, 0))
+    m1 = delta_process.estimate_Mk(1, 1.0, 4000, FINE, RngStream(9110, 0))
     # d/(sigma d0) = 1 for the simple walk with Rademacher scenery
     se = math.hypot(amplitude[1], m1.estimate.std_error)
     const_ok = abs(amplitude[0] - m1.estimate.value) <= 3 * se
@@ -192,7 +192,7 @@ def test_criterion_7_counting_moments(m2_zero):
 
 def test_criterion_8_joint_gram_convergence():
     reports = harness.gram_convergence_test(
-        STEP, 1 << 16, [1.0, 2.0], 10_000, FINE, derive_stream(9111, 0),
+        STEP, 1 << 16, [1.0, 2.0], 10_000, FINE, RngStream(9111, 0),
         threshold=0.03,
     )
     ok = all(r.verdict for r in reports)
@@ -202,7 +202,7 @@ def test_criterion_8_joint_gram_convergence():
 
 def test_criterion_9_squared_bessel_suite():
     draws = 10 ** 6
-    stream = derive_stream(9112, 0)
+    stream = RngStream(9112, 0)
     out = brownian.besq0_step(1.0, 1.0, stream, size=draws)
     atom = float((out == 0).mean())
     expect = brownian.besq0_extinction(1.0, 1.0)
@@ -225,7 +225,7 @@ def test_criterion_9_squared_bessel_suite():
     pval = float(sps.chi2.sf(chi2, len(counts) - 1))
     chi_ok = pval > 1e-3
 
-    ti = brownian.besq0_total_integral(2.0, derive_stream(9113, 0), size=draws)
+    ti = brownian.besq0_total_integral(2.0, RngStream(9113, 0), size=draws)
     f1 = brownian.hitting_time_density(2.0, np.array([1.0]))[0]
     bin_lo, bin_hi = 0.95, 1.05
     frac = float(((ti >= bin_lo) & (ti < bin_hi)).mean())
@@ -236,16 +236,16 @@ def test_criterion_9_squared_bessel_suite():
 
     m = FINE
     offset = int(round(0.5 * math.sqrt(m)))
-    root = derive_stream(9114, 0)
+    root = RngStream(9114, 0)
     rk = np.empty(10_000)
     for i in range(10_000):
         prof = brownian.ray_knight_profile_fast(1.0, m, root.substream(i))
         rk[i] = prof[offset] if offset < prof.size else 0.0
-    bq = brownian.besq0_step(1.0, 0.5, derive_stream(9115, 0), size=10_000)
+    bq = brownian.besq0_step(1.0, 0.5, RngStream(9115, 0), size=10_000)
     rk_stat = float(sps.ks_2samp(rk, bq).statistic)
     rk_ok = rk_stat < 0.02
 
-    root = derive_stream(9116, 0)
+    root = RngStream(9116, 0)
     exit_vals = np.array(
         [brownian.origin_local_time_at_range_exit(1 << 14, root.substream(i))
          for i in range(10_000)]
@@ -264,13 +264,13 @@ def test_criterion_10_delta_local_time(m2_zero):
     ks_ok = True
     ks_vals = {}
     for T in (0.5, 2.0):
-        rep = harness.scaling_law_test(T, 10_000, derive_stream(9117, int(T * 2)),
+        rep = harness.scaling_law_test(T, 10_000, RngStream(9117, int(T * 2)),
                                        eps=0.05, fineness=1 << 12, dt=2.0 ** -9,
                                        threshold=0.03)
         ks_vals[T] = rep.value
         ks_ok &= rep.verdict
 
-    root = derive_stream(9118, 0)
+    root = RngStream(9118, 0)
     paths = [delta_process.sample_delta_path(1.0, 2.0 ** -12, 1 << 14,
                                              root.substream(i))
              for i in range(800)]
@@ -314,7 +314,7 @@ def test_criterion_10_delta_local_time(m2_zero):
         ])
         lhs = estimate_from_values(vals, 9118)
         rhs = delta_process.estimate_Mk(2, 1.0, 4000, 1 << 14,
-                                        derive_stream(9119, int(eps_m * 1000)),
+                                        RngStream(9119, int(eps_m * 1000)),
                                         eps=eps_m)
         se = math.hypot(lhs.std_error, rhs.estimate.std_error)
         ident_ok &= abs(lhs.value - rhs.estimate.value) <= 3 * se
@@ -345,7 +345,7 @@ def test_criterion_11_level_set_boxcount():
     bm_mean = float(np.mean(bm_slopes))
     calib_ok = abs(bm_mean - 0.5) <= 0.05
 
-    root = derive_stream(9121, 0)
+    root = RngStream(9121, 0)
     slopes = []
     for i in range(100):
         path = delta_process.sample_delta_path(1.0, 2.0 ** -16, 1 << 16,

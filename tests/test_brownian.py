@@ -6,7 +6,7 @@ from scipy import stats as sps
 from scipy.integrate import dblquad, quad
 
 from rwrs.errors import BudgetExceededError
-from rwrs.simkit import derive_stream, estimate_from_values
+from rwrs.simkit import RngStream, estimate_from_values
 from rwrs.brownian import (
     besq0_density,
     besq0_extinction,
@@ -34,7 +34,7 @@ def expected_l2_norm_sq():
 
 
 def test_field_masses_and_monotonicity():
-    stream = derive_stream(201, 0)
+    stream = RngStream(201, 0)
     cum, inc = sample_local_time_fields([0.5, 1.0, 2.0], 4096, stream)
     for field in cum:
         assert field.mass() == pytest.approx(field.horizon, rel=0.02)
@@ -47,7 +47,7 @@ def test_field_masses_and_monotonicity():
 def test_norm_matches_numerical_double_integral():
     oracle = expected_l2_norm_sq()
     assert oracle == pytest.approx(1.0638, abs=2e-4)
-    root = derive_stream(202, 0)
+    root = RngStream(202, 0)
     vals = np.empty(1500)
     for i in range(1500):
         cum, _ = sample_local_time_fields([1.0], 1 << 14, root.substream(i))
@@ -57,13 +57,13 @@ def test_norm_matches_numerical_double_integral():
 
 
 def test_gram_examples_and_hadamard():
-    stream = derive_stream(203, 0)
+    stream = RngStream(203, 0)
     cum, _ = sample_local_time_fields([1.0], 4096, stream)
     g1 = gram_of_fields(cum)
     assert g1.det == pytest.approx(cum[0].norm2_sq())
     dup = gram_of_fields([cum[0], cum[0]])
     assert dup.det <= 1e-10 * cum[0].norm2_sq() ** 2
-    root = derive_stream(204, 0)
+    root = RngStream(204, 0)
     for i in range(10_000):
         _, inc = sample_local_time_fields([0.7, 1.3], 1024, root.substream(i))
         g = gram_of_fields(inc)
@@ -73,8 +73,8 @@ def test_gram_examples_and_hadamard():
 
 
 def test_grid_mismatch_rejected():
-    c1, _ = sample_local_time_fields([1.0], 4096, derive_stream(205, 0))
-    c2, _ = sample_local_time_fields([1.0], 4096, derive_stream(205, 1))
+    c1, _ = sample_local_time_fields([1.0], 4096, RngStream(205, 0))
+    c2, _ = sample_local_time_fields([1.0], 4096, RngStream(205, 1))
     if c1[0].origin == c2[0].origin and c1[0].values.size == c2[0].values.size:
         pytest.skip("grids coincide by chance")
     with pytest.raises(ValueError):
@@ -82,7 +82,7 @@ def test_grid_mismatch_rejected():
 
 
 def test_smallest_eigenvalue_is_variational_minimum():
-    stream = derive_stream(206, 0)
+    stream = RngStream(206, 0)
     _, inc = sample_local_time_fields([1.0, 2.0], 1 << 12, stream)
     g = gram_of_fields(inc, normalization="scaled")
     rng = np.random.default_rng(1)
@@ -98,7 +98,7 @@ def test_smallest_eigenvalue_is_variational_minimum():
 def test_estimate_c_scaling_identity():
     ratios = {}
     for T in (0.25, 1.0, 4.0):
-        res = estimate_C([T], 600, 1 << 13, derive_stream(207, int(T * 100)))
+        res = estimate_C([T], 600, 1 << 13, RngStream(207, int(T * 100)))
         ratios[T] = (res.bound_ratio, res.bound_ratio_se)
     base, base_se = ratios[1.0]
     for T in (0.25, 4.0):
@@ -107,15 +107,15 @@ def test_estimate_c_scaling_identity():
 
 
 def test_estimate_c_seed_consistency():
-    a = estimate_C([1.0], 600, 1 << 13, derive_stream(208, 0))
-    b = estimate_C([1.0], 600, 1 << 13, derive_stream(208, 999))
+    a = estimate_C([1.0], 600, 1 << 13, RngStream(208, 0))
+    b = estimate_C([1.0], 600, 1 << 13, RngStream(208, 999))
     se = math.hypot(a.estimate.std_error, b.estimate.std_error)
     assert abs(a.estimate.value - b.estimate.value) <= 3.0 * se
 
 
 def test_small_ball_decay_of_min_eigenvalue():
     # desk-scale shadow of the super-polynomial small-ball bound
-    root = derive_stream(209, 0)
+    root = RngStream(209, 0)
     replicas = 60_000
     vals = np.empty(replicas)
     for i in range(replicas):
@@ -128,7 +128,7 @@ def test_small_ball_decay_of_min_eigenvalue():
 
 
 def test_besq0_absorption_and_atom():
-    stream = derive_stream(210, 0)
+    stream = RngStream(210, 0)
     assert besq0_step(0.0, 1.0, stream) == 0.0
     draws = besq0_step(1.0, 1.0, stream, size=1_000_000)
     atom = float((draws == 0).mean())
@@ -138,7 +138,7 @@ def test_besq0_absorption_and_atom():
 
 
 def test_besq0_positive_part_chi2_against_closed_form():
-    stream = derive_stream(211, 0)
+    stream = RngStream(211, 0)
     draws = besq0_step(1.0, 1.0, stream, size=1_000_000)
     pos = draws[draws > 0]
     edges = np.quantile(pos, np.linspace(0.0, 1.0, 51))
@@ -158,7 +158,7 @@ def test_besq0_positive_part_chi2_against_closed_form():
 
 
 def test_besq0_chapman_kolmogorov():
-    stream = derive_stream(212, 0)
+    stream = RngStream(212, 0)
     one = besq0_step(1.0, 1.0, stream, size=100_000)
     half = besq0_step(1.0, 0.5, stream, size=100_000)
     two_step = np.array(
@@ -168,7 +168,7 @@ def test_besq0_chapman_kolmogorov():
 
 
 def test_total_integral_matches_hitting_time_law():
-    stream = derive_stream(213, 0)
+    stream = RngStream(213, 0)
     draws = besq0_total_integral(2.0, stream, size=1_000_000)
     # histogram bin around t = 1 against the closed-form density
     lo, hi = 0.95, 1.05
@@ -186,8 +186,8 @@ def test_total_integral_matches_hitting_time_law():
 
 
 def test_total_integral_brownian_scaling():
-    s1 = derive_stream(214, 0)
-    s2 = derive_stream(214, 1)
+    s1 = RngStream(214, 0)
+    s2 = RngStream(214, 1)
     base = besq0_total_integral(2.0, s1, size=100_000)
     big = besq0_total_integral(4.0, s2, size=100_000)
     assert sps.ks_2samp(4.0 * base, big).statistic < 0.01
@@ -196,7 +196,7 @@ def test_total_integral_brownian_scaling():
 def test_ray_knight_origin_value_tracks_level():
     m = 1 << 12
     for i in range(5):
-        prof = ray_knight_profile(1.0, m, derive_stream(215, i), horizon_cap=10 ** 8)
+        prof = ray_knight_profile(1.0, m, RngStream(215, i), horizon_cap=10 ** 8)
         assert abs(prof[0] - 1.0) <= 2 * m ** -0.25
 
 
@@ -205,8 +205,8 @@ def test_ray_knight_fast_agrees_with_direct_simulation():
     m = 1 << 8
     offset = int(round(0.5 * math.sqrt(m)))
     slow, fast = [], []
-    s1 = derive_stream(216, 0)
-    s2 = derive_stream(217, 0)
+    s1 = RngStream(216, 0)
+    s2 = RngStream(217, 0)
     for i in range(1200):
         p1 = ray_knight_profile(1.0, m, s1.substream(i), horizon_cap=10 ** 8)
         slow.append(p1[offset] if offset < p1.size else 0.0)
@@ -219,26 +219,26 @@ def test_ray_knight_fast_agrees_with_direct_simulation():
 def test_ray_knight_profile_vs_besq_marginal():
     m = 1 << 14
     offset = int(round(0.5 * math.sqrt(m)))
-    root = derive_stream(218, 0)
+    root = RngStream(218, 0)
     vals = np.empty(4000)
     for i in range(4000):
         prof = ray_knight_profile_fast(1.0, m, root.substream(i))
         vals[i] = prof[offset] if offset < prof.size else 0.0
-    other = besq0_step(1.0, 0.5, derive_stream(219, 0), size=4000)
+    other = besq0_step(1.0, 0.5, RngStream(219, 0), size=4000)
     assert sps.ks_2samp(vals, other).statistic < 0.02
 
 
 def test_ray_knight_cap_raises():
     with pytest.raises(BudgetExceededError):
         # cap far below the typical stopping time forces the error
-        ray_knight_profile(1.0, 1 << 14, derive_stream(220, 0), horizon_cap=100)
+        ray_knight_profile(1.0, 1 << 14, RngStream(220, 0), horizon_cap=100)
 
 
 def test_exit_local_time_is_exponential():
     # acceptance runs the strict 0.02 bound at 10^4 replicas and m = 2^14;
     # here a reduced scale with the matching noise-floor threshold
     m = 1 << 14
-    root = derive_stream(221, 0)
+    root = RngStream(221, 0)
     vals = np.array(
         [origin_local_time_at_range_exit(m, root.substream(i)) for i in range(3000)]
     )

@@ -1,4 +1,7 @@
 import json
+import math
+
+import pytest
 
 from rwrs.cli import ExperimentConfig, export_results, main, validate_config
 from rwrs.simkit import Manifest
@@ -165,3 +168,64 @@ seed = 1
     assert report["derived"]["d"] == 4
     assert report["derived"]["d0"] == 2
     assert report["derived"]["sigma2"] == 4.0
+
+
+BOXCOUNT = """
+[experiment]
+subcommand = boxcount
+
+[params]
+fineness = 1024
+dt = 1/256
+paths = 3
+
+[run]
+seed = 11
+"""
+
+
+def test_boxcount_single_path_rejected_at_validation(tmp_path, capsys):
+    cfg = write_config(tmp_path, BOXCOUNT.replace("paths = 3", "paths = 1"))
+    out = tmp_path / "box"
+    assert main(["--config", cfg, "--out", str(out)]) == 1
+    assert "config error: params.paths" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_boxcount_without_two_countable_paths_is_runtime_error(tmp_path, capsys):
+    # every scale exceeds the unit horizon, so no path has a countable box
+    text = BOXCOUNT.replace("paths = 3", "paths = 3\nscales = 2 20 200 2000")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "box"
+    assert main(["--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "runtime error" in err and "0 of 3 paths" in err
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_export_refuses_non_finite_values(tmp_path, value):
+    rows = [{"name": "ok", "n": 1, "value": 0.5, "std_error": 0.1},
+            {"name": "boxcount_slope", "n": 1, "value": 0.25, "std_error": value}]
+    report = {"tests": [], "fits": {}, "values": {}}
+    with pytest.raises(ValueError, match="boxcount_slope n=1: std_error"):
+        export_results(rows, report, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        (GRAM_TINY.replace("fineness = 1024", "fineness = abc"), "params.fineness"),
+        (GRAM_TINY.replace("fineness = 1024", "fineness = 10"), "params.fineness"),
+        (MINIMAL.replace("n_list = 8 16 32", "n_list = 0 2 4"), "params.n_list"),
+    ],
+    ids=["fineness-not-integer", "fineness-below-1000", "n_list-not-positive"],
+)
+def test_bad_param_value_rejected_at_validation(tmp_path, capsys, config, field):
+    cfg = write_config(tmp_path, config)
+    errors = validate_config(cfg)
+    assert isinstance(errors, list)
+    assert any(e.startswith(field + ":") for e in errors)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert f"config error: {field}:" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rwrs.simkit import derive_stream
+from rwrs.simkit import RngStream
 from rwrs.lattice_walk import StepLaw
 from rwrs.scenery import SceneryLaw
 from rwrs.exact_oracle import exact_counting_moment, exact_joint_return
@@ -59,11 +59,11 @@ def test_fit_power_law_ci_coverage():
 
 def test_return_curve_rejects_inadmissible_times():
     with pytest.raises(ValueError, match="d0"):
-        estimate_return_curve(STEP, RAD, [2, 3, 4], stream=derive_stream(1, 0))
+        estimate_return_curve(STEP, RAD, [2, 3, 4], stream=RngStream(1, 0))
 
 
 def test_return_curve_oracle_gate_small_n():
-    root = derive_stream(401, 0)
+    root = RngStream(401, 0)
     n_list = [2, 4, 6, 8, 10, 12]
     ests, _ = estimate_return_curve(STEP, RAD, n_list, walk_replicas=600,
                                     stream=root)
@@ -76,7 +76,7 @@ def test_return_curve_oracle_gate_small_n():
 
 
 def test_return_curve_k2_oracle_gate():
-    root = derive_stream(402, 0)
+    root = RngStream(402, 0)
     exact = exact_joint_return(STEP, RAD, [4, 8], rational=True).value
     ests, _ = estimate_return_curve(
         STEP, RAD, [4], k=2, T_ratios=(1, 2), walk_replicas=4000, stream=root
@@ -85,7 +85,7 @@ def test_return_curve_k2_oracle_gate():
 
 
 def test_return_curve_slope_reduced_scale():
-    root = derive_stream(403, 0)
+    root = RngStream(403, 0)
     n_list = [1 << j for j in range(8, 13)]
     _, fit = estimate_return_curve(STEP, RAD, n_list, walk_replicas=500,
                                    stream=root)
@@ -93,7 +93,7 @@ def test_return_curve_slope_reduced_scale():
 
 
 def test_counting_moment_oracle_gate():
-    root = derive_stream(404, 0)
+    root = RngStream(404, 0)
     curve = counting_moment_curve(STEP, RAD, 1, [2, 4, 8], 4000, root)
     for n, est in zip((2, 4, 8), curve.estimates):
         exact = exact_counting_moment(STEP, RAD, n, 1)
@@ -101,7 +101,7 @@ def test_counting_moment_oracle_gate():
 
 
 def test_counting_moment_k2_oracle_gate():
-    root = derive_stream(405, 0)
+    root = RngStream(405, 0)
     curve = counting_moment_curve(STEP, RAD, 2, [4, 8], 4000, root)
     for n, est in zip((4, 8), curve.estimates):
         exact = exact_counting_moment(STEP, RAD, n, 2)
@@ -111,17 +111,17 @@ def test_counting_moment_k2_oracle_gate():
 def test_gram_convergence_self_test():
     # two independent walk batches at the same n: identical distributions
     reports = gram_convergence_test(STEP, 1 << 10, [1.0], 2000, 1 << 10,
-                                    derive_stream(406, 0))
+                                    RngStream(406, 0))
     assert all(r.verdict for r in reports)
 
 
 def test_scaling_law_identity_at_T_one():
-    rep = scaling_law_test(1.0, 2000, derive_stream(407, 0))
+    rep = scaling_law_test(1.0, 2000, RngStream(407, 0))
     assert rep.verdict
 
 
 def test_correlation_ratio_reduced_scale():
-    lhs, rhs = correlation_ratio(1 << 10, 1.0, 500, derive_stream(408, 0),
+    lhs, rhs = correlation_ratio(1 << 10, 1.0, 500, RngStream(408, 0),
                                  fineness=1 << 12)
     assert agree_within(lhs, rhs, n_sigma=4.0)
     assert lhs.value - 3 * lhs.std_error > 1.0
@@ -133,7 +133,7 @@ def test_cauchy_schwarz_forces_ratio_above_one():
     # numerator functional strictly exceeds the independent-denominator one
     from rwrs.harness import _field_pair_stats
 
-    root = derive_stream(409, 0)
+    root = RngStream(409, 0)
     num, den = np.empty(800), np.empty(800)
     for i in range(800):
         a, b, cross = _field_pair_stats(1.0, 1.0, 1 << 12, root.substream(i))
@@ -147,7 +147,7 @@ def test_cauchy_schwarz_forces_ratio_above_one():
 
 def test_uniformity_shadow_bounded():
     vals, peak = uniformity_shadow(STEP, RAD, 1 << 12, 200,
-                                   derive_stream(410, 0), grid_points=3)
+                                   RngStream(410, 0), grid_points=3)
     assert peak < 4.0  # calibration budget; typical values sit near 0.8
     assert all(v >= 0 for _, _, v, _ in vals)
 
@@ -155,7 +155,7 @@ def test_uniformity_shadow_bounded():
 def test_tightness_shadow():
     n = 1 << 12
     rows = tightness_stats(STEP, RAD, n, 0.5, [2.0 ** -j for j in range(2, 7)],
-                           500, derive_stream(411, 0))
+                           500, RngStream(411, 0))
     for h, est in rows:
         assert est.value <= 2.0 * math.sqrt(h * n)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwrs.simkit import derive_stream
+from rwrs.simkit import RngStream
 from rwrs.lattice_walk import (
     LocalTimeProfile,
     StepLaw,
@@ -41,7 +41,7 @@ def test_profiles_from_realized_steps():
 
 def test_mass_conservation_over_random_trials():
     law = StepLaw.lazy(Fraction(1, 3))
-    root = derive_stream(5, 0)
+    root = RngStream(5, 0)
     for i in range(1000):
         (p,) = simulate_local_times(law, [37], root.substream(i))
         assert int(p.counts.sum()) == 37
@@ -50,8 +50,8 @@ def test_mass_conservation_over_random_trials():
 def test_concatenation_property():
     law = StepLaw.simple()
     for i in range(50):
-        s1 = derive_stream(17, i)
-        s2 = derive_stream(17, i)
+        s1 = RngStream(17, i)
+        s2 = RngStream(17, i)
         segs = simulate_local_times(law, [10, 25, 60], s1)
         (full,) = simulate_local_times(law, [60], s2)
         merged = merge_profiles(merge_profiles(segs[0], segs[1]), segs[2])
@@ -87,7 +87,7 @@ def test_self_intersection_identity_brute_force():
     # sum of squared counts equals the number of time pairs at equal sites
     law = StepLaw.simple()
     for i in range(200):
-        stream = derive_stream(23, i)
+        stream = RngStream(23, i)
         n = 12
         steps = law.sample_steps(stream, n - 1)
         (p,) = profiles_from_steps(steps, [n])
@@ -103,7 +103,7 @@ def test_self_intersection_median_scaling():
     law = StepLaw.simple()
     meds = {}
     for n in (1 << 14, 1 << 16):
-        root = derive_stream(29, n)
+        root = RngStream(29, n)
         vals = [
             mutual_inner(*[simulate_local_times(law, [n], root.substream(i))[0]] * 2)
             * n ** -1.5
@@ -138,7 +138,7 @@ def test_sup_and_range_tail_bounds():
     n = 1 << 16
     gamma = 0.15
     threshold = n ** (0.5 + gamma)
-    root = derive_stream(31, 0)
+    root = RngStream(31, 0)
     r_exceed = sup_exceed = 0
     for i in range(1000):
         (p,) = simulate_local_times(law, [n], root.substream(i))
@@ -152,6 +152,6 @@ def test_sup_and_range_tail_bounds():
 def test_long_walk_chunked_path_never_materialized():
     law = StepLaw.simple()
     n = (1 << 20) + 12345
-    (p,) = simulate_local_times(law, [n], derive_stream(37, 0))
+    (p,) = simulate_local_times(law, [n], RngStream(37, 0))
     assert int(p.counts.sum()) == n
     assert p.sites.size < 40_000  # range is O(sqrt n), not O(n)

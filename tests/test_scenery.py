@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rwrs.simkit import derive_stream
+from rwrs.simkit import RngStream
 from rwrs.lattice_walk import LocalTimeProfile, StepLaw, simulate_local_times
 from rwrs.scenery import (
     ConditionalMethod,
@@ -55,7 +55,7 @@ def test_sample_and_evaluate_direct_sum():
 def test_sample_and_evaluate_parity():
     law = RADEMACHER
     step = StepLaw.simple()
-    root = derive_stream(41, 0)
+    root = RngStream(41, 0)
     for i in range(1000):
         sub = root.substream(i)
         profiles = simulate_local_times(step, [13], sub)
@@ -68,7 +68,7 @@ def test_increments_live_on_the_residue_lattice():
     law = SceneryLaw.from_dict({-4: Fraction(1, 3), -1: Fraction(1, 3),
                                 5: Fraction(1, 3)})
     step = StepLaw.simple()
-    root = derive_stream(43, 0)
+    root = RngStream(43, 0)
     for i in range(300):
         sub = root.substream(i)
         n = int(sub.gen.integers(2, 20))
@@ -146,7 +146,7 @@ def test_convolution_vs_quadrature_on_random_profiles():
     worst = 0.0
     for k, trials, max_half in ((1, 60, 32), (2, 40, 16)):
         for i in range(trials):
-            stream = derive_stream(600 + k, i)
+            stream = RngStream(600 + k, i)
             n = 2 * int(stream.gen.integers(1, max_half + 1))
             times = [n] if k == 1 else [n, 2 * n]
             profiles = simulate_local_times(step, times, stream)
@@ -162,7 +162,7 @@ def test_quadrature_handles_asymmetric_scenery():
     law = SceneryLaw.from_dict({-2: Fraction(1, 3), 1: Fraction(2, 3)})
     step = StepLaw.simple()
     for i in range(25):
-        stream = derive_stream(71, i)
+        stream = RngStream(71, i)
         n = 3 * int(stream.gen.integers(1, 9))  # d0 = 3 here
         profiles = simulate_local_times(step, [n], stream)
         conv = conditional_return_prob(profiles, law,
@@ -183,7 +183,7 @@ def test_rao_blackwell_unbiasedness_and_variance_reduction():
     step = StepLaw.simple()
     law = RADEMACHER
     n = 8
-    root = derive_stream(83, 0)
+    root = RngStream(83, 0)
     conds = np.empty(4000)
     indicators = np.empty(4000)
     for i in range(4000):
@@ -214,7 +214,7 @@ def test_quadrature_integrand_symmetrizes_to_real():
 
 def test_batch_table_matches_convolution():
     step = StepLaw.simple()
-    root = derive_stream(97, 0)
+    root = RngStream(97, 0)
     profiles = [
         simulate_local_times(step, [128], root.substream(i))[0] for i in range(80)
     ]
@@ -231,7 +231,7 @@ def test_joint_sampled_estimator_is_unbiased():
     from rwrs.exact_oracle import exact_joint_return
 
     exact = exact_joint_return(step, RADEMACHER, [4, 8], rational=True).value
-    root = derive_stream(101, 0)
+    root = RngStream(101, 0)
     vals = np.empty(3000)
     for i in range(3000):
         sub = root.substream(i)
@@ -244,5 +244,5 @@ def test_joint_sampled_estimator_is_unbiased():
 def test_joint_sampled_vanishes_off_lattice():
     p1 = LocalTimeProfile.from_dict({0: 2, 1: 1})  # odd length
     p2 = LocalTimeProfile.from_dict({0: 2, 1: 2})
-    got = joint_return_prob_sampled([p1, p2], RADEMACHER, derive_stream(1, 1))
+    got = joint_return_prob_sampled([p1, p2], RADEMACHER, RngStream(1, 1))
     assert got == 0.0

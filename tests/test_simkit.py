@@ -7,37 +7,36 @@ from hypothesis import strategies as st
 
 from rwrs.simkit import (
     Manifest,
-    derive_stream,
+    RngStream,
     estimate_from_values,
     file_digest,
-    run_replicated,
-    stream_base_for,
+    replicate,
     write_manifest,
 )
 
 
 def test_same_key_replays():
-    a = derive_stream(42, 0).gen.uniform(size=10_000)
-    b = derive_stream(42, 0).gen.uniform(size=10_000)
+    a = RngStream(42, 0).gen.uniform(size=10_000)
+    b = RngStream(42, 0).gen.uniform(size=10_000)
     assert (a == b).all()
 
 
 def test_distinct_stream_ids_differ():
-    a = derive_stream(42, 0).gen.uniform(size=10_000)
-    b = derive_stream(42, 1).gen.uniform(size=10_000)
+    a = RngStream(42, 0).gen.uniform(size=10_000)
+    b = RngStream(42, 1).gen.uniform(size=10_000)
     assert (a != b).any()
 
 
 def test_distinct_seeds_differ():
-    a = derive_stream(42, 0).gen.uniform(size=10_000)
-    b = derive_stream(43, 0).gen.uniform(size=10_000)
+    a = RngStream(42, 0).gen.uniform(size=10_000)
+    b = RngStream(43, 0).gen.uniform(size=10_000)
     assert (a != b).any()
 
 
 def test_substreams_are_reproducible_and_distinct():
-    root = derive_stream(7, 3)
+    root = RngStream(7, 3)
     s1 = root.substream(5)
-    s2 = derive_stream(7, 3).substream(5)
+    s2 = RngStream(7, 3).substream(5)
     assert s1.stream_id == s2.stream_id
     assert (s1.gen.uniform(size=100) == s2.gen.uniform(size=100)).all()
     ids = {root.substream(i).stream_id for i in range(1000)}
@@ -45,27 +44,47 @@ def test_substreams_are_reproducible_and_distinct():
 
 
 def test_constant_task():
-    est = run_replicated(lambda s: 1.0, 100, 99)
+    est = estimate_from_values(replicate(lambda s: 1.0, 100, RngStream(99, 0)), 99)
     assert est.value == 1.0
     assert est.std_error == 0.0
     assert est.replicas == 100
 
 
 def test_replicas_must_be_positive():
-    with pytest.raises(ValueError):
-        run_replicated(lambda s: 1.0, 0, 1)
+    for replicas in (0, -3):
+        with pytest.raises(ValueError):
+            replicate(lambda s: 1.0, replicas, RngStream(1, 0))
 
 
-def test_schedule_independence():
-    task = lambda s: float(s.gen.uniform())
-    serial = run_replicated(task, 20_000, 11, threads=1)
-    parallel = run_replicated(task, 20_000, 11, threads=4)
-    assert serial.value == parallel.value
-    assert serial.std_error == parallel.std_error
+def _uniform_or_rejected(s):
+    u = float(s.gen.uniform())
+    return np.nan if u < 0.3 else u
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        lambda s: float(s.gen.uniform()),
+        lambda s: s.gen.normal(size=5),
+        lambda s: s.gen.normal(size=(3, 3)),
+        _uniform_or_rejected,
+    ],
+    ids=["scalar", "vector", "matrix", "nan-rejection"],
+)
+def test_replicate_matches_substream_loop(task):
+    stream = RngStream(5, 17)
+    expected = np.empty((64,) + np.shape(task(stream.substream(0))))
+    for i in range(64):
+        expected[i] = task(stream.substream(i))
+    got = replicate(task, 64, stream)
+    assert got.shape == expected.shape
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_uniform_mean_within_clt_band():
-    est = run_replicated(lambda s: float(s.gen.uniform()), 100_000, 1234)
+    values = replicate(lambda s: float(s.gen.uniform()), 100_000, RngStream(1234, 0))
+    est = estimate_from_values(values, 1234)
     # 5 sigma of a Uniform(0,1) mean at 1e5 replicas
     assert abs(est.value - 0.5) < 0.005
     assert abs(est.std_error - math.sqrt(1 / 12 / 100_000)) < 2e-4
@@ -80,11 +99,6 @@ def test_reduction_is_order_independent(values, rnd):
     est2 = estimate_from_values(np.array(shuffled), 0)
     scale = max(1.0, abs(est1.value))
     assert abs(est1.value - est2.value) <= 1e-12 * scale
-
-
-def test_stream_base_tags_are_stable():
-    assert stream_base_for("alpha") == stream_base_for("alpha")
-    assert stream_base_for("alpha") != stream_base_for("beta")
 
 
 def test_manifest_round_trip(tmp_path):
