@@ -31,7 +31,6 @@ __all__ = [
     "ray_knight_profile_fast",
     "origin_local_time_at_range_exit",
     "hitting_time_density",
-    "dump_fields_csv",
 ]
 
 _EIG_CLAMP = 1e-14
@@ -58,15 +57,6 @@ class LocalTimeField:
 
     def norm2_sq(self):
         return self.h * float(np.dot(self.values, self.values))
-
-    def grid(self):
-        return (self.origin + np.arange(self.values.size)) * self.h
-
-    def value_at(self, x):
-        j = int(round(x / self.h)) - self.origin
-        if 0 <= j < self.values.size:
-            return float(self.values[j])
-        return 0.0
 
 
 def _embedded_positions(total, stream):
@@ -215,22 +205,6 @@ def estimate_C(T_list, replicas, fineness, stream, max_reject_rate=1e-3):
         rejected=rejected,
         replicas=replicas,
     )
-
-
-def dump_fields_csv(fields, path):
-    """Write shared-grid fields as CSV columns (x, L_T1, ..., L_Tk)."""
-    f0 = fields[0]
-    for f in fields[1:]:
-        if f.origin != f0.origin or f.values.size != f0.values.size:
-            raise ValueError("fields must share one grid")
-    xs = f0.grid()
-    header = "x," + ",".join(f"L_{f.horizon:g}" for f in fields)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for j, x in enumerate(xs):
-            cols = ",".join(f"{f.values[j]:.17g}" for f in fields)
-            fh.write(f"{x:.17g},{cols}\n")
-    return path
 
 
 def besq0_step(y, dt, stream, size=None):

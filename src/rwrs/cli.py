@@ -56,6 +56,9 @@ _SCHEMA = {
     "boxcount": {"laws": set(), "params": {"scales", "fineness", "dt", "paths"}},
 }
 
+# subcommands that never turn replicas into a standard error or a KS statistic
+_NO_REPLICAS = {"analyze-law", "oracle", "besq-check", "boxcount"}
+
 _DEFAULTS = {
     "seed": "20240801",
     "replicas": "1000",
@@ -213,6 +216,9 @@ def validate_config(path, overrides=None):
         )
         if replicas <= 0:
             errors.append("run.replicas: must be positive")
+        elif replicas < 2 and sub not in _NO_REPLICAS:
+            errors.append(f"run.replicas: must be at least 2 for {sub} "
+                          "(a standard error or a KS statistic needs two samples)")
     except ValueError:
         errors.append("run.replicas: not an integer")
         replicas = 1
@@ -279,6 +285,14 @@ def _resolve_params(sub, raw):
         errors.append(f"params.fineness: must be at least 1000 for {sub}")
     if params.get("paths", 2) < 2:
         errors.append("params.paths: must be at least 2 for a standard error")
+    scales = params.get("scales")
+    if scales is not None and (len(scales) < 4 or min(scales) <= 0
+                               or max(scales) / min(scales) < 100.0):
+        errors.append("params.scales: need >= 4 positive scales spanning >= 2 decades")
+    # the scenery-integral path needs one lattice step per time-grid cell
+    if "dt" in params and "fineness" in params and params["dt"] * params["fineness"] < 1:
+        errors.append("params.dt: dt * fineness must be at least 1 "
+                      "(one lattice step per time-grid cell)")
     return params, errors
 
 

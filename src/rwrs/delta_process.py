@@ -35,8 +35,6 @@ __all__ = [
     "zero_set_boxcount",
     "occupation_comparison",
     "support_increase_bound",
-    "dump_path_csv",
-    "dump_boxcount_csv",
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -277,25 +275,6 @@ def zero_set_boxcount(path, scales, hurst=0.75):
     if len(pts) < 3:
         raise DegenerateRatioError("no countable zero boxes; degenerate path")
     return fit_power_law(pts)
-
-
-def dump_path_csv(path, file):
-    """Write the path as CSV rows (t, delta_t)."""
-    with open(file, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,delta\n")
-        for t, v in zip(path.times, path.values):
-            fh.write(f"{t:.17g},{v:.17g}\n")
-    return file
-
-
-def dump_boxcount_csv(fit, file):
-    """Write a box-count fit's points as CSV rows (scale, count)."""
-    with open(file, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("scale,count\n")
-        for log_inv_scale, log_count, _ in fit.points:
-            fh.write(f"{math.exp(-log_inv_scale):.17g},"
-                     f"{math.exp(log_count):.17g}\n")
-    return file
 
 
 def occupation_comparison(path, t, a, b, eps):

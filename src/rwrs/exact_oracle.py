@@ -1,8 +1,12 @@
 """Exact ground truth at tiny n by total path enumeration.
 
-Paths are visited in mixed-radix Gray-code order: one step changes per
-transition, so positions and segment local times are patched incrementally
-instead of being rebuilt.  Probabilities accumulate either in compensated
+Every oracle here walks the paths with one enumerator, `_gray_paths`, in
+mixed-radix Gray-code order: one step changes per transition, so positions
+and segment local times are patched incrementally instead of being
+rebuilt.  Given a path, `exact_joint_return` evaluates the scenery through
+`scenery.conditional_return_prob` (float mode) or an exact rational
+convolution; the counting moment and the brute-force cross-check enumerate
+the scenery directly.  Probabilities accumulate either in compensated
 floating point or, when both laws have rational weights, exactly over the
 rationals (the reference mode for acceptance checks).
 """
@@ -15,7 +19,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .lattice_walk import LocalTimeProfile
-from .scenery import ConditionalMethod, conditional_return_prob
+from .scenery import conditional_return_prob
 
 __all__ = [
     "ExactResult",
@@ -83,10 +87,12 @@ def _rational_weights(law):
 def _gray_paths(step, n_steps, times):
     """Iterate all |support|^n_steps paths, patching state incrementally.
 
-    Yields (counts, weight, numerator) per path, where counts maps
+    Yields (counts, pos, weight, numerator) per path, where counts maps
     site -> per-segment visit vector over positions S_0..S_{n_steps-1}
-    split at the given times.  Digit 0 of the Gray code drives the final
-    step, so the most frequent transitions touch the fewest positions.
+    split at the given times, and pos is the list of positions
+    S_0..S_{n_steps}.  Both are patched in place, so a caller copies what
+    it keeps.  Digit 0 of the Gray code drives the final step, so the most
+    frequent transitions touch the fewest positions.
     """
     support = [int(x) for x in step.support]
     probs = [float(p) for p in step.probs]
@@ -113,7 +119,7 @@ def _gray_paths(step, n_steps, times):
     f = list(range(L + 1))
     o = [1] * L
     while True:
-        yield counts, weight, numerator
+        yield counts, pos, weight, numerator
         j = f[0]
         f[0] = 0
         if j == L:
@@ -197,18 +203,17 @@ def exact_joint_return(step, scen, times, rational=False):
 
     k = len(times)
     use_rational = rational and _rational_weights(step) and _rational_weights(scen)
-    method = ConditionalMethod("convolution" if k <= 2 else "char_quadrature")
     acc = _Neumaier()
     acc_exact = Fraction(0)
     denom_steps = _rational_weights(step)[0] if use_rational else 1
-    for counts, weight, numerator in _gray_paths(step, n_k, times):
+    for counts, _, weight, numerator in _gray_paths(step, n_k, times):
         if use_rational:
             matrix = np.array(list(counts.values()), dtype=np.int64).reshape(-1, k)
             cond = _pmf_exact_at_zero(matrix, scen)
             acc_exact += Fraction(numerator, denom_steps ** n_k) * cond
         else:
             profiles = _profiles_from_counts(counts, times)
-            acc.add(weight * conditional_return_prob(profiles, scen, method))
+            acc.add(weight * conditional_return_prob(profiles, scen))
     if use_rational:
         return ExactResult(float(acc_exact), count, "rational", acc_exact)
     return ExactResult(acc.total, count, "compensated-float", None)
@@ -232,7 +237,7 @@ def exact_joint_return_bruteforce(step, scen, times):
     k = len(times)
     total = Fraction(0)
     nsup = len(scen.support)
-    for counts, _, numerator in _gray_paths(step, n_k, times):
+    for counts, _, _, numerator in _gray_paths(step, n_k, times):
         sites = list(counts)
         matrix = np.array([counts[s] for s in sites], dtype=np.int64).reshape(-1, k)
         r = len(sites)
@@ -272,8 +277,8 @@ def exact_counting_moment(step, scen, n, k):
     acc = _Neumaier()
     acc_exact = Fraction(0)
     # enumerate n steps (positions S_0..S_{n-1}; the final step is inert)
-    for pos_tuple, weight, numerator in _gray_paths_positions(step, n):
-        positions = np.asarray(pos_tuple[:n], dtype=np.int64)
+    for _, pos, weight, numerator in _gray_paths(step, n, [n]):
+        positions = np.asarray(pos[:n], dtype=np.int64)
         sites, seq = np.unique(positions, return_inverse=True)
         r = sites.size
         if nsup ** r > 4 * 10 ** 6:
@@ -298,40 +303,6 @@ def exact_counting_moment(step, scen, n, k):
     return float(acc_exact) if use_rational else acc.total
 
 
-def _gray_paths_positions(step, n_steps):
-    """Same Gray enumeration as _gray_paths but yielding raw positions."""
-    support = [int(x) for x in step.support]
-    probs = [float(p) for p in step.probs]
-    b = len(support)
-    L = n_steps
-    rat = _rational_weights(step)
-    pos = [t * support[0] for t in range(L + 1)]
-    weight = probs[0] ** L
-    numerator = (rat[1][0] ** L) if rat else 0
-    a = [0] * L
-    f = list(range(L + 1))
-    o = [1] * L
-    while True:
-        yield pos, weight, numerator
-        j = f[0]
-        f[0] = 0
-        if j == L:
-            return
-        old = a[j]
-        a[j] += o[j]
-        new = a[j]
-        if new == 0 or new == b - 1:
-            o[j] = -o[j]
-            f[j] = f[j + 1]
-            f[j + 1] = j + 1
-        delta = support[new] - support[old]
-        weight *= probs[new] / probs[old]
-        if rat:
-            numerator = numerator * rat[1][new] // rat[1][old]
-        for t in range(L - j, L + 1):
-            pos[t] += delta
-
-
 def exact_char_function(step, scen, times, theta):
     """E[prod_y phi_xi(sum_j theta_j N_j(y))] by path enumeration."""
     times = [int(t) for t in times]
@@ -342,7 +313,7 @@ def exact_char_function(step, scen, times, theta):
         raise ValueError("theta must have one component per time")
     re = _Neumaier()
     im = _Neumaier()
-    for counts, weight, _ in _gray_paths(step, n_k, times):
+    for counts, _, weight, _ in _gray_paths(step, n_k, times):
         matrix = np.array(list(counts.values()), dtype=np.float64)
         u = matrix @ theta
         val = complex(np.prod(scen.char(u)))

@@ -14,13 +14,8 @@ from scipy import stats as sps
 
 from . import brownian, delta_process
 from .errors import DegenerateRatioError
-from .lattice_walk import simulate_local_times
-from .scenery import (
-    ConditionalMethod,
-    ReturnProbTable,
-    conditional_return_prob,
-    joint_return_prob_sampled,
-)
+from .lattice_walk import _walk_positions, simulate_local_times
+from .scenery import ReturnProbTable, conditional_return_prob, joint_return_prob_sampled
 from .simkit import Estimate, estimate_from_values, replicate
 
 __all__ = [
@@ -134,10 +129,7 @@ def _return_values_k1(step, scen, n, replicas, stream):
     profiles = replicate(lambda sub: simulate_local_times(step, [n], sub)[0],
                          replicas, stream)
     if n <= 64:
-        method = ConditionalMethod("convolution")
-        return np.array(
-            [conditional_return_prob([p], scen, method) for p in profiles]
-        )
+        return np.array([conditional_return_prob([p], scen) for p in profiles])
     return ReturnProbTable(scen).evaluate(profiles)
 
 
@@ -287,11 +279,7 @@ class CountingCurve:
 
 def _zero_count_trajectory(step, scen, marks, stream):
     """Counts of m <= mark with Z_m = 0, at each requested mark."""
-    n_max = marks[-1]
-    steps = step.sample_steps(stream, n_max - 1) if n_max > 1 else np.empty(0, np.int64)
-    positions = np.empty(n_max, dtype=np.int64)
-    positions[0] = 0
-    np.cumsum(steps, out=positions[1:])
+    positions = _walk_positions(step, marks[-1], stream)
     lo = int(positions.min())
     width = int(positions.max()) - lo + 1
     xi = scen.sample(stream, width)
@@ -356,10 +344,7 @@ def _walk_gram_samples(step, n, T_list, replicas, stream):
     sigma = math.sqrt(step.variance)
 
     def task(sub):
-        steps = step.sample_steps(sub, marks[-1] - 1)
-        positions = np.empty(marks[-1], dtype=np.int64)
-        positions[0] = 0
-        np.cumsum(steps, out=positions[1:])
+        positions = _walk_positions(step, marks[-1], sub)
         lo = int(positions.min())
         width = int(positions.max()) - lo + 1
         counts = []

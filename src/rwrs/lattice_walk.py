@@ -34,8 +34,13 @@ def _gcd_all(values):
 
 
 @dataclass(frozen=True)
-class StepLaw:
-    """Finite-support step distribution: centered, aperiodic on the integers."""
+class _FiniteLaw:
+    """Centered law on finitely many integers.
+
+    The support is sorted and distinct and every probability is positive.
+    Normalization and centering are checked exactly when all probabilities
+    are Fractions and within 1e-12 otherwise.
+    """
 
     support: tuple
     probs: tuple
@@ -47,31 +52,13 @@ class StepLaw:
             raise ValueError("support must be sorted distinct integers")
         if any(p <= 0 for p in self.probs):
             raise ValueError("all probabilities must be positive")
-        exact = all(isinstance(p, Fraction) for p in self.probs)
         total = sum(self.probs)
         mean = sum(x * p for x, p in zip(self.support, self.probs))
-        if exact:
-            if total != 1:
-                raise ValueError("probabilities must sum to 1")
-            if mean != 0:
-                raise ValueError("step law must be centered (exact rational check)")
-        else:
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError("probabilities must sum to 1 within 1e-12")
-            if abs(mean) > 1e-12:
-                raise ValueError("step law must be centered")
-        # aperiodicity: the subgroup generated by the support is all of Z
-        if _gcd_all(self.support) != 1:
-            raise ValueError("support must generate the integers (gcd 1)")
-
-    @classmethod
-    def simple(cls):
-        return cls((-1, 1), (Fraction(1, 2), Fraction(1, 2)))
-
-    @classmethod
-    def lazy(cls, hold=Fraction(1, 2)):
-        move = (1 - hold) / 2
-        return cls((-1, 0, 1), (move, hold, move))
+        tol = 0 if all(isinstance(p, Fraction) for p in self.probs) else 1e-12
+        if abs(total - 1) > tol:
+            raise ValueError("probabilities must sum to 1")
+        if abs(mean) > tol:
+            raise ValueError("law must be centered (mean 0)")
 
     @classmethod
     def from_dict(cls, pmf):
@@ -82,17 +69,35 @@ class StepLaw:
     def variance(self):
         return float(sum(x * x * p for x, p in zip(self.support, self.probs)))
 
-    @property
-    def max_step(self):
-        return max(abs(x) for x in self.support)
-
     def float_probs(self):
         return np.array([float(p) for p in self.probs])
 
-    def sample_steps(self, stream, size):
-        probs = self.float_probs()
-        idx = stream.gen.choice(len(self.support), size=size, p=probs)
+    def _draw(self, stream, size):
+        """`size` i.i.d. values from `stream` (an int or a shape)."""
+        idx = stream.gen.choice(len(self.support), size=size, p=self.float_probs())
         return np.asarray(self.support, dtype=np.int64)[idx]
+
+
+class StepLaw(_FiniteLaw):
+    """Step distribution of an aperiodic walk: its support generates Z."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if _gcd_all(self.support) != 1:
+            raise ValueError("support must generate the integers (gcd 1)")
+
+    # bound in the class itself: the traced benchmark child wraps
+    # StepLaw.__dict__["sample_steps"] (perfbench/child.py)
+    sample_steps = _FiniteLaw._draw
+
+    @classmethod
+    def simple(cls):
+        return cls((-1, 1), (Fraction(1, 2), Fraction(1, 2)))
+
+    @classmethod
+    def lazy(cls, hold=Fraction(1, 2)):
+        move = (1 - hold) / 2
+        return cls((-1, 0, 1), (move, hold, move))
 
 
 @dataclass(frozen=True)
@@ -123,12 +128,6 @@ class LocalTimeProfile:
     def as_dict(self):
         return {int(s): int(c) for s, c in zip(self.sites, self.counts)}
 
-    def count_at(self, site):
-        i = np.searchsorted(self.sites, site)
-        if i < self.sites.size and self.sites[i] == site:
-            return int(self.counts[i])
-        return 0
-
 
 @dataclass(frozen=True)
 class ProfileStats:
@@ -137,6 +136,30 @@ class ProfileStats:
     range_size: int
     sup_count: int
     holder_half: float
+
+
+def _walk_positions(law, total, stream):
+    """Positions S_0 = 0, S_1, ..., S_{total-1} of one walk.
+
+    The total - 1 steps come from one `law.sample_steps` call on `stream`
+    (none when total is 1).  Every sampled walk of `law` is built here.
+    """
+    positions = np.zeros(total, dtype=np.int64)
+    if total > 1:
+        np.cumsum(law.sample_steps(stream, total - 1), out=positions[1:])
+    return positions
+
+
+def _segment_profiles(positions, breakpoints):
+    """Profile of positions[b_{i-1}:b_i] for each breakpoint b_i."""
+    profiles = []
+    prev = 0
+    for b in breakpoints:
+        seg = positions[prev:b]
+        sites, counts = np.unique(seg, return_counts=True)
+        profiles.append(LocalTimeProfile(sites, counts, b - prev, int(seg[0])))
+        prev = b
+    return profiles
 
 
 def profiles_from_steps(steps, breakpoints, start=0):
@@ -150,19 +173,8 @@ def profiles_from_steps(steps, breakpoints, start=0):
     total = breakpoints[-1]
     if steps.size < total - 1:
         raise ValueError("not enough steps for the requested breakpoints")
-    positions = np.empty(total, dtype=np.int64)
-    positions[0] = start
-    if total > 1:
-        np.cumsum(steps[: total - 1], out=positions[1:])
-        positions[1:] += start
-    profiles = []
-    prev = 0
-    for b in breakpoints:
-        seg = positions[prev:b]
-        sites, counts = np.unique(seg, return_counts=True)
-        profiles.append(LocalTimeProfile(sites, counts, b - prev, int(seg[0])))
-        prev = b
-    return profiles
+    positions = start + np.concatenate(([0], np.cumsum(steps[: total - 1])))
+    return _segment_profiles(positions, breakpoints)
 
 
 def simulate_local_times(law, breakpoints, stream):
@@ -178,8 +190,7 @@ def simulate_local_times(law, breakpoints, stream):
         raise ValueError("breakpoints must be strictly increasing")
     total = breakpoints[-1]
     if total <= _CHUNK:
-        steps = law.sample_steps(stream, total - 1) if total > 1 else []
-        return profiles_from_steps(steps, breakpoints)
+        return _segment_profiles(_walk_positions(law, total, stream), breakpoints)
 
     # chunked accumulation into per-segment dicts
     seg_counts = [dict() for _ in breakpoints]
@@ -189,12 +200,7 @@ def simulate_local_times(law, breakpoints, stream):
     seg = 0
     while t < total:
         take = min(_CHUNK, total - t)
-        chunk = np.empty(take, dtype=np.int64)
-        chunk[0] = pos
-        if take > 1:
-            steps = law.sample_steps(stream, take - 1)
-            np.cumsum(steps, out=chunk[1:])
-            chunk[1:] += pos
+        chunk = pos + _walk_positions(law, take, stream)
         lo = 0
         while lo < take:
             hi = min(take, breakpoints[seg] - t)

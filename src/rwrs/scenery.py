@@ -5,23 +5,30 @@ Z are sums over occupied sites of xi_y weighted by visit counts, so their
 conditional joint law is an explicit finite convolution.  Averaging that
 conditional zero-probability over walk replicas is an unbiased estimator of
 P(Z = 0 at all requested times) with much smaller variance than indicator
-counting (Rao-Blackwell).  Two evaluation routes are provided: exact dense
-convolution (k <= 2) and trapezoid quadrature of the conditional
-characteristic function over its periodicity cell (any k).
+counting (Rao-Blackwell).  Each case has one evaluation route:
+
+- k = 1, a batch of walks: `ReturnProbTable`, a trapezoid quadrature of the
+  conditional characteristic function over its periodicity cell;
+- one walk: `conditional_return_prob`, exact dense convolution for k <= 2
+  and the k-dimensional trapezoid quadrature for k >= 3;
+- k >= 2 on the estimator path: `joint_return_prob_sampled`, which
+  integrates the sites of one segment out by convolution and samples or
+  enumerates the scenery on shared sites.
+
+The law itself (`SceneryLaw`) shares its validation, `from_dict` and the
+draw with `lattice_walk.StepLaw`.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .lattice_walk import _gcd_all
+from .lattice_walk import _FiniteLaw, _gcd_all
 
 __all__ = [
     "SceneryLaw",
-    "ConditionalMethod",
     "analyze_law",
     "sample_and_evaluate",
     "evaluate_increments",
@@ -29,18 +36,12 @@ __all__ = [
     "joint_return_prob_sampled",
     "ReturnProbTable",
     "char_given_profiles",
-    "UnsupportedMethodError",
 ]
 
 _LOG_FLOOR = -800.0  # exp underflows to an exact 0.0 well before this
 
 
-class UnsupportedMethodError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class SceneryLaw:
+class SceneryLaw(_FiniteLaw):
     """Centered integer scenery distribution with its lattice constants.
 
     d is the span of the lattice carrying the support (gcd of pairwise
@@ -50,27 +51,10 @@ class SceneryLaw:
     times that are multiples of d0.
     """
 
-    support: tuple
-    probs: tuple
-
     def __post_init__(self):
-        if len(self.support) != len(self.probs) or not self.support:
-            raise ValueError("support and probs must be nonempty and same length")
-        if list(self.support) != sorted(set(self.support)):
-            raise ValueError("support must be sorted distinct integers")
+        super().__post_init__()
         if len(self.support) < 2:
             raise ValueError("degenerate (single-point) scenery law")
-        if any(p <= 0 for p in self.probs):
-            raise ValueError("all probabilities must be positive")
-        exact = all(isinstance(p, Fraction) for p in self.probs)
-        total = sum(self.probs)
-        mean = sum(x * p for x, p in zip(self.support, self.probs))
-        if exact:
-            if total != 1 or mean != 0:
-                raise ValueError("scenery law must be normalized and centered")
-        else:
-            if abs(total - 1.0) > 1e-12 or abs(mean) > 1e-12:
-                raise ValueError("scenery law must be normalized and centered")
         self._check_lattice_constants()
 
     def _check_lattice_constants(self):
@@ -86,18 +70,15 @@ class SceneryLaw:
             if all(hits) != (n % d0 == 0):
                 raise AssertionError("d0 identity violated")
 
+    # bound in the class itself: the traced benchmark child wraps
+    # SceneryLaw.__dict__["sample"] (perfbench/child.py)
+    sample = _FiniteLaw._draw
+
     @classmethod
     def rademacher(cls):
         return cls((-1, 1), (Fraction(1, 2), Fraction(1, 2)))
 
-    @classmethod
-    def from_dict(cls, pmf):
-        items = sorted(pmf.items())
-        return cls(tuple(x for x, _ in items), tuple(p for _, p in items))
-
-    @property
-    def sigma2(self):
-        return float(sum(x * x * p for x, p in zip(self.support, self.probs)))
+    sigma2 = _FiniteLaw.variance  # the paper's name for the scenery variance
 
     @property
     def d(self):
@@ -118,9 +99,6 @@ class SceneryLaw:
     def max_value(self):
         return max(abs(x) for x in self.support)
 
-    def float_probs(self):
-        return np.array([float(p) for p in self.probs])
-
     def char(self, u):
         """Characteristic function at scalar or array u (complex in general)."""
         u = np.asarray(u, dtype=np.float64)
@@ -130,29 +108,11 @@ class SceneryLaw:
             out += p * np.exp(1j * x * u)
         return out if out.shape else complex(out)
 
-    def sample(self, stream, size):
-        idx = stream.gen.choice(len(self.support), size=size, p=self.float_probs())
-        return np.asarray(self.support, dtype=np.int64)[idx]
-
 
 def analyze_law(pmf):
     """Return (sigma^2, d, d0) of a centered finite scenery pmf."""
     law = pmf if isinstance(pmf, SceneryLaw) else SceneryLaw.from_dict(pmf)
     return law.sigma2, law.d, law.d0
-
-
-@dataclass(frozen=True)
-class ConditionalMethod:
-    """Evaluation strategy selector for conditional return probabilities."""
-
-    tag: str = "convolution"
-    nodes: int = 64
-
-    def __post_init__(self):
-        if self.tag not in ("convolution", "char_quadrature"):
-            raise ValueError(f"unknown method tag {self.tag!r}")
-        if self.nodes < 64 or self.nodes % 2:
-            raise ValueError("node count must be >= 64 and even")
 
 
 def _union_counts(profiles):
@@ -281,20 +241,6 @@ def _alias_nodes(counts_matrix, law, d):
     return m + (m % 2)
 
 
-def _quad_value_1d(distinct, mult, law, d, nodes):
-    half = nodes // 2
-    theta = (2.0 * math.pi / (d * nodes)) * np.arange(half + 1)
-    phi = law.char(np.outer(distinct.astype(np.float64), theta))
-    logmag = np.where(np.abs(phi) > 0, np.log(np.maximum(np.abs(phi), 1e-320)), _LOG_FLOOR)
-    ang = np.angle(phi)
-    total_log = mult @ logmag
-    total_ang = mult @ ang
-    vals = np.exp(np.maximum(total_log, _LOG_FLOOR)) * np.cos(total_ang)
-    w = np.full(half + 1, 2.0 / nodes)
-    w[0] = w[-1] = 1.0 / nodes
-    return float(np.dot(w, vals))
-
-
 def _quad_value_nd(distinct, mult, law, d, nodes, block=4096):
     k = distinct.shape[1]
     theta = (2.0 * math.pi / (d * nodes)) * np.arange(nodes)
@@ -315,7 +261,7 @@ def _quad_value_nd(distinct, mult, law, d, nodes, block=4096):
     return acc / total_pts
 
 
-def _char_quadrature(profiles, law, nodes):
+def _char_quadrature(profiles, law):
     """Trapezoid mean of the conditional characteristic function.
 
     The equal-weight trapezoid sum over one periodicity cell of the (2pi/d
@@ -329,48 +275,39 @@ def _char_quadrature(profiles, law, nodes):
     distinct, mult = distinct[keep], mult[keep].astype(np.float64)
     d = law.d
     k = counts.shape[1]
-    m = max(nodes, 64, _alias_nodes(counts, law, d))
-
-    def value_at(mm):
-        if k == 1:
-            return _quad_value_1d(distinct[:, 0], mult, law, d, mm)
-        return _quad_value_nd(distinct, mult, law, d, mm)
-
-    prev = value_at(m)
+    m = max(64, _alias_nodes(counts, law, d))
+    prev = _quad_value_nd(distinct, mult, law, d, m)
     while (2 * m) ** k <= (1 << 24):
         m *= 2
-        val = value_at(m)
+        val = _quad_value_nd(distinct, mult, law, d, m)
         if abs(val - prev) <= 1e-9:
             return val
         prev = val
     return prev
 
 
-def conditional_return_prob(profiles, law, method=ConditionalMethod()):
+def conditional_return_prob(profiles, law):
     """P(all segment increments of Z equal 0 | walk realization).
 
     Exactly 0 whenever some segment length is not a multiple of d0 (the
     lattice constraint leaves no mass at zero).  Otherwise evaluated by an
-    exact truncated convolution (k <= 2) or by periodic trapezoid
-    quadrature of the conditional characteristic function, whose node
-    count doubles until two refinements agree within 1e-9.
+    exact truncated convolution for k <= 2 segments, and for k >= 3 by
+    periodic trapezoid quadrature of the conditional characteristic
+    function, whose node count doubles until two refinements agree within
+    1e-9.
     """
     if not profiles:
         raise ValueError("need at least one profile")
     if not _admissible(profiles, law):
         return 0.0
-    k = len(profiles)
-    if method.tag == "convolution":
-        if k == 1:
-            pmf, A = _pmf_1d(profiles[0].counts, law)
-            return float(pmf[A])
-        if k == 2:
-            _, counts = _union_counts(profiles)
-            pmf, A1, A2 = _pmf_2d(counts, law)
-            return float(pmf[A1, A2])
-        raise UnsupportedMethodError("convolution supports k <= 2 only")
-    val = _char_quadrature(profiles, law, method.nodes)
-    return min(1.0, max(0.0, val))
+    if len(profiles) == 1:
+        pmf, A = _pmf_1d(profiles[0].counts, law)
+        return float(pmf[A])
+    if len(profiles) == 2:
+        _, counts = _union_counts(profiles)
+        pmf, A1, A2 = _pmf_2d(counts, law)
+        return float(pmf[A1, A2])
+    return min(1.0, max(0.0, _char_quadrature(profiles, law)))
 
 
 def joint_return_prob_sampled(profiles, law, stream, scenery_draws=64,
@@ -443,8 +380,6 @@ class ReturnProbTable:
     """
 
     def __init__(self, law):
-        if law.d0 <= 0:
-            raise ValueError("bad law")
         self.law = law
 
     def evaluate(self, profiles, block=512):

@@ -68,9 +68,6 @@ class Estimate:
     replicas: int
     master_seed: int
 
-    def combined_se(self, other):
-        return math.sqrt(self.std_error ** 2 + other.std_error ** 2)
-
 
 def replicate(task, replicas, stream):
     """Per-replica outputs of `task`, replica i run on stream.substream(i).

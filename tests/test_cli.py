@@ -213,14 +213,37 @@ def test_export_refuses_non_finite_values(tmp_path, value):
     assert not (tmp_path / "out").exists()
 
 
+DELTA = """
+[experiment]
+subcommand = delta-localtime
+
+[params]
+t = 1
+fineness = 1024
+dt = 1/256
+
+[run]
+seed = 12
+replicas = 5
+"""
+
+
 @pytest.mark.parametrize(
     "config, field",
     [
         (GRAM_TINY.replace("fineness = 1024", "fineness = abc"), "params.fineness"),
         (GRAM_TINY.replace("fineness = 1024", "fineness = 10"), "params.fineness"),
         (MINIMAL.replace("n_list = 8 16 32", "n_list = 0 2 4"), "params.n_list"),
+        (BOXCOUNT.replace("paths = 3", "paths = 3\nscales = 1/2 1/4"), "params.scales"),
+        (DELTA.replace("dt = 1/256", "dt = 1/4096"), "params.dt"),
+        (DELTA.replace("delta-localtime", "scaling-test")
+         .replace("dt = 1/256", "dt = 1/4096"), "params.dt"),
+        (DELTA.replace("replicas = 5", "replicas = 1"), "run.replicas"),
+        (GRAM_TINY.replace("replicas = 6000", "replicas = 1"), "run.replicas"),
     ],
-    ids=["fineness-not-integer", "fineness-below-1000", "n_list-not-positive"],
+    ids=["fineness-not-integer", "fineness-below-1000", "n_list-not-positive",
+         "scales-too-few", "dt-below-lattice-step", "dt-below-lattice-step-scaling",
+         "replicas-one-delta", "replicas-one-gram"],
 )
 def test_bad_param_value_rejected_at_validation(tmp_path, capsys, config, field):
     cfg = write_config(tmp_path, config)
@@ -229,3 +252,16 @@ def test_bad_param_value_rejected_at_validation(tmp_path, capsys, config, field)
     assert any(e.startswith(field + ":") for e in errors)
     assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert f"config error: {field}:" in capsys.readouterr().err
+
+
+def test_single_replica_flag_rejected_where_a_spread_is_needed(tmp_path, capsys):
+    cfg = write_config(tmp_path, DELTA)
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "--replicas", "1"]) == 1
+    assert "config error: run.replicas:" in capsys.readouterr().err
+    assert not out.exists()
+    # besq-check draws its own sample size; one replica is not an error there
+    besq = "[experiment]\nsubcommand = besq-check\n[params]\ndraws = 100\n"
+    assert not isinstance(
+        validate_config(write_config(tmp_path, besq, "besq.ini"), {"replicas": 1}),
+        list)

@@ -222,31 +222,3 @@ def test_support_of_local_time_increase():
         path = sample_delta_path(1.0, 2.0 ** -10, 1 << 12, root.substream(i))
         observed, bound = support_increase_bound(path, 0.01, 2.0 ** -5)
         assert observed <= bound
-
-
-def test_csv_dumps_round_trip(tmp_path):
-    from rwrs.delta_process import dump_boxcount_csv, dump_path_csv
-    from rwrs.brownian import dump_fields_csv, sample_local_time_fields
-
-    path = sample_delta_path(1.0, 2.0 ** -8, 1 << 12, RngStream(319, 0))
-    f = dump_path_csv(path, str(tmp_path / "path.csv"))
-    rows = open(f).read().splitlines()
-    assert rows[0] == "t,delta"
-    assert len(rows) == path.values.size + 1
-    t_back, v_back = rows[-1].split(",")
-    assert float(v_back) == path.values[-1]
-
-    cum, _ = sample_local_time_fields([1.0, 2.0], 4096, RngStream(320, 0))
-    g = dump_fields_csv(cum, str(tmp_path / "fields.csv"))
-    rows = open(g).read().splitlines()
-    assert rows[0] == "x,L_1,L_2"
-    assert len(rows) == cum[0].values.size + 1
-
-    rng = np.random.default_rng(3)
-    incr = rng.standard_normal(1 << 14) * math.sqrt(2.0 ** -14)
-    bm = synthetic_path(np.concatenate([[0.0], np.cumsum(incr)]), 2.0 ** -14)
-    fit = zero_set_boxcount(bm, [2.0 ** -j for j in range(4, 12)], hurst=0.5)
-    b = dump_boxcount_csv(fit, str(tmp_path / "boxes.csv"))
-    rows = open(b).read().splitlines()
-    assert rows[0] == "scale,count"
-    assert len(rows) == len(fit.points) + 1

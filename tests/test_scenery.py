@@ -7,10 +7,9 @@ import pytest
 from rwrs.simkit import RngStream
 from rwrs.lattice_walk import LocalTimeProfile, StepLaw, simulate_local_times
 from rwrs.scenery import (
-    ConditionalMethod,
     ReturnProbTable,
     SceneryLaw,
-    UnsupportedMethodError,
+    _char_quadrature,
     analyze_law,
     char_given_profiles,
     conditional_return_prob,
@@ -93,20 +92,7 @@ def test_conditional_return_prob_examples():
     assert conditional_return_prob([lazy_site], RADEMACHER) == 0.0
     odd = LocalTimeProfile.from_dict({0: 2, 1: 1})
     assert conditional_return_prob([odd], RADEMACHER) == 0.0
-    assert (
-        conditional_return_prob([odd], RADEMACHER,
-                                ConditionalMethod("char_quadrature")) == 0.0
-    )
-
-
-def test_conditional_method_validation():
-    with pytest.raises(ValueError):
-        ConditionalMethod("fourier")
-    with pytest.raises(ValueError):
-        ConditionalMethod("convolution", nodes=63)
-    with pytest.raises(UnsupportedMethodError):
-        profs = [LocalTimeProfile.from_dict({0: 2})] * 3
-        conditional_return_prob(profs, RADEMACHER, ConditionalMethod("convolution"))
+    assert ReturnProbTable(RADEMACHER).evaluate([odd])[0] == 0.0
 
 
 def test_convolution_matches_full_enumeration():
@@ -150,10 +136,11 @@ def test_convolution_vs_quadrature_on_random_profiles():
             n = 2 * int(stream.gen.integers(1, max_half + 1))
             times = [n] if k == 1 else [n, 2 * n]
             profiles = simulate_local_times(step, times, stream)
-            conv = conditional_return_prob(profiles, RADEMACHER,
-                                           ConditionalMethod("convolution"))
-            quad = conditional_return_prob(profiles, RADEMACHER,
-                                           ConditionalMethod("char_quadrature"))
+            conv = conditional_return_prob(profiles, RADEMACHER)
+            if k == 1:
+                quad = ReturnProbTable(RADEMACHER).evaluate(profiles)[0]
+            else:
+                quad = _char_quadrature(profiles, RADEMACHER)
             worst = max(worst, abs(conv - quad))
     assert worst < 1e-8
 
@@ -165,18 +152,16 @@ def test_quadrature_handles_asymmetric_scenery():
         stream = RngStream(71, i)
         n = 3 * int(stream.gen.integers(1, 9))  # d0 = 3 here
         profiles = simulate_local_times(step, [n], stream)
-        conv = conditional_return_prob(profiles, law,
-                                       ConditionalMethod("convolution"))
-        quad = conditional_return_prob(profiles, law,
-                                       ConditionalMethod("char_quadrature"))
+        conv = conditional_return_prob(profiles, law)
+        quad = ReturnProbTable(law).evaluate(profiles)[0]
         assert quad == pytest.approx(conv, abs=1e-9)
 
 
 def test_vanishing_off_lattice_for_both_methods():
     law = SceneryLaw.from_dict({-2: 0.5, 2: 0.5})  # d = 4, d0 = 2
     prof = LocalTimeProfile.from_dict({0: 2, 1: 1})  # length 3, not in 2Z
-    for tag in ("convolution", "char_quadrature"):
-        assert conditional_return_prob([prof], law, ConditionalMethod(tag)) == 0.0
+    assert conditional_return_prob([prof], law) == 0.0
+    assert ReturnProbTable(law).evaluate([prof])[0] == 0.0
 
 
 def test_rao_blackwell_unbiasedness_and_variance_reduction():
