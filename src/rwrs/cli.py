@@ -289,6 +289,12 @@ def _resolve_params(sub, raw):
     if scales is not None and (len(scales) < 4 or min(scales) <= 0
                                or max(scales) / min(scales) < 100.0):
         errors.append("params.scales: need >= 4 positive scales spanning >= 2 decades")
+    # a box narrower than one grid cell clamps to a single cell, so with
+    # every scale below dt all boxes are alike and the fit is meaningless
+    dt = params.get("dt")
+    if sub == "boxcount" and scales and dt is not None and max(scales) < dt:
+        errors.append(f"params.scales: the largest scale {max(scales):g} is below "
+                      f"params.dt = {dt:g}, so every box is one grid cell")
     # the scenery-integral path needs one lattice step per time-grid cell
     if "dt" in params and "fineness" in params and params["dt"] * params["fineness"] < 1:
         errors.append("params.dt: dt * fineness must be at least 1 "

@@ -59,6 +59,16 @@ class _FiniteLaw:
             raise ValueError("probabilities must sum to 1")
         if abs(mean) > tol:
             raise ValueError("law must be centered (mean 0)")
+        # Generator.choice(p=...) returns the support index
+        # searchsorted(cdf, u, side="right") for u = (raw >> 11) * 2**-53 of
+        # one raw Philox word, so cdf[j] <= u iff raw >= ceil(cdf[j] * 2**53)
+        # << 11; a threshold of 2**53 is never reached and is dropped
+        cdf = self.float_probs().cumsum()
+        cdf /= cdf[-1]
+        cuts = np.ceil(cdf[:-1] * 2.0 ** 53)
+        cuts = cuts[cuts < 2.0 ** 53].astype(np.uint64) << np.uint64(11)
+        object.__setattr__(self, "_thresholds", cuts)
+        object.__setattr__(self, "_values", np.asarray(self.support, dtype=np.int64))
 
     @classmethod
     def from_dict(cls, pmf):
@@ -73,9 +83,18 @@ class _FiniteLaw:
         return np.array([float(p) for p in self.probs])
 
     def _draw(self, stream, size):
-        """`size` i.i.d. values from `stream` (an int or a shape)."""
-        idx = stream.gen.choice(len(self.support), size=size, p=self.float_probs())
-        return np.asarray(self.support, dtype=np.int64)[idx]
+        """`size` i.i.d. values from `stream` (an int or a shape).
+
+        Bit for bit the values of `support[stream.gen.choice(len(support),
+        size, p=float_probs())]`, and the stream ends at the same position:
+        one raw 64-bit word per value, compared with the thresholds.
+        """
+        raw = stream.gen.bit_generator.random_raw(size)
+        idx = np.zeros(raw.shape, dtype=np.int64)
+        for cut in self._thresholds:
+            idx += raw >= cut
+        del raw  # peak memory stays at two arrays of `size`, as with choice
+        return self._values[idx]
 
 
 class StepLaw(_FiniteLaw):
@@ -150,13 +169,21 @@ def _walk_positions(law, total, stream):
     return positions
 
 
+def _occupation(seg):
+    """Sorted occupied sites of a nonempty position array and their counts."""
+    low = int(seg.min())
+    counts = np.bincount(seg - low)
+    sites = np.flatnonzero(counts)
+    return sites + low, counts[sites]
+
+
 def _segment_profiles(positions, breakpoints):
     """Profile of positions[b_{i-1}:b_i] for each breakpoint b_i."""
     profiles = []
     prev = 0
     for b in breakpoints:
         seg = positions[prev:b]
-        sites, counts = np.unique(seg, return_counts=True)
+        sites, counts = _occupation(seg)
         profiles.append(LocalTimeProfile(sites, counts, b - prev, int(seg[0])))
         prev = b
     return profiles
@@ -207,7 +234,7 @@ def simulate_local_times(law, breakpoints, stream):
             part = chunk[lo:hi]
             if seg_start[seg] is None:
                 seg_start[seg] = int(part[0])
-            sites, counts = np.unique(part, return_counts=True)
+            sites, counts = _occupation(part)
             d = seg_counts[seg]
             for s, c in zip(sites.tolist(), counts.tolist()):
                 d[s] = d.get(s, 0) + c

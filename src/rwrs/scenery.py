@@ -169,29 +169,44 @@ def _halfwidth(counts, law):
 
 
 def _pmf_1d(counts, law):
-    """Dense pmf (offset -A..A) of sum over sites of xi_y * count_y."""
+    """Dense pmf (offset -A..A) of sum over sites of xi_y * count_y.
+
+    Each convolution step writes only the window [lo, hi) outside which the
+    running pmf is exactly zero, clamped to the grid.  A cell gets the same
+    products in the same atom order as a full-width pass, so it is
+    bit-equal: the first product is stored rather than added to 0.0, and
+    the terms that pass adds beyond the window are p * 0.0.  Zero padding
+    of max|c * x| on both sides keeps every shifted read inside the
+    buffer.
+    """
     A = _halfwidth(counts, law)
     size = 2 * A + 1
-    cur = np.zeros(size)
-    cur[A] = 1.0
-    nxt = np.empty(size)
+    counts = np.asarray(counts, dtype=np.int64).tolist()
     atoms = [(int(x), float(p)) for x, p in zip(law.support, law.probs)]
-    for c in np.asarray(counts, dtype=np.int64):
-        c = int(c)
-        nxt[:] = 0.0
-        for x, p in atoms:
+    (x_min, p_first), rest = atoms[0], atoms[1:]
+    x_max = atoms[-1][0]
+    pad = max(map(abs, counts), default=0) * max(-x_min, x_max)
+    cur = np.zeros(size + 2 * pad)
+    nxt = np.zeros(size + 2 * pad)
+    cur[pad + A] = 1.0
+    lo, hi = A, A + 1
+    for c in counts:
+        # the support of a centered law straddles 0, so the windows nest and
+        # the new window covers every cell nxt held two steps back
+        lo = max(0, lo + min(c * x_min, c * x_max))
+        hi = min(size, hi + max(c * x_min, c * x_max))
+        a, b = pad + lo, pad + hi
+        out = nxt[a:b]
+        s = c * x_min
+        np.multiply(cur[a - s:b - s], p_first, out=out)
+        for x, p in rest:
             s = c * x
-            if s == 0:
-                nxt += p * cur
-            elif 0 < s < size:
-                nxt[s:] += p * cur[:-s]
-            elif -size < s < 0:
-                nxt[:s] += p * cur[-s:]
+            out += p * cur[a - s:b - s]
         cur, nxt = nxt, cur
-    lost = abs(1.0 - math.fsum(cur))
+    lost = abs(1.0 - math.fsum(cur[pad + lo:pad + hi].tolist()))
     if lost > 1e-10:
         raise AssertionError(f"convolution truncation lost {lost:.3e} mass")
-    return cur, A
+    return cur[pad:pad + size], A
 
 
 def _pmf_2d(count_pairs, law, cell_limit=int(6e7)):

@@ -240,10 +240,12 @@ replicas = 5
          .replace("dt = 1/256", "dt = 1/4096"), "params.dt"),
         (DELTA.replace("replicas = 5", "replicas = 1"), "run.replicas"),
         (GRAM_TINY.replace("replicas = 6000", "replicas = 1"), "run.replicas"),
+        # dt defaults to 1, above every default scale
+        (BOXCOUNT.replace("dt = 1/256\n", ""), "params.scales"),
     ],
     ids=["fineness-not-integer", "fineness-below-1000", "n_list-not-positive",
          "scales-too-few", "dt-below-lattice-step", "dt-below-lattice-step-scaling",
-         "replicas-one-delta", "replicas-one-gram"],
+         "replicas-one-delta", "replicas-one-gram", "boxcount-dt-default"],
 )
 def test_bad_param_value_rejected_at_validation(tmp_path, capsys, config, field):
     cfg = write_config(tmp_path, config)

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rwrs import lattice_walk
 from rwrs.simkit import RngStream
 from rwrs.lattice_walk import (
     LocalTimeProfile,
@@ -28,6 +30,76 @@ def test_step_law_validation():
         StepLaw((-2, 2), (0.5, 0.5))  # does not generate the integers
     with pytest.raises(ValueError):
         StepLaw((-1, 1), (Fraction(1, 3), Fraction(1, 3)))  # exact sum != 1
+
+
+DRAW_LAWS = {
+    "simple": StepLaw.simple(),
+    "lazy": StepLaw.lazy(),
+    "asymmetric": StepLaw.from_dict({-2: Fraction(1, 3), 1: Fraction(2, 3)}),
+    "five-point-float": StepLaw((-2, -1, 0, 1, 2), (0.1, 0.25, 0.35, 0.15, 0.15)),
+    # the cdf before the last atom rounds to 1, so its threshold is dropped
+    "tiny-tail": StepLaw((-1, 0, 1), (1e-17, 1 - 2e-17, 1e-17)),
+}
+
+
+@pytest.mark.parametrize("name", list(DRAW_LAWS))
+def test_draw_matches_generator_choice(name):
+    # the threshold draw on raw Philox words is Generator.choice(p=...) bit
+    # for bit, and leaves the stream where choice leaves it
+    law = DRAW_LAWS[name]
+    support = np.asarray(law.support, dtype=np.int64)
+    for shape in (0, 1, 8191, (1024, 7)):
+        for seed in range(50):
+            ref, fast = RngStream(seed, 3), RngStream(seed, 3)
+            expect = support[ref.gen.choice(len(support), size=shape,
+                                            p=law.float_probs())]
+            got = law.sample_steps(fast, shape)
+            assert got.dtype == np.int64 and got.shape == expect.shape
+            assert np.array_equal(got, expect)
+            assert fast.gen.random() == ref.gen.random()
+
+
+@pytest.mark.parametrize("name", list(DRAW_LAWS))
+def test_draw_thresholds_at_the_boundary(name):
+    # raw words on and next to each threshold, against choice's own rule:
+    # index = searchsorted(cdf, u, side="right") with u = (raw >> 11) * 2**-53
+    law = DRAW_LAWS[name]
+    cdf = law.float_probs().cumsum()
+    cdf /= cdf[-1]
+    words = [0, (1 << 64) - 1]
+    for cut in law._thresholds.tolist():
+        words += [cut - 1, cut, cut + 1]
+    raw = np.array(words, dtype=np.uint64)
+    stream = SimpleNamespace(gen=SimpleNamespace(
+        bit_generator=SimpleNamespace(random_raw=lambda size: raw)))
+    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    expect = np.asarray(law.support)[np.searchsorted(cdf, u, side="right")]
+    assert np.array_equal(law.sample_steps(stream, raw.size), expect)
+
+
+def test_chunked_profiles_equal_one_shot(monkeypatch):
+    # a walk longer than _CHUNK is built chunk by chunk from the same stream;
+    # its segment profiles must equal the one-shot profiles exactly
+    laws = list(DRAW_LAWS.values())[:3]
+    rng = np.random.default_rng(43)
+    cases = []
+    for i in range(100):
+        total = int(rng.integers(65, 1200))
+        k = int(rng.integers(1, 5))
+        cuts = rng.choice(np.arange(1, total), size=k - 1, replace=False)
+        if i % 10 == 0:  # breakpoints on chunk boundaries
+            cuts = [b for b in (64, 128, 192) if b < total]
+        cases.append((laws[i % 3], sorted(int(b) for b in cuts) + [total]))
+    one_shot = [simulate_local_times(law, bps, RngStream(47, i))
+                for i, (law, bps) in enumerate(cases)]
+    monkeypatch.setattr(lattice_walk, "_CHUNK", 64)
+    for i, (law, bps) in enumerate(cases):
+        chunked = simulate_local_times(law, bps, RngStream(47, i))
+        assert len(chunked) == len(one_shot[i]) == len(bps)
+        for a, b in zip(chunked, one_shot[i]):
+            assert np.array_equal(a.sites, b.sites)
+            assert np.array_equal(a.counts, b.counts)
+            assert (a.length, a.start) == (b.length, b.start)
 
 
 def test_profiles_from_realized_steps():

@@ -51,6 +51,21 @@ CASES = {
         [],
         "ca35af1a549916afa80ca55c1dbf01a93df23a04300bf013a1c3cbd5b39bc37d",
     ),
+    "return-curve-k2-zero-atom": (
+        "[experiment]\nsubcommand = return-curve\n[laws]\nstep = lazy\n"
+        "scenery = -1:1/4,0:1/2,1:1/4\n[params]\nn_list = 16 32 64\nk = 2\n"
+        "t_ratios = 1 2\n[run]\nreplicas = 30\n",
+        [],
+        "41ee5868ae9b260bdc15592dde1db0efe66d884e539d4a89dcd00ffb40209e3e",
+    ),
+    "return-curve-k2-five-point": (
+        "[experiment]\nsubcommand = return-curve\n[laws]\n"
+        "step = -2:1/6,-1:1/6,0:1/3,1:1/6,2:1/6\n"
+        "scenery = -2:1/10,-1:1/5,0:2/5,1:1/5,2:1/10\n[params]\n"
+        "n_list = 16 32 64\nk = 2\nt_ratios = 1 2\n[run]\nreplicas = 30\n",
+        [],
+        "8e770bc574497ec6f261df3464c0169031f9572309c6cb191609da8f0edcde2c",
+    ),
     "return-curve-k3": (
         "[experiment]\nsubcommand = return-curve\n" + SIMPLE
         + "[params]\nn_list = 64 128 256\nk = 3\nt_ratios = 1 2 3\n"

@@ -4,12 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rwrs import scenery
 from rwrs.simkit import RngStream
 from rwrs.lattice_walk import LocalTimeProfile, StepLaw, simulate_local_times
 from rwrs.scenery import (
     ReturnProbTable,
     SceneryLaw,
     _char_quadrature,
+    _pmf_1d,
     analyze_law,
     char_given_profiles,
     conditional_return_prob,
@@ -231,3 +233,67 @@ def test_joint_sampled_vanishes_off_lattice():
     p2 = LocalTimeProfile.from_dict({0: 2, 1: 2})
     got = joint_return_prob_sampled([p1, p2], RADEMACHER, RngStream(1, 1))
     assert got == 0.0
+
+
+def _pmf_1d_full_width(counts, law):
+    """Reference 1D convolution that sweeps the whole -A..A grid every step."""
+    A = scenery._halfwidth(counts, law)
+    size = 2 * A + 1
+    cur = np.zeros(size)
+    cur[A] = 1.0
+    nxt = np.empty(size)
+    atoms = [(int(x), float(p)) for x, p in zip(law.support, law.probs)]
+    for c in np.asarray(counts, dtype=np.int64):
+        c = int(c)
+        nxt[:] = 0.0
+        for x, p in atoms:
+            s = c * x
+            if s == 0:
+                nxt += p * cur
+            elif 0 < s < size:
+                nxt[s:] += p * cur[:-s]
+            elif -size < s < 0:
+                nxt[:s] += p * cur[-s:]
+        cur, nxt = nxt, cur
+    lost = abs(1.0 - math.fsum(cur))
+    if lost > 1e-10:
+        raise AssertionError(f"convolution truncation lost {lost:.3e} mass")
+    return cur, A
+
+
+PMF_LAWS = [
+    RADEMACHER,
+    SceneryLaw.from_dict({-1: Fraction(1, 4), 0: Fraction(1, 2), 1: Fraction(1, 4)}),
+    SceneryLaw.from_dict({-2: Fraction(1, 3), 1: Fraction(2, 3)}),
+    SceneryLaw((-2, -1, 0, 1, 2), (0.1, 0.25, 0.35, 0.15, 0.15)),
+    # rare large values: the grid is clamped well inside the span
+    SceneryLaw.from_dict({-10: Fraction(1, 100), 0: Fraction(98, 100),
+                          10: Fraction(1, 100)}),
+]
+
+
+def test_windowed_convolution_is_bit_equal_to_full_width():
+    rng = np.random.default_rng(53)
+    clamped = 0
+    for law in PMF_LAWS:
+        for trial in range(25):
+            m = int(rng.integers(1, 300))
+            counts = rng.integers(1, int(rng.integers(2, 40)), size=m)
+            if trial % 5 == 0:
+                counts = np.full(m, int(rng.integers(1, 4)))
+            pmf, A = _pmf_1d(counts, law)
+            ref, ref_A = _pmf_1d_full_width(counts, law)
+            clamped += A < int(counts.sum()) * law.max_value
+            assert A == ref_A and pmf.shape == ref.shape
+            assert np.array_equal(pmf, ref)
+    assert clamped >= 10  # the clamp to the -A..A grid is exercised
+
+
+def test_windowed_convolution_still_checks_lost_mass(monkeypatch):
+    # a grid far narrower than the spread loses mass; both versions refuse
+    monkeypatch.setattr(scenery, "_halfwidth", lambda counts, law: 3)
+    counts = np.ones(40, dtype=np.int64)
+    with pytest.raises(AssertionError, match="lost"):
+        _pmf_1d(counts, RADEMACHER)
+    with pytest.raises(AssertionError, match="lost"):
+        _pmf_1d_full_width(counts, RADEMACHER)
