@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, brownian, delta_process, harness
-from .errors import DegenerateRatioError
+from . import __version__, brownian, delta_process, exact_oracle, harness
+from .errors import BudgetExceededError, DegenerateRatioError
 from .lattice_walk import StepLaw
 from .scenery import SceneryLaw
 from .simkit import RngStream, replicate, write_manifest
@@ -126,7 +126,7 @@ def _parse_fraction(text):
 # param key -> (parser, default text; None when the key is optional)
 _PARAMS = {
     "n_list": (_parse_int_list, "1024 2048 4096"),
-    "times": (_parse_int_list, None),
+    "times": (_parse_int_list, "2"),
     "n_max": (int, "8"),
     "k": (int, "1"),
     "t_ratios": (_parse_float_list, None),
@@ -234,17 +234,35 @@ def validate_config(path, overrides=None):
         derived.update(
             {"sigma2": scenery.sigma2, "d": scenery.d, "d0": scenery.d0}
         )
+        # the oracle's segments are the gaps between its times
+        times = params.get("times", [])
+        lengths = {"n_list": params.get("n_list", []),
+                   "times": [b - a for a, b in zip([0] + times, times)]}
         if sub in ("return-curve", "counting-moments", "oracle") and not allow_inadmissible:
-            for n in params.get("n_list", []) or []:
-                if n % scenery.d0:
+            for key, ns in lengths.items():
+                bad = [n for n in ns if n % scenery.d0]
+                if bad:
                     errors.append(
-                        f"params.n_list: n={n} violates the d0-divisibility "
+                        f"params.{key}: length {bad[0]} violates the d0-divisibility "
                         f"constraint (d0={scenery.d0}); inadmissible times have "
                         "probability exactly 0 (pass --allow-inadmissible to force)"
                     )
-                    break
     if step is not None:
         derived["step_variance"] = step.variance
+    if sub == "oracle":
+        # each enumeration's budget, checked as the oracle checks it; the
+        # moment's first path takes n_max equal nonzero steps, so it visits
+        # n_max sites and no path visits more
+        n_k, n_max = params.get("times", [0])[-1], params.get("n_max", 0)
+        budgets = [("times", exact_oracle._check_budget, step, n_k),
+                   ("n_max", exact_oracle._check_budget, step, n_max),
+                   ("n_max", exact_oracle._check_scenery_budget, scenery, n_max)]
+        for key, check, law, n in budgets:
+            try:
+                if law is not None:
+                    check(law, n)
+            except BudgetExceededError as exc:
+                errors.append(f"params.{key}: {exc}")
 
     if errors:
         return errors
@@ -273,12 +291,16 @@ def _resolve_params(sub, raw):
             params[key] = parse(text)
         except (ValueError, ZeroDivisionError) as exc:
             errors.append(f"params.{key}: {exc}")
-    n_list = params.get("n_list")
-    if n_list is not None and (
-        not n_list or n_list[0] <= 0
-        or any(b <= a for a, b in zip(n_list, n_list[1:]))
-    ):
-        errors.append("params.n_list: must be nonempty, positive, strictly increasing")
+    for key in ("n_list", "times"):
+        values = params.get(key)
+        if values is not None and (
+            not values or values[0] <= 0
+            or any(b <= a for a, b in zip(values, values[1:]))
+        ):
+            errors.append(f"params.{key}: must be nonempty, positive, strictly increasing")
+            del params[key]  # the checks below read only valid lists
+    if params.get("n_max", 1) < 1:
+        errors.append("params.n_max: must be at least 1")
     # these subcommands sample Brownian local-time fields, which need 10^3 steps
     samples_fields = sub in ("gram", "estimate-c", "correlation-ratio")
     if samples_fields and params.get("fineness", 1000) < 1000:
@@ -328,13 +350,13 @@ def run(config):
                      "std_error": 0.0})
 
     elif sub == "oracle":
-        from .exact_oracle import exact_counting_moment, exact_joint_return
-
-        times = p.get("times", [2])
-        res = exact_joint_return(config.step, config.scenery, times, rational=True)
+        times = p["times"]
+        res = exact_oracle.exact_joint_return(config.step, config.scenery, times,
+                                              rational=True)
         rows.append({"name": "exact_joint_return", "n": times[-1],
                      "value": res.value, "std_error": 0.0})
-        moment = exact_counting_moment(config.step, config.scenery, p["n_max"], 1)
+        moment = exact_oracle.exact_counting_moment(config.step, config.scenery,
+                                                    p["n_max"], 1)
         rows.append({"name": "exact_counting_moment_k1", "n": p["n_max"],
                      "value": moment, "std_error": 0.0})
         report["values"]["path_count"] = res.path_count

@@ -4,11 +4,12 @@ Every oracle here walks the paths with one enumerator, `_gray_paths`, in
 mixed-radix Gray-code order: one step changes per transition, so positions
 and segment local times are patched incrementally instead of being
 rebuilt.  Given a path, `exact_joint_return` evaluates the scenery through
-`scenery.conditional_return_prob` (float mode) or an exact rational
-convolution; the counting moment and the brute-force cross-check enumerate
-the scenery directly.  Probabilities accumulate either in compensated
-floating point or, when both laws have rational weights, exactly over the
-rationals (the reference mode for acceptance checks).
+`scenery.conditional_return_prob` (float mode) or an exact integer
+convolution shared by every path with the same multiset of per-site count
+rows (rational mode); the counting moment enumerates the scenery directly.
+Probabilities accumulate either in compensated floating point or, when
+both laws have rational weights, exactly over the rationals (the reference
+mode for acceptance checks).
 """
 
 import math
@@ -26,10 +27,10 @@ __all__ = [
     "exact_joint_return",
     "exact_counting_moment",
     "exact_char_function",
-    "exact_joint_return_bruteforce",
 ]
 
 _BUDGET = 10 ** 8
+_SCENERY_BUDGET = 4 * 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,15 @@ def _check_budget(step, n_steps):
             f"{len(step.support)}^{n_steps} paths exceed the {_BUDGET:.0e} budget"
         )
     return count
+
+
+def _check_scenery_budget(scen, n_sites):
+    """The counting moment enumerates every scenery on a path's sites."""
+    if len(scen.support) ** n_sites > _SCENERY_BUDGET:
+        raise BudgetExceededError(
+            f"{len(scen.support)}^{n_sites} scenery assignments exceed the "
+            f"{_SCENERY_BUDGET:.0e} budget"
+        )
 
 
 def _rational_weights(law):
@@ -166,28 +176,34 @@ def _profiles_from_counts(counts, times):
     return profiles
 
 
-def _pmf_exact_at_zero(counts_matrix, scen):
-    """Exact rational P(all weighted scenery sums are 0) by dict convolution."""
-    rat = _rational_weights(scen)
-    denom, nums = rat
-    cur = {tuple([0] * counts_matrix.shape[1]): Fraction(1)}
-    atoms = list(zip(scen.support, [Fraction(n, denom) for n in nums]))
-    for row in counts_matrix:
+def _zero_prob_exact(rows, atoms, denom):
+    """Exact P(every weighted scenery sum is 0) given per-site count rows.
+
+    `atoms` pairs each scenery value with its integer numerator over
+    `denom`.  The dict convolution carries integer numerators over
+    denom ** (rows so far), so only the result is a Fraction.
+    """
+    zero = (0,) * len(rows[0])
+    cur = {zero: 1}
+    for row in rows:
         nxt = {}
         for key, w in cur.items():
-            for x, p in atoms:
-                new = tuple(key[i] + int(row[i]) * int(x) for i in range(len(key)))
-                nxt[new] = nxt.get(new, Fraction(0)) + w * p
+            for x, num in atoms:
+                new = tuple(a + c * x for a, c in zip(key, row))
+                nxt[new] = nxt.get(new, 0) + w * num
         cur = nxt
-    zero = tuple([0] * counts_matrix.shape[1])
-    return cur.get(zero, Fraction(0))
+    return Fraction(cur.get(zero, 0), denom ** len(rows))
 
 
 def exact_joint_return(step, scen, times, rational=False):
     """P(Z at every requested time = 0) by total path enumeration.
 
     Sums path-probability times the conditional zero-probability given the
-    walk.  Exactly 0 when some segment length is off the d0 lattice.
+    walk.  Exactly 0 when some segment length is off the d0 lattice.  The
+    scenery is i.i.d. across sites, so that conditional probability
+    depends only on the multiset of per-site count rows: the rational mode
+    sums the path numerators per multiset and convolves once per distinct
+    multiset.
     """
     times = [int(t) for t in times]
     if not times or any(t <= 0 for t in times):
@@ -201,67 +217,34 @@ def exact_joint_return(step, scen, times, rational=False):
         return ExactResult(0.0, count, "lattice-vanishing",
                            Fraction(0) if rational else None)
 
-    k = len(times)
-    use_rational = rational and _rational_weights(step) and _rational_weights(scen)
-    acc = _Neumaier()
-    acc_exact = Fraction(0)
-    denom_steps = _rational_weights(step)[0] if use_rational else 1
-    for counts, _, weight, numerator in _gray_paths(step, n_k, times):
-        if use_rational:
-            matrix = np.array(list(counts.values()), dtype=np.int64).reshape(-1, k)
-            cond = _pmf_exact_at_zero(matrix, scen)
-            acc_exact += Fraction(numerator, denom_steps ** n_k) * cond
-        else:
-            profiles = _profiles_from_counts(counts, times)
-            acc.add(weight * conditional_return_prob(profiles, scen))
-    if use_rational:
-        return ExactResult(float(acc_exact), count, "rational", acc_exact)
-    return ExactResult(acc.total, count, "compensated-float", None)
-
-
-def exact_joint_return_bruteforce(step, scen, times):
-    """Independent cross-check: direct (path, scenery) double enumeration.
-
-    No conditional factorization at all; every scenery assignment on the
-    occupied sites is enumerated with exact rational weights.
-    """
-    times = [int(t) for t in times]
-    n_k = times[-1]
-    _check_budget(step, n_k)
     rat_s = _rational_weights(step)
     rat_x = _rational_weights(scen)
-    if not (rat_s and rat_x):
-        raise ValueError("bruteforce cross-check requires rational laws")
-    supportx = np.asarray(scen.support, dtype=np.int64)
-    numx = np.asarray(rat_x[1], dtype=np.int64)
-    k = len(times)
-    total = Fraction(0)
-    nsup = len(scen.support)
-    for counts, _, _, numerator in _gray_paths(step, n_k, times):
-        sites = list(counts)
-        matrix = np.array([counts[s] for s in sites], dtype=np.int64).reshape(-1, k)
-        r = len(sites)
-        if nsup ** r > 4 * 10 ** 6:
-            raise BudgetExceededError("scenery enumeration too large")
-        idx = np.arange(nsup ** r)
-        inc = np.zeros((nsup ** r, k), dtype=np.int64)
-        wnum = np.ones(nsup ** r, dtype=object)
-        for i in range(r):
-            digit = (idx // nsup ** i) % nsup
-            inc += supportx[digit, None] * matrix[i]
-            wnum = wnum * numx[digit]
-        hit = np.all(inc == 0, axis=1)
-        scen_num = int(sum(wnum[hit]))
-        total += Fraction(numerator * scen_num,
-                          rat_s[0] ** n_k * rat_x[0] ** r)
-    return total
+    if rational and rat_s and rat_x:
+        weights = {}
+        for counts, _, _, numerator in _gray_paths(step, n_k, times):
+            key = tuple(sorted(tuple(v.tolist()) for v in counts.values()))
+            weights[key] = weights.get(key, 0) + numerator
+        atoms = list(zip((int(x) for x in scen.support), rat_x[1]))
+        total = sum(w * _zero_prob_exact(key, atoms, rat_x[0])
+                    for key, w in weights.items())
+        exact = Fraction(total, rat_s[0] ** n_k)
+        return ExactResult(float(exact), count, "rational", exact)
+    acc = _Neumaier()
+    for counts, _, weight, _ in _gray_paths(step, n_k, times):
+        profiles = _profiles_from_counts(counts, times)
+        acc.add(weight * conditional_return_prob(profiles, scen))
+    return ExactResult(acc.total, count, "compensated-float", None)
 
 
 def exact_counting_moment(step, scen, n, k):
     """Exact E[(number of m <= n with Z_m = 0)^k] by double enumeration.
 
     Z_m needs the ordered visit sequence, not just the profile, so the
-    scenery is enumerated (vectorized) on each path's occupied sites.
+    scenery is enumerated (vectorized) on each path's occupied sites, from
+    one table of assignments per occupied-site count.  Z_1..Z_n read only
+    S_0..S_{n-1}, so the rational mode enumerates n - 1 steps: the final
+    step's numerators sum to its denominator.  The float mode enumerates
+    all n steps.
     """
     n = int(n)
     if n <= 0 or k <= 0:
@@ -271,36 +254,41 @@ def exact_counting_moment(step, scen, n, k):
     rat_x = _rational_weights(scen)
     use_rational = bool(rat_s and rat_x)
     supportx = np.asarray(scen.support, dtype=np.int64)
-    probsx = scen.float_probs()
     nsup = len(scen.support)
+    tables = {}
 
-    acc = _Neumaier()
-    acc_exact = Fraction(0)
-    # enumerate n steps (positions S_0..S_{n-1}; the final step is inert)
-    for _, pos, weight, numerator in _gray_paths(step, n, [n]):
-        positions = np.asarray(pos[:n], dtype=np.int64)
-        sites, seq = np.unique(positions, return_inverse=True)
-        r = sites.size
-        if nsup ** r > 4 * 10 ** 6:
-            raise BudgetExceededError("scenery enumeration too large")
+    def table(r):
+        """Scenery values and weights of all nsup**r assignments to r sites."""
+        _check_scenery_budget(scen, r)
         idx = np.arange(nsup ** r)
         digits = np.empty((idx.size, r), dtype=np.int64)
         for i in range(r):
             digits[:, i] = (idx // nsup ** i) % nsup
-        xi_seq = supportx[digits[:, seq]]
-        zeros = (np.cumsum(xi_seq, axis=1) == 0).sum(axis=1)
-        powed = zeros.astype(np.float64) ** k
+        if not use_rational:
+            return supportx[digits], np.prod(scen.float_probs()[digits], axis=1)
+        nums = np.asarray(rat_x[1], dtype=object)
+        return supportx[digits], nums[digits].prod(axis=1)
+
+    acc = _Neumaier()
+    by_r = {}
+    for _, pos, weight, numerator in _gray_paths(
+            step, n - 1 if use_rational else n, [n]):
+        sites, seq = np.unique(np.asarray(pos[:n], dtype=np.int64),
+                               return_inverse=True)
+        r = sites.size
+        if r not in tables:
+            tables[r] = table(r)
+        xi, wscen = tables[r]
+        zeros = (np.cumsum(xi[:, seq], axis=1) == 0).sum(axis=1)
+        combined = np.dot(wscen, zeros.astype(wscen.dtype) ** k)
         if use_rational:
-            wnum = np.ones(idx.size, dtype=object)
-            for i in range(r):
-                wnum = wnum * np.asarray(rat_x[1], dtype=np.int64)[digits[:, i]]
-            combined = int(sum(wnum * zeros.astype(object) ** k))
-            acc_exact += Fraction(numerator * combined,
-                                  rat_s[0] ** n * rat_x[0] ** r)
+            by_r[r] = by_r.get(r, 0) + numerator * int(combined)
         else:
-            wscen = np.prod(probsx[digits], axis=1)
-            acc.add(weight * float(np.dot(wscen, powed)))
-    return float(acc_exact) if use_rational else acc.total
+            acc.add(weight * float(combined))
+    if not use_rational:
+        return acc.total
+    total = sum(Fraction(num, rat_x[0] ** r) for r, num in by_r.items())
+    return float(total / rat_s[0] ** (n - 1))
 
 
 def exact_char_function(step, scen, times, theta):

@@ -69,6 +69,8 @@ class _FiniteLaw:
         cuts = cuts[cuts < 2.0 ** 53].astype(np.uint64) << np.uint64(11)
         object.__setattr__(self, "_thresholds", cuts)
         object.__setattr__(self, "_values", np.asarray(self.support, dtype=np.int64))
+        object.__setattr__(self, "_variance", float(
+            sum(x * x * p for x, p in zip(self.support, self.probs))))
 
     @classmethod
     def from_dict(cls, pmf):
@@ -77,7 +79,7 @@ class _FiniteLaw:
 
     @property
     def variance(self):
-        return float(sum(x * x * p for x, p in zip(self.support, self.probs)))
+        return self._variance
 
     def float_probs(self):
         return np.array([float(p) for p in self.probs])

@@ -56,6 +56,7 @@ class SceneryLaw(_FiniteLaw):
         if len(self.support) < 2:
             raise ValueError("degenerate (single-point) scenery law")
         self._check_lattice_constants()
+        object.__setattr__(self, "_max_value", max(abs(x) for x in self.support))
 
     def _check_lattice_constants(self):
         d, d0 = self.d, self.d0
@@ -97,7 +98,7 @@ class SceneryLaw(_FiniteLaw):
 
     @property
     def max_value(self):
-        return max(abs(x) for x in self.support)
+        return self._max_value
 
     def char(self, u):
         """Characteristic function at scalar or array u (complex in general)."""

@@ -228,6 +228,20 @@ replicas = 5
 """
 
 
+ORACLE = """
+[experiment]
+subcommand = oracle
+
+[laws]
+step = simple
+scenery = rademacher
+
+[params]
+times = 2 4
+n_max = 4
+"""
+
+
 @pytest.mark.parametrize(
     "config, field",
     [
@@ -242,10 +256,23 @@ replicas = 5
         (GRAM_TINY.replace("replicas = 6000", "replicas = 1"), "run.replicas"),
         # dt defaults to 1, above every default scale
         (BOXCOUNT.replace("dt = 1/256\n", ""), "params.scales"),
+        (ORACLE.replace("times = 2 4", "times = 4 2"), "params.times"),
+        (ORACLE.replace("times = 2 4", "times = 0 2"), "params.times"),
+        (ORACLE.replace("n_max = 4", "n_max = 0"), "params.n_max"),
+        (ORACLE.replace("times = 2 4", "times = 40"), "params.times"),
+        (ORACLE.replace("n_max = 4", "n_max = 30"), "params.n_max"),
+        # 3^14 sceneries on the 14 sites of the straight path
+        (ORACLE.replace("rademacher", "-1:1/4,0:1/2,1:1/4")
+         .replace("n_max = 4", "n_max = 14"), "params.n_max"),
+        # the second segment, 5 - 2 = 3, is odd while d0 = 2
+        (ORACLE.replace("times = 2 4", "times = 2 5"), "params.times"),
     ],
     ids=["fineness-not-integer", "fineness-below-1000", "n_list-not-positive",
          "scales-too-few", "dt-below-lattice-step", "dt-below-lattice-step-scaling",
-         "replicas-one-delta", "replicas-one-gram", "boxcount-dt-default"],
+         "replicas-one-delta", "replicas-one-gram", "boxcount-dt-default",
+         "oracle-times-decreasing", "oracle-times-not-positive", "oracle-n_max-zero",
+         "oracle-times-over-budget", "oracle-n_max-over-budget",
+         "oracle-n_max-scenery-budget", "oracle-times-inadmissible-segment"],
 )
 def test_bad_param_value_rejected_at_validation(tmp_path, capsys, config, field):
     cfg = write_config(tmp_path, config)
@@ -267,3 +294,11 @@ def test_single_replica_flag_rejected_where_a_spread_is_needed(tmp_path, capsys)
     assert not isinstance(
         validate_config(write_config(tmp_path, besq, "besq.ini"), {"replicas": 1}),
         list)
+
+
+def test_oracle_inadmissible_segment_runs_when_allowed(tmp_path):
+    cfg = write_config(tmp_path, ORACLE.replace("times = 2 4", "times = 2 5"))
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "--allow-inadmissible"]) == 0
+    rows = (out / "results.csv").read_text().splitlines()
+    assert rows[1] == "exact_joint_return,5,0,0"

@@ -11,11 +11,33 @@ from rwrs.exact_oracle import (
     exact_char_function,
     exact_counting_moment,
     exact_joint_return,
-    exact_joint_return_bruteforce,
+)
+
+from exact_reference import (
+    counting_moment_per_path,
+    joint_return_bruteforce,
+    joint_return_per_path,
 )
 
 STEP = StepLaw.simple()
 RAD = SceneryLaw.rademacher()
+ASYM = {-2: Fraction(1, 3), 1: Fraction(2, 3)}
+
+STEPS = {
+    "simple": STEP,
+    "lazy": StepLaw.lazy(),
+    "asymmetric": StepLaw.from_dict(ASYM),
+}
+# name -> (law, one, two and three times, each segment a multiple of d0)
+SCENERIES = {
+    "rademacher": (RAD, ([6], [2, 6], [2, 4, 6])),
+    "asymmetric": (SceneryLaw.from_dict(ASYM), ([6], [3, 6], [3, 6, 9])),
+    "zero-atom": (
+        SceneryLaw.from_dict({-1: Fraction(1, 4), 0: Fraction(1, 2),
+                              1: Fraction(1, 4)}),
+        ([5], [2, 5], [1, 3, 5]),
+    ),
+}
 
 
 def test_single_time_examples():
@@ -35,11 +57,64 @@ def test_lattice_vanishing_is_exact_zero():
 
 def test_joint_return_cross_checked_by_double_enumeration():
     res = exact_joint_return(STEP, RAD, [2, 4], rational=True)
-    brute = exact_joint_return_bruteforce(STEP, RAD, [2, 4])
+    brute = joint_return_bruteforce(STEP, RAD, [2, 4])
     assert res.exact == brute
     res2 = exact_joint_return(STEP, RAD, [4, 6], rational=True)
-    brute2 = exact_joint_return_bruteforce(STEP, RAD, [4, 6])
+    brute2 = joint_return_bruteforce(STEP, RAD, [4, 6])
     assert res2.exact == brute2
+
+
+@pytest.mark.parametrize("scen_name", list(SCENERIES))
+@pytest.mark.parametrize("step_name", list(STEPS))
+def test_rational_joint_return_matches_per_path_reference(step_name, scen_name):
+    step = STEPS[step_name]
+    scen, times_list = SCENERIES[scen_name]
+    for times in times_list:
+        res = exact_joint_return(step, scen, times, rational=True)
+        exact, count = joint_return_per_path(step, scen, times)
+        assert res.note == "rational"
+        assert res.exact == exact
+        assert res.value == float(exact)
+        assert res.path_count == count == len(step.support) ** times[-1]
+
+
+def test_rational_joint_return_matches_double_enumeration_asymmetric():
+    # an asymmetric scenery: a row and its negative have different laws
+    scen, _ = SCENERIES["asymmetric"]
+    step = STEPS["asymmetric"]
+    for times in ([3, 6], [3, 6, 9]):
+        res = exact_joint_return(step, scen, times, rational=True)
+        assert res.exact == joint_return_bruteforce(step, scen, times)
+
+
+@pytest.mark.parametrize("scen_name", list(SCENERIES))
+@pytest.mark.parametrize("step_name", list(STEPS))
+def test_rational_counting_moment_matches_per_path_reference(step_name, scen_name):
+    # n = 1 enumerates no step at all, n = 2 a single one
+    step = STEPS[step_name]
+    scen, _ = SCENERIES[scen_name]
+    for k in (1, 2):
+        for n in range(1, 8):
+            assert exact_counting_moment(step, scen, n, k) == \
+                counting_moment_per_path(step, scen, n, k), (k, n)
+
+
+def test_counting_moment_with_wide_denominators_stays_exact():
+    # denom ** r * n ** k passes 2 ** 63 here, beyond any int64 weight table
+    p = Fraction(1, 999999937)
+    scen = SceneryLaw.from_dict({-1: p, 0: 1 - 2 * p, 1: p})
+    for n, k in ((3, 1), (5, 2)):
+        assert exact_counting_moment(STEP, scen, n, k) == \
+            counting_moment_per_path(STEP, scen, n, k)
+
+
+def test_float_counting_moment_is_unchanged():
+    lazy = StepLaw((-1, 0, 1), (0.25, 0.5, 0.25))
+    scen = SceneryLaw((-2, 1), (1 / 3, 2 / 3))
+    for step in (lazy, STEP):
+        for n, k in ((1, 1), (4, 1), (5, 2)):
+            assert exact_counting_moment(step, scen, n, k) == \
+                counting_moment_per_path(step, scen, n, k)
 
 
 def test_rational_and_float_modes_agree():

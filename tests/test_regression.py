@@ -31,6 +31,18 @@ CASES = {
         [],
         "566d363adaaf72fb176a7adeb8fd5fc6f08d6aaa5c245b541ec7a5d9e99fc26a",
     ),
+    "oracle-asymmetric-three-times": (
+        "[experiment]\nsubcommand = oracle\n[laws]\nstep = simple\n"
+        "scenery = -2:1/3,1:2/3\n[params]\ntimes = 3 6 9\nn_max = 6\n",
+        [],
+        "ff724f6ddf6851108252ebeb1858c6a202f7af57cc8583b73688f2b9d08dac2d",
+    ),
+    "oracle-moment-lazy": (
+        "[experiment]\nsubcommand = oracle\n[laws]\nstep = lazy\n"
+        "scenery = -1:1/4,0:1/2,1:1/4\n[params]\ntimes = 2\nn_max = 8\n",
+        [],
+        "11bbd5d1f56a5a43377a88d464706ce7e83bae92201c41fb97e4c572d7c4850c",
+    ),
     "return-curve-k1": (
         "[experiment]\nsubcommand = return-curve\n" + SIMPLE
         + "[params]\nn_list = 8 16 32 128\nk = 1\n[run]\nreplicas = 50\n",
