@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ive
 
 from .errors import BudgetExceededError, RejectionRateError
 from .simkit import Estimate, estimate_from_values, replicate
@@ -240,6 +239,8 @@ def besq0_density(y, z, dt):
     Uses the exponentially scaled Bessel function to stay finite for large
     sqrt(y z) / dt.
     """
+    from scipy.special import ive
+
     y = float(y)
     z = np.asarray(z, dtype=np.float64)
     arg = np.sqrt(y * z) / dt

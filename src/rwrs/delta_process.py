@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .brownian import (
     LocalTimeField,
@@ -173,6 +172,8 @@ def _sample_ordered_durations(k, t, stream):
 
 
 def _duration_density(durations, t):
+    from scipy.special import gammaln
+
     k = durations.size
     logc = gammaln(k / 4.0 + 1.0) - k * gammaln(0.25)
     return math.exp(logc) * t ** (-k / 4.0) * float(np.prod(durations ** -0.75))
@@ -286,10 +287,10 @@ def occupation_comparison(path, t, a, b, eps):
     upto = int(round(t / path.dt))
     vals = path.values[:upto]
     lhs = path.dt * float(np.count_nonzero((vals >= a) & (vals < b)))
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
     rhs = path.dt * float(
-        (norm.cdf((b - vals) / math.sqrt(eps)) - norm.cdf((a - vals) / math.sqrt(eps))).sum()
+        (ndtr((b - vals) / math.sqrt(eps)) - ndtr((a - vals) / math.sqrt(eps))).sum()
     )
     return lhs, rhs
 

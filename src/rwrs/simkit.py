@@ -15,6 +15,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy 2 loads numpy.random on first use; import it with the package so
+# that cost (secrets, hmac and base64 with it) falls in start-up, not in
+# the first RngStream of a run
+import numpy.random  # noqa: F401
 
 __all__ = [
     "RngStream",

@@ -222,3 +222,17 @@ def test_support_of_local_time_increase():
         path = sample_delta_path(1.0, 2.0 ** -10, 1 << 12, root.substream(i))
         observed, bound = support_increase_bound(path, 0.01, 2.0 ** -5)
         assert observed <= bound
+
+
+def test_occupation_comparison_equals_the_norm_cdf_route():
+    # the closed-form level integral uses scipy.special.ndtr; it must give
+    # the bits scipy.stats.norm.cdf gave
+    eps = 0.01
+    for i in range(6):
+        path = sample_delta_path(1.0, 2.0 ** -8, 1 << 10, RngStream(330, 0).substream(i))
+        lhs, rhs = occupation_comparison(path, 1.0, -0.05, 0.05, eps)
+        vals = path.values[:int(round(1.0 / path.dt))]
+        expected = path.dt * float(
+            (sps.norm.cdf((0.05 - vals) / math.sqrt(eps))
+             - sps.norm.cdf((-0.05 - vals) / math.sqrt(eps))).sum())
+        assert rhs == expected > 0.0

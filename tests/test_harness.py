@@ -1,13 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from rwrs.simkit import RngStream
 from rwrs.lattice_walk import StepLaw
 from rwrs.scenery import SceneryLaw
 from rwrs.exact_oracle import exact_counting_moment, exact_joint_return
 from rwrs.harness import (
+    _ks_statistic,
     agree_within,
     correlation_ratio,
     counting_moment_curve,
@@ -162,3 +165,36 @@ def test_tightness_shadow():
 
 def test_ks_threshold_matches_quantile_formula():
     assert ks_threshold(10_000, 10_000) == pytest.approx(0.02757, abs=2e-4)
+
+
+def _ks_cases():
+    rng = np.random.default_rng(4_001)
+    grid = np.arange(1000, dtype=np.float64)
+    return {
+        "ties-equal-sizes": (rng.integers(0, 6, 300), rng.integers(0, 7, 300)),
+        "ties-unequal-sizes": (rng.integers(0, 6, 240), rng.integers(0, 7, 375)),
+        "normal-unequal-sizes": (rng.normal(size=97), rng.normal(0.2, 1.1, 143)),
+        "identical": (grid, grid.copy()),
+        "10000-vs-10000": (rng.normal(size=10_000), rng.normal(0.02, 1.0, 10_000)),
+        "10001-vs-9000": (rng.normal(size=10_001), rng.normal(0.02, 1.0, 9_000)),
+        # n1 == n2 and d = 2/1000: scipy's exact p-value exceeds 1, it warns and
+        # falls back to the asymptotic one, keeping the rounded statistic
+        "exact-unsuccessful": (grid, grid + 1.5),
+    }
+
+
+KS_CASES = _ks_cases()
+
+
+@pytest.mark.parametrize("name", list(KS_CASES))
+def test_ks_statistic_equals_scipy_bit_for_bit(name):
+    a, b = KS_CASES[name]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        expected = sps.ks_2samp(a, b).statistic
+    unsuccessful = any("Exact calculation unsuccessful" in str(w.message)
+                       for w in caught)
+    assert unsuccessful == (name == "exact-unsuccessful")
+    assert _ks_statistic(a, b) == expected
+    if name == "identical":
+        assert _ks_statistic(a, b) == 0.0
