@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -36,29 +36,6 @@ _LAW_ALIASES = {
 
 # every subcommand accepts [run]; law/param keys are checked per subcommand
 _COMMON_RUN_KEYS = {"seed", "out", "replicas"}
-_SCHEMA = {
-    "analyze-law": {"laws": {"scenery"}, "params": set()},
-    "oracle": {"laws": {"step", "scenery"}, "params": {"times", "n_max"}},
-    "return-curve": {
-        "laws": {"step", "scenery"},
-        "params": {"n_list", "k", "t_ratios", "scenery_draws"},
-    },
-    "counting-moments": {"laws": {"step", "scenery"}, "params": {"n_list", "k"}},
-    "gram": {"laws": {"step"}, "params": {"n", "t_list", "fineness"}},
-    "estimate-c": {"laws": set(), "params": {"t_list", "fineness"}},
-    "besq-check": {"laws": set(), "params": {"y", "dt", "draws"}},
-    "ray-knight": {"laws": set(), "params": {"level", "fineness", "offset"}},
-    "delta-localtime": {"laws": set(), "params": {"eps", "t", "fineness", "dt"}},
-    "scaling-test": {"laws": set(), "params": {"t", "eps", "fineness", "dt"}},
-    "correlation-ratio": {
-        "laws": {"step", "scenery"},
-        "params": {"n", "t_ratio", "fineness"},
-    },
-    "boxcount": {"laws": set(), "params": {"scales", "fineness", "dt", "paths"}},
-}
-
-# subcommands that never turn replicas into a standard error or a KS statistic
-_NO_REPLICAS = {"analyze-law", "oracle", "besq-check", "boxcount"}
 
 _DEFAULTS = {
     "seed": "20240801",
@@ -165,9 +142,9 @@ def validate_config(path, overrides=None):
     if not parser.has_section("experiment") or "subcommand" not in parser["experiment"]:
         return ["experiment.subcommand: missing"]
     sub = parser["experiment"]["subcommand"].strip()
-    if sub not in _SCHEMA:
+    if sub not in _SUBCOMMANDS:
         return [f"experiment.subcommand: unknown subcommand {sub!r}"]
-    schema = _SCHEMA[sub]
+    entry = _SUBCOMMANDS[sub]
 
     for extra in set(parser["experiment"]) - {"subcommand"}:
         errors.append(f"experiment.{extra}: unknown key")
@@ -178,8 +155,8 @@ def validate_config(path, overrides=None):
             errors.append(f"{section}: unknown section")
             continue
         allowed = (
-            schema["laws"] if section == "laws"
-            else schema["params"] if section == "params"
+            entry.laws if section == "laws"
+            else entry.params if section == "params"
             else _COMMON_RUN_KEYS
         )
         for key in parser[section]:
@@ -192,12 +169,12 @@ def validate_config(path, overrides=None):
         return default
 
     step = scenery = None
-    if "step" in schema["laws"]:
+    if "step" in entry.laws:
         try:
             step = StepLaw.from_dict(_parse_law_text(get("laws", "step", "simple")))
         except (ValueError, ZeroDivisionError) as exc:
             errors.append(f"laws.step: {exc}")
-    if "scenery" in schema["laws"]:
+    if "scenery" in entry.laws:
         try:
             scenery = SceneryLaw.from_dict(
                 _parse_law_text(get("laws", "scenery", "rademacher"))
@@ -217,7 +194,7 @@ def validate_config(path, overrides=None):
         )
         if replicas <= 0:
             errors.append("run.replicas: must be positive")
-        elif replicas < 2 and sub not in _NO_REPLICAS:
+        elif replicas < 2 and entry.spread:
             errors.append(f"run.replicas: must be at least 2 for {sub} "
                           "(a standard error or a KS statistic needs two samples)")
     except ValueError:
@@ -227,7 +204,7 @@ def validate_config(path, overrides=None):
     allow_inadmissible = bool(overrides.get("allow_inadmissible", False))
 
     raw_params = dict(parser["params"]) if parser.has_section("params") else {}
-    params, param_errors = _resolve_params(sub, raw_params)
+    params, param_errors = _resolve_params(entry, raw_params)
     errors.extend(param_errors)
 
     derived = {}
@@ -239,31 +216,31 @@ def validate_config(path, overrides=None):
         times = params.get("times", [])
         lengths = {"n_list": params.get("n_list", []),
                    "times": [b - a for a, b in zip([0] + times, times)]}
-        if sub in ("return-curve", "counting-moments", "oracle") and not allow_inadmissible:
-            for key, ns in lengths.items():
-                bad = [n for n in ns if n % scenery.d0]
-                if bad:
-                    errors.append(
-                        f"params.{key}: length {bad[0]} violates the d0-divisibility "
-                        f"constraint (d0={scenery.d0}); inadmissible times have "
-                        "probability exactly 0 (pass --allow-inadmissible to force)"
-                    )
+        for key, ns in lengths.items():
+            bad = [n for n in ns if n % scenery.d0]
+            if bad and not allow_inadmissible:
+                errors.append(
+                    f"params.{key}: length {bad[0]} violates the d0-divisibility "
+                    f"constraint (d0={scenery.d0}); inadmissible times have "
+                    "probability exactly 0 (pass --allow-inadmissible to force)"
+                )
     if step is not None:
         derived["step_variance"] = step.variance
-    if sub == "oracle":
-        # each enumeration's budget, checked as the oracle checks it; the
-        # moment's first path takes n_max equal nonzero steps, so it visits
-        # n_max sites and no path visits more
-        n_k, n_max = params.get("times", [0])[-1], params.get("n_max", 0)
-        budgets = [("times", exact_oracle._check_budget, step, n_k),
-                   ("n_max", exact_oracle._check_budget, step, n_max),
-                   ("n_max", exact_oracle._check_scenery_budget, scenery, n_max)]
-        for key, check, law, n in budgets:
-            try:
-                if law is not None:
-                    check(law, n)
-            except BudgetExceededError as exc:
-                errors.append(f"params.{key}: {exc}")
+    if entry.check is not None:
+        errors.extend(entry.check(params, scenery, allow_inadmissible))
+    # each enumeration's budget, checked as the oracle checks it; the
+    # moment's first path takes n_max equal nonzero steps, so it visits
+    # n_max sites and no path visits more
+    n_k, n_max = params.get("times", [0])[-1], params.get("n_max", 0)
+    budgets = [("times", exact_oracle._check_budget, step, n_k),
+               ("n_max", exact_oracle._check_budget, step, n_max),
+               ("n_max", exact_oracle._check_scenery_budget, scenery, n_max)]
+    for key, check, law, n in budgets:
+        try:
+            if key in params and law is not None:
+                check(law, n)
+        except BudgetExceededError as exc:
+            errors.append(f"params.{key}: {exc}")
 
     if errors:
         return errors
@@ -280,10 +257,10 @@ def validate_config(path, overrides=None):
     )
 
 
-def _resolve_params(sub, raw):
-    """Parse and range-check the params of `sub`; returns (params, errors)."""
+def _resolve_params(entry, raw):
+    """Parse and range-check the params of a subcommand; returns (params, errors)."""
     params, errors = {}, []
-    for key in sorted(_SCHEMA[sub]["params"]):
+    for key in sorted(entry.params):
         parse, default = _PARAMS[key]
         text = raw.get(key, default)
         if text is None:
@@ -302,10 +279,9 @@ def _resolve_params(sub, raw):
             del params[key]  # the checks below read only valid lists
     if params.get("n_max", 1) < 1:
         errors.append("params.n_max: must be at least 1")
-    # these subcommands sample Brownian local-time fields, which need 10^3 steps
-    samples_fields = sub in ("gram", "estimate-c", "correlation-ratio")
-    if samples_fields and params.get("fineness", 1000) < 1000:
-        errors.append(f"params.fineness: must be at least 1000 for {sub}")
+    if entry.fields and params.get("fineness", 1000) < 1000:
+        errors.append("params.fineness: must be at least 1000 to sample Brownian "
+                      "local-time fields")
     if params.get("paths", 2) < 2:
         errors.append("params.paths: must be at least 2 for a standard error")
     scales = params.get("scales")
@@ -315,7 +291,7 @@ def _resolve_params(sub, raw):
     # a box narrower than one grid cell clamps to a single cell, so with
     # every scale below dt all boxes are alike and the fit is meaningless
     dt = params.get("dt")
-    if sub == "boxcount" and scales and dt is not None and max(scales) < dt:
+    if scales and dt is not None and max(scales) < dt:
         errors.append(f"params.scales: the largest scale {max(scales):g} is below "
                       f"params.dt = {dt:g}, so every box is one grid cell")
     # the scenery-integral path needs one lattice step per time-grid cell
@@ -325,193 +301,8 @@ def _resolve_params(sub, raw):
     return params, errors
 
 
-def _rows_from_estimates(kind, n_list, estimates):
-    return [
-        {"name": kind, "n": n, "value": e.value, "std_error": e.std_error}
-        for n, e in zip(n_list, estimates)
-    ]
-
-
-def run(config):
-    """Execute a validated config; returns (exit_code, rows, report)."""
-    stream = RngStream(config.seed, 0)
-    rows = []
-    report = {"subcommand": config.subcommand, "seed": config.seed,
-              "derived": config.derived, "tests": [], "fits": {}, "values": {}}
-    sub = config.subcommand
-    p = config.params
-
-    if sub == "analyze-law":
-        report["values"] = dict(config.derived)
-        rows.append({"name": "sigma2", "n": 0, "value": config.derived["sigma2"],
-                     "std_error": 0.0})
-        rows.append({"name": "d", "n": 0, "value": config.derived["d"],
-                     "std_error": 0.0})
-        rows.append({"name": "d0", "n": 0, "value": config.derived["d0"],
-                     "std_error": 0.0})
-
-    elif sub == "oracle":
-        times = p["times"]
-        res = exact_oracle.exact_joint_return(config.step, config.scenery, times,
-                                              rational=True)
-        rows.append({"name": "exact_joint_return", "n": times[-1],
-                     "value": res.value, "std_error": 0.0})
-        moment = exact_oracle.exact_counting_moment(config.step, config.scenery,
-                                                    p["n_max"], 1)
-        rows.append({"name": "exact_counting_moment_k1", "n": p["n_max"],
-                     "value": moment, "std_error": 0.0})
-        report["values"]["path_count"] = res.path_count
-
-    elif sub == "return-curve":
-        k = p.get("k", 1)
-        if config.allow_inadmissible:
-            bad = [n for n in p["n_list"] if n % config.scenery.d0]
-            vals = []
-            for n in bad:
-                est = harness.estimate_from_values(
-                    harness._return_values_k1(config.step, config.scenery, n,
-                                              config.replicas, stream),
-                    config.seed,
-                )
-                if est.value != 0.0:
-                    raise RuntimeError(
-                        f"inadmissible time n={n} has nonzero estimate {est.value}"
-                    )
-                vals.append((n, est))
-            rows.extend(_rows_from_estimates("return_prob_inadmissible",
-                                             [n for n, _ in vals],
-                                             [e for _, e in vals]))
-        else:
-            ests, fit = harness.estimate_return_curve(
-                config.step, config.scenery, p["n_list"], k=k,
-                T_ratios=p.get("t_ratios"), walk_replicas=config.replicas,
-                stream=stream, scenery_draws=p.get("scenery_draws", 64),
-            )
-            rows.extend(_rows_from_estimates("return_prob", p["n_list"], ests))
-            report["fits"]["return_curve"] = _fit_dict(fit)
-
-    elif sub == "counting-moments":
-        curve = harness.counting_moment_curve(
-            config.step, config.scenery, p.get("k", 1), p["n_list"],
-            config.replicas, stream,
-        )
-        rows.extend(_rows_from_estimates(f"zero_count_moment_k{p.get('k', 1)}",
-                                         p["n_list"], curve.estimates))
-        report["fits"]["counting_moments"] = _fit_dict(curve.fit)
-        report["values"]["amplitude"] = curve.amplitude
-        report["values"]["amplitude_se"] = curve.amplitude_se
-
-    elif sub == "gram":
-        reports = harness.gram_convergence_test(
-            config.step, p["n"], p["t_list"], config.replicas, p["fineness"],
-            stream,
-        )
-        for rep in reports:
-            report["tests"].append(_report_dict(rep))
-            rows.append({"name": rep.name, "n": p["n"], "value": rep.value,
-                         "std_error": 0.0})
-
-    elif sub == "estimate-c":
-        res = brownian.estimate_C(p["t_list"], config.replicas, p["fineness"],
-                                  stream)
-        rows.append({"name": "C_estimate", "n": len(p["t_list"]),
-                     "value": res.estimate.value,
-                     "std_error": res.estimate.std_error})
-        report["values"].update(
-            bound_ratio=res.bound_ratio, bound_ratio_se=res.bound_ratio_se,
-            rejected=res.rejected,
-        )
-
-    elif sub == "besq-check":
-        sub_stream = stream.substream(0)
-        draws = brownian.besq0_step(p["y"], p["dt"], sub_stream, size=p["draws"])
-        atom = float((draws == 0).mean())
-        expect = brownian.besq0_extinction(p["y"], p["dt"])
-        se = math.sqrt(expect * (1 - expect) / p["draws"])
-        rows.append({"name": "extinction", "n": p["draws"], "value": atom,
-                     "std_error": se})
-        verdict = abs(atom - expect) <= 3 * se
-        report["tests"].append({"name": "besq_extinction", "statistic": "abs-dev",
-                                "value": abs(atom - expect), "threshold": 3 * se,
-                                "verdict": bool(verdict)})
-
-    elif sub == "ray-knight":
-        m = p["fineness"]
-        offset = p["offset"]
-        j = int(round(offset * math.sqrt(m)))
-
-        def profile_at_offset(sub):
-            prof = brownian.ray_knight_profile_fast(p["level"], m, sub)
-            return prof[j] if j < prof.size else 0.0
-
-        vals = replicate(profile_at_offset, config.replicas, stream)
-        other = brownian.besq0_step(p["level"], offset, stream.substream(1 << 32),
-                                    size=config.replicas)
-        stat = harness._ks_statistic(vals, other)
-        thr = harness.ks_threshold(config.replicas, config.replicas)
-        rep = harness.TestReport.build("ray_knight_vs_besq", "KS", stat,
-                                       config.replicas, config.replicas, thr)
-        report["tests"].append(_report_dict(rep))
-        rows.append({"name": rep.name, "n": config.replicas, "value": stat,
-                     "std_error": 0.0})
-
-    elif sub == "delta-localtime":
-        def mollified_at_zero(sub):
-            path = delta_process.sample_delta_path(p["t"], p["dt"], p["fineness"], sub)
-            return delta_process.mollified_values(path, p["eps"], p["t"], [0.0])[0]
-
-        vals = replicate(mollified_at_zero, config.replicas, stream)
-        rows.append({"name": "mollified_local_time", "n": config.replicas,
-                     "value": float(vals.mean()),
-                     "std_error": float(vals.std(ddof=1) / math.sqrt(len(vals)))})
-
-    elif sub == "scaling-test":
-        rep = harness.scaling_law_test(p["t"], config.replicas, stream,
-                                       eps=p["eps"], fineness=p["fineness"],
-                                       dt=p["dt"])
-        report["tests"].append(_report_dict(rep))
-        rows.append({"name": rep.name, "n": config.replicas, "value": rep.value,
-                     "std_error": 0.0})
-
-    elif sub == "correlation-ratio":
-        lhs, rhs = harness.correlation_ratio(
-            p["n"], p["t_ratio"], config.replicas, stream,
-            step=config.step, scen=config.scenery, fineness=p["fineness"],
-        )
-        rows.append({"name": "lhs", "n": p["n"], "value": lhs.value,
-                     "std_error": lhs.std_error})
-        rows.append({"name": "rhs", "n": p["n"], "value": rhs.value,
-                     "std_error": rhs.std_error})
-        se = math.sqrt(lhs.std_error ** 2 + rhs.std_error ** 2)
-        report["tests"].append({
-            "name": "correlation_ratio_match", "statistic": "abs-dev",
-            "value": abs(lhs.value - rhs.value), "threshold": 3 * se,
-            "verdict": bool(abs(lhs.value - rhs.value) <= 3 * se),
-        })
-
-    elif sub == "boxcount":
-        def boxcount_slope(sub):
-            path = delta_process.sample_delta_path(1.0, p["dt"], p["fineness"], sub)
-            try:
-                return delta_process.zero_set_boxcount(path, p["scales"]).slope
-            except DegenerateRatioError:
-                return np.nan
-
-        slopes = replicate(boxcount_slope, p["paths"], stream)
-        slopes = slopes[~np.isnan(slopes)]
-        if slopes.size < 2:
-            raise DegenerateRatioError(
-                f"only {slopes.size} of {p['paths']} paths have a countable "
-                "zero set; a slope estimate needs at least 2"
-            )
-        mean = float(np.mean(slopes))
-        se = float(np.std(slopes, ddof=1) / math.sqrt(len(slopes)))
-        rows.append({"name": "boxcount_slope", "n": len(slopes), "value": mean,
-                     "std_error": se})
-        report["values"]["excluded_paths"] = p["paths"] - len(slopes)
-
-    failed = [t for t in report["tests"] if not t["verdict"]]
-    return (2 if failed else 0), rows, report
+def _row(name, n, value, std_error=0.0):
+    return {"name": name, "n": n, "value": value, "std_error": std_error}
 
 
 def _fit_dict(fit):
@@ -519,10 +310,255 @@ def _fit_dict(fit):
             "slope_ci": fit.slope_ci, "r2": fit.r2}
 
 
-def _report_dict(rep):
-    return {"name": rep.name, "statistic": rep.statistic, "value": rep.value,
-            "n1": rep.n1, "n2": rep.n2, "threshold": rep.threshold,
-            "verdict": rep.verdict}
+def _abs_dev_test(name, value, expect, se):
+    """Report of |value - expect| against three standard errors."""
+    dev = abs(value - expect)
+    return {"name": name, "statistic": "abs-dev", "value": dev,
+            "threshold": 3 * se, "verdict": bool(dev <= 3 * se)}
+
+
+# Handlers: (config, params, stream, report) -> rows.  They call library
+# functions through their modules, so a wrapper bound to the module
+# attribute after import (perfbench/child.py) sees every call.
+
+def _analyze_law(config, p, stream, report):
+    report["values"].update(config.derived)
+    return [_row(key, 0, config.derived[key]) for key in ("sigma2", "d", "d0")]
+
+
+def _oracle(config, p, stream, report):
+    res = exact_oracle.exact_joint_return(config.step, config.scenery, p["times"])
+    moment = exact_oracle.exact_counting_moment(config.step, config.scenery,
+                                                p["n_max"], 1)
+    report["values"]["path_count"] = res.path_count
+    return [_row("exact_joint_return", p["times"][-1], res.value),
+            _row("exact_counting_moment_k1", p["n_max"], moment)]
+
+
+def _return_curve(config, p, stream, report):
+    if config.allow_inadmissible:
+        rows = []
+        for n in p["n_list"]:  # k = 1 and every n inadmissible (validated)
+            est = harness.estimate_from_values(
+                harness._return_values_k1(config.step, config.scenery, n,
+                                          config.replicas, stream),
+                config.seed,
+            )
+            if est.value != 0.0:
+                raise RuntimeError(
+                    f"inadmissible time n={n} has nonzero estimate {est.value}"
+                )
+            rows.append(_row("return_prob_inadmissible", n, est.value, est.std_error))
+        return rows
+    ests, fit = harness.estimate_return_curve(
+        config.step, config.scenery, p["n_list"], k=p["k"],
+        T_ratios=p.get("t_ratios"), walk_replicas=config.replicas,
+        stream=stream, scenery_draws=p["scenery_draws"],
+    )
+    report["fits"]["return_curve"] = _fit_dict(fit)
+    return [_row("return_prob", n, e.value, e.std_error)
+            for n, e in zip(p["n_list"], ests)]
+
+
+def _counting_moments(config, p, stream, report):
+    k = p["k"]
+    curve = harness.counting_moment_curve(config.step, config.scenery, k,
+                                          p["n_list"], config.replicas, stream)
+    report["fits"]["counting_moments"] = _fit_dict(curve.fit)
+    report["values"].update(amplitude=curve.amplitude,
+                            amplitude_se=curve.amplitude_se)
+    return [_row(f"zero_count_moment_k{k}", n, e.value, e.std_error)
+            for n, e in zip(p["n_list"], curve.estimates)]
+
+
+def _gram(config, p, stream, report):
+    reports = harness.gram_convergence_test(
+        config.step, p["n"], p["t_list"], config.replicas, p["fineness"], stream,
+    )
+    report["tests"].extend(asdict(rep) for rep in reports)
+    return [_row(rep.name, p["n"], rep.value) for rep in reports]
+
+
+def _estimate_c(config, p, stream, report):
+    res = brownian.estimate_C(p["t_list"], config.replicas, p["fineness"], stream)
+    report["values"].update(
+        bound_ratio=res.bound_ratio, bound_ratio_se=res.bound_ratio_se,
+        rejected=res.rejected,
+    )
+    return [_row("C_estimate", len(p["t_list"]), res.estimate.value,
+                 res.estimate.std_error)]
+
+
+def _besq_check(config, p, stream, report):
+    draws = brownian.besq0_step(p["y"], p["dt"], stream.substream(0), size=p["draws"])
+    atom = float((draws == 0).mean())
+    expect = brownian.besq0_extinction(p["y"], p["dt"])
+    se = math.sqrt(expect * (1 - expect) / p["draws"])
+    report["tests"].append(_abs_dev_test("besq_extinction", atom, expect, se))
+    return [_row("extinction", p["draws"], atom, se)]
+
+
+def _ray_knight(config, p, stream, report):
+    m = p["fineness"]
+    offset = p["offset"]
+    j = int(round(offset * math.sqrt(m)))
+
+    def profile_at_offset(sub):
+        prof = brownian.ray_knight_profile_fast(p["level"], m, sub)
+        return prof[j] if j < prof.size else 0.0
+
+    vals = replicate(profile_at_offset, config.replicas, stream)
+    other = brownian.besq0_step(p["level"], offset, stream.substream(1 << 32),
+                                size=config.replicas)
+    stat = harness._ks_statistic(vals, other)
+    thr = harness.ks_threshold(config.replicas, config.replicas)
+    rep = harness.TestReport.build("ray_knight_vs_besq", "KS", stat,
+                                   config.replicas, config.replicas, thr)
+    report["tests"].append(asdict(rep))
+    return [_row(rep.name, config.replicas, stat)]
+
+
+def _delta_localtime(config, p, stream, report):
+    def mollified_at_zero(sub):
+        path = delta_process.sample_delta_path(p["t"], p["dt"], p["fineness"], sub)
+        return delta_process.mollified_values(path, p["eps"], p["t"], [0.0])[0]
+
+    vals = replicate(mollified_at_zero, config.replicas, stream)
+    return [_row("mollified_local_time", config.replicas, float(vals.mean()),
+                 float(vals.std(ddof=1) / math.sqrt(len(vals))))]
+
+
+def _scaling_test(config, p, stream, report):
+    rep = harness.scaling_law_test(p["t"], config.replicas, stream, eps=p["eps"],
+                                   fineness=p["fineness"], dt=p["dt"])
+    report["tests"].append(asdict(rep))
+    return [_row(rep.name, config.replicas, rep.value)]
+
+
+def _correlation_ratio(config, p, stream, report):
+    lhs, rhs = harness.correlation_ratio(
+        p["n"], p["t_ratio"], config.replicas, stream,
+        step=config.step, scen=config.scenery, fineness=p["fineness"],
+    )
+    se = math.sqrt(lhs.std_error ** 2 + rhs.std_error ** 2)
+    report["tests"].append(_abs_dev_test("correlation_ratio_match", lhs.value,
+                                         rhs.value, se))
+    return [_row("lhs", p["n"], lhs.value, lhs.std_error),
+            _row("rhs", p["n"], rhs.value, rhs.std_error)]
+
+
+def _boxcount(config, p, stream, report):
+    def boxcount_slope(sub):
+        path = delta_process.sample_delta_path(1.0, p["dt"], p["fineness"], sub)
+        try:
+            return delta_process.zero_set_boxcount(path, p["scales"]).slope
+        except DegenerateRatioError:
+            return np.nan
+
+    slopes = replicate(boxcount_slope, p["paths"], stream)
+    slopes = slopes[~np.isnan(slopes)]
+    if slopes.size < 2:
+        raise DegenerateRatioError(
+            f"only {slopes.size} of {p['paths']} paths have a countable "
+            "zero set; a slope estimate needs at least 2"
+        )
+    report["values"]["excluded_paths"] = p["paths"] - len(slopes)
+    se = float(np.std(slopes, ddof=1) / math.sqrt(len(slopes)))
+    return [_row("boxcount_slope", len(slopes), float(np.mean(slopes)), se)]
+
+
+def _check_fit_points(p):
+    if "n_list" in p and len(p["n_list"]) < 3:
+        return ["params.n_list: a power-law fit needs at least 3 values"]
+    return []
+
+
+def _check_return_curve(p, scenery, allow_inadmissible):
+    k, ratios, ns = p.get("k", 1), p.get("t_ratios"), p.get("n_list", [])
+    if k < 1:
+        return ["params.k: must be at least 1"]
+    errors = []
+    if k == 1 and ratios is not None:
+        errors.append("params.t_ratios: unused when k = 1")
+    elif k > 1 and (ratios is None or len(ratios) != k):
+        errors.append(f"params.t_ratios: k = {k} needs {k} T ratios, one per time")
+    elif k > 1 and min(ratios) <= 0:
+        errors.append("params.t_ratios: must be positive")
+    elif k > 1 and scenery is not None:
+        try:
+            for n in ns:
+                harness._joint_times(n, ratios, scenery.d0)
+        except ValueError as exc:
+            errors.append(f"params.t_ratios: {exc}")
+    if not allow_inadmissible:
+        return errors + _check_fit_points(p)
+    # the flag runs the exact-zero check of P(Z_n = 0) and nothing else
+    if k != 1:
+        errors.append("params.k: --allow-inadmissible checks P(Z_n = 0) alone, "
+                      "so k must be 1")
+    if scenery is not None and any(n % scenery.d0 == 0 for n in ns):
+        errors.append("params.n_list: with --allow-inadmissible every n must be "
+                      f"off the d0 = {scenery.d0} lattice")
+    return errors
+
+
+def _check_counting_moments(p, scenery, allow_inadmissible):
+    errors = _check_fit_points(p)
+    if p.get("k", 1) not in (1, 2, 3):
+        errors.append("params.k: must be 1, 2 or 3")
+    return errors
+
+
+@dataclass(frozen=True)
+class _Subcommand:
+    """What one subcommand accepts, its handler and its own checks."""
+
+    laws: set
+    params: set
+    handler: object
+    # replicas become a standard error or a KS statistic, which need two
+    spread: bool = True
+    # samples Brownian local-time fields, which need 10^3 steps
+    fields: bool = False
+    # (params, scenery, allow_inadmissible) -> errors, for constraints
+    # between params that no other subcommand shares
+    check: object = None
+
+
+_SUBCOMMANDS = {
+    "analyze-law": _Subcommand({"scenery"}, set(), _analyze_law, spread=False),
+    "oracle": _Subcommand({"step", "scenery"}, {"times", "n_max"}, _oracle,
+                          spread=False),
+    "return-curve": _Subcommand({"step", "scenery"},
+                                {"n_list", "k", "t_ratios", "scenery_draws"},
+                                _return_curve, check=_check_return_curve),
+    "counting-moments": _Subcommand({"step", "scenery"}, {"n_list", "k"},
+                                    _counting_moments, check=_check_counting_moments),
+    "gram": _Subcommand({"step"}, {"n", "t_list", "fineness"}, _gram, fields=True),
+    "estimate-c": _Subcommand(set(), {"t_list", "fineness"}, _estimate_c,
+                              fields=True),
+    "besq-check": _Subcommand(set(), {"y", "dt", "draws"}, _besq_check,
+                              spread=False),
+    "ray-knight": _Subcommand(set(), {"level", "fineness", "offset"}, _ray_knight),
+    "delta-localtime": _Subcommand(set(), {"eps", "t", "fineness", "dt"},
+                                   _delta_localtime),
+    "scaling-test": _Subcommand(set(), {"t", "eps", "fineness", "dt"}, _scaling_test),
+    "correlation-ratio": _Subcommand({"step", "scenery"}, {"n", "t_ratio", "fineness"},
+                                     _correlation_ratio, fields=True),
+    "boxcount": _Subcommand(set(), {"scales", "fineness", "dt", "paths"}, _boxcount,
+                            spread=False),
+}
+
+
+def run(config):
+    """Execute a validated config; returns (exit_code, rows, report)."""
+    stream = RngStream(config.seed, 0)
+    report = {"subcommand": config.subcommand, "seed": config.seed,
+              "derived": config.derived, "tests": [], "fits": {}, "values": {}}
+    handler = _SUBCOMMANDS[config.subcommand].handler
+    rows = handler(config, config.params, stream, report)
+    failed = [t for t in report["tests"] if not t["verdict"]]
+    return (2 if failed else 0), rows, report
 
 
 def export_results(rows, report, out_dir):

@@ -26,14 +26,12 @@ __all__ = [
     "DeltaPath",
     "MollifiedLocalTime",
     "sample_delta_path",
-    "sample_delta_marginal",
     "mollified_local_time",
     "mollified_values",
     "estimate_Mk",
     "MkResult",
     "zero_set_boxcount",
     "occupation_comparison",
-    "support_increase_bound",
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -98,24 +96,6 @@ def sample_delta_path(horizon, dt, fineness, stream, walk=None):
     marks = np.minimum((np.arange(n_grid + 1) * dt * m).astype(np.int64), total)
     times = np.arange(n_grid + 1) * dt
     return DeltaPath(times, cum[marks], float(dt), m, walk)
-
-
-def sample_delta_marginal(T_list, fineness, stream):
-    """Joint sample of the process at several horizons via its conditional law.
-
-    Draws the local-time realization, then a centered Gaussian vector with
-    the Gram covariance of the cumulative fields.  Coded independently of
-    sample_delta_path on purpose: the agreement of the two samplers is one
-    of the distributional checks.
-    """
-    cumulative, _ = sample_local_time_fields(T_list, fineness, stream)
-    gram = gram_of_fields(cumulative, normalization="raw")
-    eig, vecs = np.linalg.eigh(gram.entries)
-    if eig.min() < -1e-10 * max(1.0, float(np.trace(gram.entries))):
-        raise AssertionError("covariance not PSD after clamping")
-    eig = np.clip(eig, 0.0, None)
-    root = vecs @ np.diag(np.sqrt(eig))
-    return root @ stream.gen.standard_normal(len(T_list))
 
 
 @dataclass(frozen=True)
@@ -293,22 +273,3 @@ def occupation_comparison(path, t, a, b, eps):
         (ndtr((b - vals) / math.sqrt(eps)) - ndtr((a - vals) / math.sqrt(eps))).sum()
     )
     return lhs, rhs
-
-
-def support_increase_bound(path, eps, box_width):
-    """Max mollified-increase over boxes staying 3 sqrt(eps) away from zero.
-
-    Deterministic bound: on such a box the kernel never exceeds its value
-    at 3 sqrt(eps), so the increase is at most width * p_eps(3 sqrt(eps)).
-    Returns (observed_max, bound).
-    """
-    width = max(1, int(round(box_width / path.dt)))
-    vals = path.values
-    nbox = vals.size // width
-    trimmed = vals[: nbox * width].reshape(nbox, width)
-    away = np.abs(trimmed).min(axis=1) >= 3.0 * math.sqrt(eps)
-    dens = np.exp(-(trimmed**2) / (2.0 * eps)) / math.sqrt(2.0 * math.pi * eps)
-    increases = path.dt * dens.sum(axis=1)
-    observed = float(increases[away].max()) if away.any() else 0.0
-    bound = width * path.dt * math.exp(-4.5) / math.sqrt(2.0 * math.pi * eps)
-    return observed, bound

@@ -3,13 +3,14 @@
 Every oracle here walks the paths with one enumerator, `_gray_paths`, in
 mixed-radix Gray-code order: one step changes per transition, so positions
 and segment local times are patched incrementally instead of being
-rebuilt.  Given a path, `exact_joint_return` evaluates the scenery through
-`scenery.conditional_return_prob` (float mode) or an exact integer
-convolution shared by every path with the same multiset of per-site count
-rows (rational mode); the counting moment enumerates the scenery directly.
-Probabilities accumulate either in compensated floating point or, when
-both laws have rational weights, exactly over the rationals (the reference
-mode for acceptance checks).
+rebuilt.  The mode follows the laws.  When both have `Fraction` weights,
+probabilities accumulate exactly over the rationals (the reference mode
+for acceptance checks), and `exact_joint_return` evaluates the scenery by
+an exact integer convolution shared by every path with the same multiset
+of per-site count rows.  Otherwise they accumulate in compensated floating
+point, and `exact_joint_return` evaluates each path through
+`scenery.conditional_return_prob`.  The counting moment enumerates the
+scenery directly.
 """
 
 import math
@@ -26,7 +27,6 @@ __all__ = [
     "ExactResult",
     "exact_joint_return",
     "exact_counting_moment",
-    "exact_char_function",
 ]
 
 _BUDGET = 10 ** 8
@@ -195,15 +195,16 @@ def _zero_prob_exact(rows, atoms, denom):
     return Fraction(cur.get(zero, 0), denom ** len(rows))
 
 
-def exact_joint_return(step, scen, times, rational=False):
+def exact_joint_return(step, scen, times):
     """P(Z at every requested time = 0) by total path enumeration.
 
     Sums path-probability times the conditional zero-probability given the
     walk.  Exactly 0 when some segment length is off the d0 lattice.  The
     scenery is i.i.d. across sites, so that conditional probability
-    depends only on the multiset of per-site count rows: the rational mode
-    sums the path numerators per multiset and convolves once per distinct
-    multiset.
+    depends only on the multiset of per-site count rows: when both laws
+    have `Fraction` weights (rational mode, with the exact value in
+    `ExactResult.exact`) the path numerators are summed per multiset and
+    convolved once per distinct multiset.
     """
     times = [int(t) for t in times]
     if not times or any(t <= 0 for t in times):
@@ -212,14 +213,14 @@ def exact_joint_return(step, scen, times, rational=False):
         raise ValueError("times must be increasing")
     n_k = times[-1]
     count = _check_budget(step, n_k)
+    rat_s = _rational_weights(step)
+    rat_x = _rational_weights(scen)
+    rational = bool(rat_s and rat_x)
     seg_lengths = [b - a for a, b in zip([0] + times[:-1], times)]
     if any(n % scen.d0 for n in seg_lengths):
         return ExactResult(0.0, count, "lattice-vanishing",
                            Fraction(0) if rational else None)
-
-    rat_s = _rational_weights(step)
-    rat_x = _rational_weights(scen)
-    if rational and rat_s and rat_x:
+    if rational:
         weights = {}
         for counts, _, _, numerator in _gray_paths(step, n_k, times):
             key = tuple(sorted(tuple(v.tolist()) for v in counts.values()))
@@ -289,22 +290,3 @@ def exact_counting_moment(step, scen, n, k):
         return acc.total
     total = sum(Fraction(num, rat_x[0] ** r) for r, num in by_r.items())
     return float(total / rat_s[0] ** (n - 1))
-
-
-def exact_char_function(step, scen, times, theta):
-    """E[prod_y phi_xi(sum_j theta_j N_j(y))] by path enumeration."""
-    times = [int(t) for t in times]
-    n_k = times[-1]
-    _check_budget(step, n_k)
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    if theta.size != len(times):
-        raise ValueError("theta must have one component per time")
-    re = _Neumaier()
-    im = _Neumaier()
-    for counts, _, weight, _ in _gray_paths(step, n_k, times):
-        matrix = np.array(list(counts.values()), dtype=np.float64)
-        u = matrix @ theta
-        val = complex(np.prod(scen.char(u)))
-        re.add(weight * val.real)
-        im.add(weight * val.imag)
-    return complex(re.total, im.total)

@@ -28,9 +28,7 @@ __all__ = [
     "gram_convergence_test",
     "scaling_law_test",
     "uniformity_shadow",
-    "tightness_stats",
     "ks_threshold",
-    "agree_within",
 ]
 
 
@@ -94,12 +92,6 @@ def _ks_statistic(a, b):
     return float(d)
 
 
-def agree_within(a, b, n_sigma=3.0):
-    """Whether two estimates agree within n_sigma combined standard errors."""
-    se = math.sqrt(a.std_error ** 2 + b.std_error ** 2)
-    return abs(a.value - b.value) <= n_sigma * se
-
-
 def fit_power_law(points):
     """Weighted log-log least squares over (n, value, std_error) triples.
 
@@ -146,6 +138,15 @@ def fit_power_law(points):
 def _round_admissible(value, d0):
     """Largest multiple of d0 at most value (at least d0)."""
     return max(d0, (int(value) // d0) * d0)
+
+
+def _joint_times(n, T_ratios, d0):
+    """Times [n * T_r] rounded down to multiples of d0; they must increase."""
+    times = [_round_admissible(n * r, d0) for r in T_ratios]
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError(f"T ratios collapse after admissible rounding: the "
+                         f"times at n = {n} are {times} (d0 = {d0})")
+    return times
 
 
 def _return_values_k1(step, scen, n, replicas, stream):
@@ -195,14 +196,8 @@ def estimate_return_curve(step, scen, n_list, k=1, T_ratios=None,
         if k == 1:
             vals = _return_values_k1(step, scen, n, walk_replicas, sub)
         else:
-            times = []
-            for r in T_ratios:
-                t = _round_admissible(n * r, d0)
-                if times and t <= times[-1]:
-                    raise ValueError("T ratios collapse after admissible rounding")
-                times.append(t)
-            vals = _return_values_joint(step, scen, times, walk_replicas, sub,
-                                        scenery_draws)
+            vals = _return_values_joint(step, scen, _joint_times(n, T_ratios, d0),
+                                        walk_replicas, sub, scenery_draws)
         estimates.append(estimate_from_values(vals, stream.master_seed))
     fit = None
     if len(n_list) >= 3:
@@ -453,19 +448,3 @@ def uniformity_shadow(step, scen, n, replicas, stream, grid_points=4,
                            est.std_error * (n1 * n2) ** 0.75))
     peak = max(v[2] for v in values)
     return values, peak
-
-
-def tightness_stats(step, scen, n, t, h_list, replicas, stream):
-    """E[(zero-count increment over (t, t+h))^2], one row per h."""
-    rows = []
-    for idx, h in enumerate(h_list):
-        m1 = max(1, int(n * t))
-        m2 = int(n * (t + h))
-        def task(sub):
-            counts = _zero_count_trajectory(step, scen, [m1, m2], sub)
-            return float(counts[1] - counts[0]) ** 2
-
-        vals = replicate(task, replicas, stream.substream(idx))
-        est = estimate_from_values(vals, stream.master_seed)
-        rows.append((float(h), est))
-    return rows

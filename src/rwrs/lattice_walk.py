@@ -15,12 +15,7 @@ import numpy as np
 __all__ = [
     "StepLaw",
     "LocalTimeProfile",
-    "ProfileStats",
     "simulate_local_times",
-    "mutual_inner",
-    "profile_stats",
-    "merge_profiles",
-    "profiles_from_steps",
 ]
 
 _CHUNK = 1 << 20
@@ -150,15 +145,6 @@ class LocalTimeProfile:
         return {int(s): int(c) for s, c in zip(self.sites, self.counts)}
 
 
-@dataclass(frozen=True)
-class ProfileStats:
-    """Range, sup and discrete 1/2-Hoelder statistic of one profile."""
-
-    range_size: int
-    sup_count: int
-    holder_half: float
-
-
 def _walk_positions(law, total, stream):
     """Positions S_0 = 0, S_1, ..., S_{total-1} of one walk.
 
@@ -189,21 +175,6 @@ def _segment_profiles(positions, breakpoints):
         profiles.append(LocalTimeProfile(sites, counts, b - prev, int(seg[0])))
         prev = b
     return profiles
-
-
-def profiles_from_steps(steps, breakpoints, start=0):
-    """Segment local-time profiles of the walk realized by `steps`.
-
-    Positions are S_0 = start, S_1, ..., S_{B-1} with B the last breakpoint;
-    segment i covers times [b_{i-1}, b_i).
-    """
-    steps = np.asarray(steps, dtype=np.int64)
-    breakpoints = list(breakpoints)
-    total = breakpoints[-1]
-    if steps.size < total - 1:
-        raise ValueError("not enough steps for the requested breakpoints")
-    positions = start + np.concatenate(([0], np.cumsum(steps[: total - 1])))
-    return _segment_profiles(positions, breakpoints)
 
 
 def simulate_local_times(law, breakpoints, stream):
@@ -256,44 +227,3 @@ def simulate_local_times(law, breakpoints, stream):
         out.append(prof)
         prev = b
     return out
-
-
-def mutual_inner(p, q):
-    """Sum over sites of p(y) * q(y); symmetric, nonnegative integer."""
-    common, ip, iq = np.intersect1d(
-        p.sites, q.sites, assume_unique=True, return_indices=True
-    )
-    if common.size == 0:
-        return 0
-    return int(np.dot(p.counts[ip], q.counts[iq]))
-
-
-def merge_profiles(p, q):
-    """Profile of the concatenated walk segments (counts add sitewise)."""
-    sites = np.union1d(p.sites, q.sites)
-    counts = np.zeros(sites.size, dtype=np.int64)
-    counts[np.searchsorted(sites, p.sites)] += p.counts
-    counts[np.searchsorted(sites, q.sites)] += q.counts
-    return LocalTimeProfile(sites, counts, p.length + q.length, p.start)
-
-
-def profile_stats(p, window=32):
-    """Range, sup and the local 1/2-Hoelder quotient of one profile.
-
-    The Hoelder scan covers every integer site in [min, max] of the occupied
-    span (unoccupied gaps count 0) and site pairs up to `window` apart; the
-    statistic is dominated by nearby sites, so a full quadratic scan would
-    be wasted work.
-    """
-    lo, hi = int(p.sites[0]), int(p.sites[-1])
-    dense = np.zeros(hi - lo + 1, dtype=np.int64)
-    dense[p.sites - lo] = p.counts
-    best = 0.0
-    for lag in range(1, min(window, dense.size - 1) + 1):
-        diff = np.abs(dense[lag:] - dense[:-lag]).max() if dense.size > lag else 0
-        best = max(best, diff / math.sqrt(lag))
-    return ProfileStats(
-        range_size=int(p.sites.size),
-        sup_count=int(p.counts.max()),
-        holder_half=float(best),
-    )

@@ -30,12 +30,9 @@ from .lattice_walk import _FiniteLaw, _gcd_all
 __all__ = [
     "SceneryLaw",
     "analyze_law",
-    "sample_and_evaluate",
-    "evaluate_increments",
     "conditional_return_prob",
     "joint_return_prob_sampled",
     "ReturnProbTable",
-    "char_given_profiles",
 ]
 
 _LOG_FLOOR = -800.0  # exp underflows to an exact 0.0 well before this
@@ -125,24 +122,6 @@ def _union_counts(profiles):
     for j, p in enumerate(profiles):
         counts[np.searchsorted(sites, p.sites), j] = p.counts
     return sites, counts
-
-
-def sample_and_evaluate(profiles, law, stream):
-    """Draw one scenery (shared across segments) and return the Z increments.
-
-    A site's value is drawn once and reused by every segment that visits
-    it, which is what couples the increments.
-    """
-    sites, counts = _union_counts(profiles)
-    values = law.sample(stream, sites.size)
-    return [int(v) for v in counts.T @ values]
-
-
-def evaluate_increments(profiles, scenery):
-    """Z increments for an explicitly given site -> value map."""
-    sites, counts = _union_counts(profiles)
-    values = np.array([scenery[int(s)] for s in sites], dtype=np.int64)
-    return [int(v) for v in counts.T @ values]
 
 
 def _admissible(profiles, law):
@@ -242,14 +221,6 @@ def _pmf_2d(count_pairs, law, cell_limit=int(6e7)):
     return cur, A1, A2
 
 
-def char_given_profiles(profiles, law, theta):
-    """Conditional characteristic value prod_y phi(sum_j theta_j N_j(y))."""
-    _, counts = _union_counts(profiles)
-    u = counts.astype(np.float64) @ np.asarray(theta, dtype=np.float64)
-    vals = law.char(u)
-    return complex(np.prod(vals))
-
-
 def _alias_nodes(counts_matrix, law, d):
     """Even node count making trapezoid aliasing < 1e-12 in every direction."""
     v = (counts_matrix.astype(np.float64) ** 2).sum(axis=0).max()
@@ -326,6 +297,22 @@ def conditional_return_prob(profiles, law):
     return min(1.0, max(0.0, _char_quadrature(profiles, law)))
 
 
+def _zero_prob_given_shared(shared_values, shared_counts, pmfs):
+    """Per scenery row on the shared sites, P(every increment is 0 | row).
+
+    Segment j's sum over its own sites must cancel that row's shared
+    residual, so the row's value is the product of pmf_j at minus the
+    residual (0 off the truncated grid).
+    """
+    residuals = shared_values @ shared_counts  # (rows, k)
+    val = np.full(residuals.shape[0], 1.0)
+    for j, (pmf, A) in enumerate(pmfs):
+        r = -residuals[:, j] + A
+        ok = (r >= 0) & (r < pmf.size)
+        val *= np.where(ok, pmf[np.clip(r, 0, pmf.size - 1)], 0.0)
+    return val
+
+
 def joint_return_prob_sampled(profiles, law, stream, scenery_draws=64,
                               enumerate_limit=4096):
     """Unbiased estimate of P(all increments = 0 | walk) for k >= 2.
@@ -367,22 +354,11 @@ def joint_return_prob_sampled(profiles, law, stream, scenery_draws=64,
             choice[:, i] = support[digit]
             weight *= probs[digit]
             digits //= nsup
-        residuals = choice @ shared_counts  # (total, k)
-        val = np.full(total, 1.0)
-        for j, (pmf, A) in enumerate(pmfs):
-            r = -residuals[:, j] + A
-            ok = (r >= 0) & (r < pmf.size)
-            val *= np.where(ok, pmf[np.clip(r, 0, pmf.size - 1)], 0.0)
+        val = _zero_prob_given_shared(choice, shared_counts, pmfs)
         return float(np.dot(weight, val))
 
     draws = law.sample(stream, (scenery_draws, nsh))
-    residuals = draws @ shared_counts
-    val = np.full(scenery_draws, 1.0)
-    for j, (pmf, A) in enumerate(pmfs):
-        r = -residuals[:, j] + A
-        ok = (r >= 0) & (r < pmf.size)
-        val *= np.where(ok, pmf[np.clip(r, 0, pmf.size - 1)], 0.0)
-    return float(val.mean())
+    return float(_zero_prob_given_shared(draws, shared_counts, pmfs).mean())
 
 
 class ReturnProbTable:

@@ -2,8 +2,9 @@
 
 These are slow, direct implementations kept only for the tests: the
 per-path rational joint return (one Fraction convolution per path), the
-per-path counting moment over all n steps, and a brute-force double
-enumeration over paths and sceneries with no conditional factorization.
+per-path counting moment over all n steps, a brute-force double
+enumeration over paths and sceneries with no conditional factorization,
+and the characteristic function of the segment increments.
 """
 
 from fractions import Fraction
@@ -126,3 +127,22 @@ def joint_return_bruteforce(step, scen, times):
         total += Fraction(numerator * scen_num,
                           rat_s[0] ** n_k * rat_x[0] ** r)
     return total
+
+
+def exact_char_function(step, scen, times, theta):
+    """E[prod_y phi_xi(sum_j theta_j N_j(y))] by path enumeration."""
+    times = [int(t) for t in times]
+    n_k = times[-1]
+    _check_budget(step, n_k)
+    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+    if theta.size != len(times):
+        raise ValueError("theta must have one component per time")
+    re = _Neumaier()
+    im = _Neumaier()
+    for counts, _, weight, _ in _gray_paths(step, n_k, times):
+        matrix = np.array(list(counts.values()), dtype=np.float64)
+        u = matrix @ theta
+        val = complex(np.prod(scen.char(u)))
+        re.add(weight * val.real)
+        im.add(weight * val.imag)
+    return complex(re.total, im.total)

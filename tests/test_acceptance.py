@@ -70,14 +70,14 @@ def test_criterion_1_exact_oracle_gate():
             STEP, RAD, [n], walk_replicas=2000, stream=stream.substream(idx)
         )
         est = ests[0]
-        exact = exact_joint_return(STEP, RAD, [n], rational=True).value
+        exact = exact_joint_return(STEP, RAD, [n]).value
         tol = max(3 * est.std_error, 1e-12)
         ok &= abs(est.value - exact) <= tol
         if n == 2:
             ok &= est.value == 0.5 and exact == 0.5
         details.append(f"n={n}: {est.value:.5f} vs exact {exact:.5f}")
     for n in (3, 5, 7, 9, 11):
-        exact = exact_joint_return(STEP, RAD, [n], rational=True)
+        exact = exact_joint_return(STEP, RAD, [n])
         profiles = simulate_local_times(STEP, [n], stream.substream(100 + n))
         from rwrs.scenery import conditional_return_prob
 

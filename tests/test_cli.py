@@ -117,7 +117,31 @@ def test_allow_inadmissible_reports_exact_zero(tmp_path):
     code = main(["--config", cfg, "--out", str(out), "--allow-inadmissible"])
     assert code == 0
     body = (out / "results.csv").read_text().splitlines()[1:]
-    assert all(line.split(",")[2] == "0" for line in body)
+    assert [line.split(",")[:3] for line in body] == \
+        [["return_prob_inadmissible", n, "0"] for n in ("7", "9", "11")]
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        (MINIMAL, "params.n_list"),
+        (MINIMAL.replace("n_list = 8 16 32", "n_list = 7 8 16 32"), "params.n_list"),
+        (MINIMAL.replace("n_list = 8 16 32", "n_list = 7 9 11")
+         .replace("k = 1", "k = 2\nt_ratios = 1 2"), "params.k"),
+    ],
+    ids=["all-admissible", "some-admissible", "k2"],
+)
+def test_allow_inadmissible_return_curve_is_the_exact_zero_check_alone(
+        tmp_path, capsys, config, field):
+    # the flag runs P(Z_n = 0) at k = 1 with every n off the d0 lattice
+    cfg = write_config(tmp_path, config)
+    errors = validate_config(cfg, {"allow_inadmissible": True})
+    assert isinstance(errors, list)
+    assert any(e.startswith(field + ":") for e in errors)
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "--allow-inadmissible"]) == 1
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 GRAM_TINY = """
@@ -228,6 +252,9 @@ replicas = 5
 """
 
 
+COUNTING = MINIMAL.replace("return-curve", "counting-moments").replace("k = 1", "k = 2")
+
+
 ORACLE = """
 [experiment]
 subcommand = oracle
@@ -266,13 +293,28 @@ n_max = 4
          .replace("n_max = 4", "n_max = 14"), "params.n_max"),
         # the second segment, 5 - 2 = 3, is odd while d0 = 2
         (ORACLE.replace("times = 2 4", "times = 2 5"), "params.times"),
+        # a power-law fit needs three points
+        (MINIMAL.replace("n_list = 8 16 32", "n_list = 8 16"), "params.n_list"),
+        (COUNTING.replace("n_list = 8 16 32", "n_list = 8 16"), "params.n_list"),
+        (MINIMAL.replace("k = 1", "k = 0"), "params.k"),
+        (MINIMAL.replace("k = 1", "k = 2"), "params.t_ratios"),
+        (MINIMAL.replace("k = 1", "k = 2\nt_ratios = 2 1"), "params.t_ratios"),
+        (MINIMAL.replace("k = 1", "k = 2\nt_ratios = 1 1"), "params.t_ratios"),
+        (MINIMAL.replace("k = 1", "k = 1\nt_ratios = 1"), "params.t_ratios"),
+        # [8 * -1] rounds up to d0 = 2, so only the sign check sees it
+        (MINIMAL.replace("k = 1", "k = 2\nt_ratios = -1 2"), "params.t_ratios"),
+        (COUNTING.replace("k = 2", "k = 4"), "params.k"),
     ],
     ids=["fineness-not-integer", "fineness-below-1000", "n_list-not-positive",
          "scales-too-few", "dt-below-lattice-step", "dt-below-lattice-step-scaling",
          "replicas-one-delta", "replicas-one-gram", "boxcount-dt-default",
          "oracle-times-decreasing", "oracle-times-not-positive", "oracle-n_max-zero",
          "oracle-times-over-budget", "oracle-n_max-over-budget",
-         "oracle-n_max-scenery-budget", "oracle-times-inadmissible-segment"],
+         "oracle-n_max-scenery-budget", "oracle-times-inadmissible-segment",
+         "return-curve-two-n", "counting-moments-two-n", "return-curve-k-zero",
+         "return-curve-k2-no-ratios", "return-curve-ratios-decreasing",
+         "return-curve-ratios-collapse", "return-curve-ratios-with-k1",
+         "return-curve-ratios-not-positive", "counting-moments-k4"],
 )
 def test_bad_param_value_rejected_at_validation(tmp_path, capsys, config, field):
     cfg = write_config(tmp_path, config)

@@ -13,12 +13,12 @@ from rwrs.delta_process import (
     mollified_local_time,
     mollified_values,
     occupation_comparison,
-    sample_delta_marginal,
     sample_delta_path,
-    support_increase_bound,
     zero_set_boxcount,
 )
 from rwrs.brownian import sample_local_time_fields
+
+from reference import sample_delta_marginal, support_increase_bound
 
 
 def synthetic_path(values, dt):

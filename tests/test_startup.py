@@ -39,7 +39,7 @@ def test_import_loads_numpy_random_but_no_scipy_stats_or_special(module):
 
 @pytest.mark.parametrize("name", ["gram", "ray-knight", "scaling-test"])
 def test_ks_subcommands_run_without_scipy_stats(tmp_path, name):
-    text, extra, digest = CASES[name]
+    text, extra, digest = CASES[name][:3]
     cfg = tmp_path / "config.ini"
     cfg.write_text(text, encoding="utf-8")
     out = tmp_path / "out"
@@ -64,7 +64,7 @@ class _Libc:
 def test_main_fixes_both_malloc_thresholds(tmp_path, monkeypatch):
     libc = _Libc()
     monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
-    code, digest = run_case(tmp_path, "gram")
+    code, digest, _ = run_case(tmp_path, "gram")
     assert code in (0, 2) and digest == CASES["gram"][2]
     # M_MMAP_THRESHOLD (-3) to 32 MiB, M_TRIM_THRESHOLD (-1) to 64 MiB
     assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
@@ -78,5 +78,5 @@ def _no_libc(name):
                          ids=["no-mallopt", "no-libc"])
 def test_main_runs_where_libc_has_no_mallopt(tmp_path, monkeypatch, cdll):
     monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
-    code, digest = run_case(tmp_path, "gram")
+    code, digest, _ = run_case(tmp_path, "gram")
     assert code in (0, 2) and digest == CASES["gram"][2]
