@@ -269,7 +269,7 @@ def _resolve_params(entry, raw):
             params[key] = parse(text)
         except (ValueError, ZeroDivisionError) as exc:
             errors.append(f"params.{key}: {exc}")
-    for key in ("n_list", "times"):
+    for key in ("n_list", "times", "t_list"):
         values = params.get(key)
         if values is not None and (
             not values or values[0] <= 0
@@ -279,6 +279,8 @@ def _resolve_params(entry, raw):
             del params[key]  # the checks below read only valid lists
     if params.get("n_max", 1) < 1:
         errors.append("params.n_max: must be at least 1")
+    if params.get("t_ratio", 1) <= 0:
+        errors.append("params.t_ratio: must be positive")
     if entry.fields and params.get("fineness", 1000) < 1000:
         errors.append("params.fineness: must be at least 1000 to sample Brownian "
                       "local-time fields")

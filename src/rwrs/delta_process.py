@@ -88,9 +88,11 @@ def sample_delta_path(horizon, dt, fineness, stream, walk=None):
     total = int(math.floor(m * horizon))
     if walk is None:
         walk = WalkRealization(_embedded_positions(total, stream), m)
-    positions = walk.positions
-    sites, seq = np.unique(positions, return_inverse=True)
-    noise = stream.gen.standard_normal(sites.size)
+    # rank of each position among the occupied sites, in ascending order
+    off = walk.positions - walk.positions.min()
+    occupied = np.bincount(off) > 0
+    seq = (np.cumsum(occupied) - 1)[off]
+    noise = stream.gen.standard_normal(np.count_nonzero(occupied))
     increments = noise[seq] * m ** -0.75
     cum = np.concatenate([[0.0], np.cumsum(increments)])
     marks = np.minimum((np.arange(n_grid + 1) * dt * m).astype(np.int64), total)
@@ -225,6 +227,27 @@ def estimate_Mk(k, t, replicas, fineness, stream, eps=0.0,
     return MkResult(est, k, float(t), rejected, replicas)
 
 
+def _box_extrema(vals, width, level):
+    """(width, mins, maxs) of vals over consecutive boxes of `width` cells.
+
+    `level` is a previous result.  When `width` is its width times a power
+    of two the boxes nest (nbox halves, rounding down), so pairwise minima
+    and maxima of its even and odd boxes give the result; any other width
+    reduces a reshape of `vals`.
+    """
+    w, mins, maxs = level
+    ratio = width // w
+    if width % w or ratio & (ratio - 1):
+        boxes = vals[: vals.size // width * width].reshape(-1, width)
+        return width, boxes.min(axis=1), boxes.max(axis=1)
+    while w < width:
+        end = mins.size // 2 * 2
+        mins = np.minimum(mins[0:end:2], mins[1:end:2])
+        maxs = np.maximum(maxs[0:end:2], maxs[1:end:2])
+        w *= 2
+    return w, mins, maxs
+
+
 def zero_set_boxcount(path, scales, hurst=0.75):
     """Box-count fit of the path's zero set across dyadic time scales.
 
@@ -234,6 +257,14 @@ def zero_set_boxcount(path, scales, hurst=0.75):
     the Brownian calibration run) so the near-zero halo stays a constant
     fraction of the crossing count at every scale; plain sign counting
     undercounts at coarse scales for non-Markov paths.
+
+    The per-box min and max decide the count: a box with min <= 0 <= max
+    changes sign, and without a sign change its least |value| is
+    min(|min|, |max|).  Each scale's boxes are `round(scale / dt)` grid
+    cells wide, at least one.  A width that is a power-of-two multiple of
+    the previous scale's width builds its min and max from that level by
+    pairwise halving, in linear time over all scales; other widths reduce
+    a reshape of the path's values.
     """
     from .harness import fit_power_law
 
@@ -241,15 +272,16 @@ def zero_set_boxcount(path, scales, hurst=0.75):
     if len(scales) < 4 or scales[-1] / scales[0] < 100.0:
         raise ValueError("need >= 4 scales spanning >= 2 decades")
     vals = path.values
+    level = (1, vals, vals)
     pts = []
     for s in scales:
         width = max(1, int(round(s / path.dt)))
-        nbox = vals.size // width
-        if nbox < 1:
+        if width > vals.size:
             continue
-        trimmed = vals[: nbox * width].reshape(nbox, width)
-        sign_change = (trimmed.min(axis=1) <= 0.0) & (trimmed.max(axis=1) >= 0.0)
-        near = np.abs(trimmed).min(axis=1) < s ** hurst
+        level = _box_extrema(vals, width, level)
+        _, mins, maxs = level
+        sign_change = (mins <= 0.0) & (maxs >= 0.0)
+        near = np.minimum(np.abs(mins), np.abs(maxs)) < s ** hurst
         count = int(np.count_nonzero(sign_change | near))
         if count > 0:
             pts.append((1.0 / s, float(count), None))

@@ -3,8 +3,10 @@
 Only the tests call these: profile algebra and statistics of one walk,
 scenery evaluation with an explicit or sampled scenery, the tightness and
 agreement helpers of the harness, a bound on the mollified local time's
-increase, and `sample_delta_marginal`, a sampler coded independently of
-`delta_process.sample_delta_path` so that the two can be compared.
+increase, `sample_delta_marginal`, a sampler coded independently of
+`delta_process.sample_delta_path` so that the two can be compared, and
+the direct routes of `delta_process` (site ranks from `np.unique`, box
+extrema from one reshape per scale) that its fast kernels must equal.
 """
 
 import math
@@ -12,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rwrs.brownian import gram_of_fields, sample_local_time_fields
-from rwrs.harness import _zero_count_trajectory
+from rwrs.brownian import _embedded_positions, gram_of_fields, sample_local_time_fields
+from rwrs.delta_process import DeltaPath, WalkRealization
+from rwrs.errors import DegenerateRatioError
+from rwrs.harness import _zero_count_trajectory, fit_power_law
 from rwrs.lattice_walk import LocalTimeProfile, _segment_profiles
 from rwrs.scenery import _union_counts
 from rwrs.simkit import estimate_from_values, replicate
@@ -167,3 +171,45 @@ def support_increase_bound(path, eps, box_width):
     observed = float(increases[away].max()) if away.any() else 0.0
     bound = width * path.dt * math.exp(-4.5) / math.sqrt(2.0 * math.pi * eps)
     return observed, bound
+
+
+def sample_delta_path_by_unique(horizon, dt, fineness, stream, walk=None):
+    """`delta_process.sample_delta_path` with site ranks from `np.unique`."""
+    m = int(fineness)
+    if dt * m < 1.0:
+        raise ValueError("need at least one lattice step per time-grid cell")
+    n_grid = int(round(horizon / dt))
+    total = int(math.floor(m * horizon))
+    if walk is None:
+        walk = WalkRealization(_embedded_positions(total, stream), m)
+    positions = walk.positions
+    sites, seq = np.unique(positions, return_inverse=True)
+    noise = stream.gen.standard_normal(sites.size)
+    increments = noise[seq] * m ** -0.75
+    cum = np.concatenate([[0.0], np.cumsum(increments)])
+    marks = np.minimum((np.arange(n_grid + 1) * dt * m).astype(np.int64), total)
+    times = np.arange(n_grid + 1) * dt
+    return DeltaPath(times, cum[marks], float(dt), m, walk)
+
+
+def zero_set_boxcount_by_reshape(path, scales, hurst=0.75):
+    """`delta_process.zero_set_boxcount` with one reshape of the values per scale."""
+    scales = sorted(float(s) for s in scales)
+    if len(scales) < 4 or scales[-1] / scales[0] < 100.0:
+        raise ValueError("need >= 4 scales spanning >= 2 decades")
+    vals = path.values
+    pts = []
+    for s in scales:
+        width = max(1, int(round(s / path.dt)))
+        nbox = vals.size // width
+        if nbox < 1:
+            continue
+        trimmed = vals[: nbox * width].reshape(nbox, width)
+        sign_change = (trimmed.min(axis=1) <= 0.0) & (trimmed.max(axis=1) >= 0.0)
+        near = np.abs(trimmed).min(axis=1) < s ** hurst
+        count = int(np.count_nonzero(sign_change | near))
+        if count > 0:
+            pts.append((1.0 / s, float(count), None))
+    if len(pts) < 3:
+        raise DegenerateRatioError("no countable zero boxes; degenerate path")
+    return fit_power_law(pts)

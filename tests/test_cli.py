@@ -252,6 +252,39 @@ replicas = 5
 """
 
 
+ESTIMATE_C = """
+[experiment]
+subcommand = estimate-c
+
+[params]
+t_list = 1 2
+fineness = 4096
+
+[run]
+seed = 13
+replicas = 20
+"""
+
+
+CORRELATION = """
+[experiment]
+subcommand = correlation-ratio
+
+[laws]
+step = simple
+scenery = rademacher
+
+[params]
+n = 64
+t_ratio = 2
+fineness = 4096
+
+[run]
+seed = 14
+replicas = 20
+"""
+
+
 COUNTING = MINIMAL.replace("return-curve", "counting-moments").replace("k = 1", "k = 2")
 
 
@@ -304,6 +337,12 @@ n_max = 4
         # [8 * -1] rounds up to d0 = 2, so only the sign check sees it
         (MINIMAL.replace("k = 1", "k = 2\nt_ratios = -1 2"), "params.t_ratios"),
         (COUNTING.replace("k = 2", "k = 4"), "params.k"),
+        (GRAM_TINY.replace("t_list = 1.0", "t_list = 2 1"), "params.t_list"),
+        (GRAM_TINY.replace("t_list = 1.0", "t_list = 1 1"), "params.t_list"),
+        (GRAM_TINY.replace("t_list = 1.0", "t_list = 0 1"), "params.t_list"),
+        (ESTIMATE_C.replace("t_list = 1 2", "t_list = 2 1"), "params.t_list"),
+        (CORRELATION.replace("t_ratio = 2", "t_ratio = -1"), "params.t_ratio"),
+        (CORRELATION.replace("t_ratio = 2", "t_ratio = 0"), "params.t_ratio"),
     ],
     ids=["fineness-not-integer", "fineness-below-1000", "n_list-not-positive",
          "scales-too-few", "dt-below-lattice-step", "dt-below-lattice-step-scaling",
@@ -314,7 +353,10 @@ n_max = 4
          "return-curve-two-n", "counting-moments-two-n", "return-curve-k-zero",
          "return-curve-k2-no-ratios", "return-curve-ratios-decreasing",
          "return-curve-ratios-collapse", "return-curve-ratios-with-k1",
-         "return-curve-ratios-not-positive", "counting-moments-k4"],
+         "return-curve-ratios-not-positive", "counting-moments-k4",
+         "gram-t_list-decreasing", "gram-t_list-repeated", "gram-t_list-not-positive",
+         "estimate-c-t_list-decreasing", "correlation-t_ratio-negative",
+         "correlation-t_ratio-zero"],
 )
 def test_bad_param_value_rejected_at_validation(tmp_path, capsys, config, field):
     cfg = write_config(tmp_path, config)

@@ -9,6 +9,7 @@ from rwrs.simkit import RngStream, estimate_from_values
 from rwrs.delta_process import (
     DeltaPath,
     MollifiedLocalTime,
+    WalkRealization,
     estimate_Mk,
     mollified_local_time,
     mollified_values,
@@ -18,7 +19,12 @@ from rwrs.delta_process import (
 )
 from rwrs.brownian import sample_local_time_fields
 
-from reference import sample_delta_marginal, support_increase_bound
+from reference import (
+    sample_delta_marginal,
+    sample_delta_path_by_unique,
+    support_increase_bound,
+    zero_set_boxcount_by_reshape,
+)
 
 
 def synthetic_path(values, dt):
@@ -203,6 +209,70 @@ def test_boxcount_flags_degenerate_paths():
         zero_set_boxcount(path, [2.0 ** -j for j in range(4, 12)])
     with pytest.raises(ValueError):
         zero_set_boxcount(path, [0.5, 0.25, 0.125, 0.1])  # under 2 decades
+
+
+DEFAULT_SCALES = [2.0 ** -j for j in range(7, 15)]
+
+
+def test_boxcount_equals_reshape_route_on_sampled_paths():
+    root = RngStream(319, 0)
+    for i in range(12):
+        path = sample_delta_path(1.0, 2.0 ** -14, 1 << 14, root.substream(i))
+        assert zero_set_boxcount(path, DEFAULT_SCALES) == \
+            zero_set_boxcount_by_reshape(path, DEFAULT_SCALES)
+
+
+@pytest.mark.parametrize("scales", [
+    [3.0 ** j * 2.0 ** -14 for j in range(7)],  # nested widths, ratio 3
+    [1 / 100, 1 / 300, 1 / 1000, 1 / 3000, 1 / 10000],  # widths that do not nest
+    [2.0 ** -j for j in range(10, 19)],  # below dt: widths clamp to 1
+    [2.0 ** -14 * w for w in (4, 4.2, 8, 16, 500, 1000)],  # 4 and 4.2 both round to 4
+    [2.0 ** -j for j in range(-1, 9)],  # the coarsest boxes are wider than the path
+    [2.0 ** -14 * w for w in (1, 3, 6, 12, 48, 100, 200, 400)],  # halving after a reshape
+])
+def test_boxcount_equals_reshape_route_at_any_widths(scales):
+    root = RngStream(320, 0)
+    for i in range(4):
+        path = sample_delta_path(1.0, 2.0 ** -14, 1 << 14, root.substream(i))
+        assert zero_set_boxcount(path, scales) == \
+            zero_set_boxcount_by_reshape(path, scales)
+
+
+def test_boxcount_equals_reshape_route_on_brownian_paths():
+    rng = np.random.default_rng(321)
+    n = 1 << 16
+    dt = 1.0 / n
+    for _ in range(4):
+        incr = rng.standard_normal(n) * math.sqrt(dt)
+        path = synthetic_path(np.concatenate([[0.0], np.cumsum(incr)]), dt)
+        assert zero_set_boxcount(path, DEFAULT_SCALES, hurst=0.5) == \
+            zero_set_boxcount_by_reshape(path, DEFAULT_SCALES, hurst=0.5)
+
+
+def test_path_equals_unique_rank_route():
+    root = RngStream(322, 0)
+    for i in range(6):
+        a_stream, b_stream = root.substream(i), root.substream(i)
+        a = sample_delta_path(1.0, 2.0 ** -10, 1 << 12, a_stream)
+        b = sample_delta_path_by_unique(1.0, 2.0 ** -10, 1 << 12, b_stream)
+        assert np.array_equal(a.walk.positions, b.walk.positions)
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.values, b.values)
+        # both drew the same number of normals, so the streams stay in step
+        assert a_stream.gen.random() == b_stream.gen.random()
+        frozen_a = sample_delta_path(1.0, 2.0 ** -10, 1 << 12, root.substream(99 + i),
+                                     walk=a.walk)
+        frozen_b = sample_delta_path_by_unique(1.0, 2.0 ** -10, 1 << 12,
+                                               root.substream(99 + i), walk=a.walk)
+        assert np.array_equal(frozen_a.values, frozen_b.values)
+        # a frozen walk that skips sites: only occupied sites get noise
+        gapped = WalkRealization(3 * a.walk.positions, a.walk.fineness)
+        gap_a, gap_b = root.substream(199 + i), root.substream(199 + i)
+        assert np.array_equal(
+            sample_delta_path(1.0, 2.0 ** -10, 1 << 12, gap_a, walk=gapped).values,
+            sample_delta_path_by_unique(1.0, 2.0 ** -10, 1 << 12, gap_b,
+                                        walk=gapped).values)
+        assert gap_a.gen.random() == gap_b.gen.random()
 
 
 def test_occupation_identity_on_intervals():

@@ -167,6 +167,16 @@ CASES = {
         "6201eca6f160d98be84f31d60cd4fb8ee182586ec2f18f13367778468f7bb9d0",
         "233e272d8126a23edf14d021af7d2cc5cb9483fbc8cae253ce777bea4698e165",
     ),
+    # widths 1, 2, 5, 16, 55, 164, 328 cells: a clamped width of 1, pairwise
+    # halving (1 -> 2, 164 -> 328) and widths that do not nest (reshape)
+    "boxcount-nondyadic": (
+        "[experiment]\nsubcommand = boxcount\n[params]\n"
+        "scales = 1/20000 1/10000 1/3000 1/1000 1/300 1/100 1/50\n"
+        "fineness = 16384\ndt = 1/16384\npaths = 20\n",
+        [],
+        "604677aceaeceb33783031b5d71f4fb9b21a52a586d786245d58998c69d5141e",
+        "233e272d8126a23edf14d021af7d2cc5cb9483fbc8cae253ce777bea4698e165",
+    ),
 }
 
 
