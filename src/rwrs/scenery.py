@@ -54,6 +54,14 @@ class SceneryLaw(_FiniteLaw):
             raise ValueError("degenerate (single-point) scenery law")
         self._check_lattice_constants()
         object.__setattr__(self, "_max_value", max(abs(x) for x in self.support))
+        # phi is real for a mirror-image law, and `char` sums its imaginary
+        # parts to exactly 0 when at most one magnitude is nonzero: the
+        # terms are -s, (0,) +s.  Two or more magnitudes leave rounding
+        # residue of up to 2.8e-17 in the imaginary part, so `char`'s
+        # |phi| and angle are not those of the real value.
+        mirror = (self.support == tuple(-x for x in reversed(self.support))
+                  and self.probs == tuple(reversed(self.probs)))
+        object.__setattr__(self, "_real_char", mirror and len(self.support) <= 3)
 
     def _check_lattice_constants(self):
         d, d0 = self.d, self.d0
@@ -361,14 +369,44 @@ def joint_return_prob_sampled(profiles, law, stream, scenery_draws=64,
     return float(_zero_prob_given_shared(draws, shared_counts, pmfs).mean())
 
 
+def _cos_char(law, u):
+    """phi(u) of a law with a real `char`: the cosine sum in support order.
+
+    Bit for bit `law.char(u).real`, in one float table and in place.
+    """
+    phi = np.zeros_like(u)
+    term = np.empty_like(u)
+    for x, p in zip(law.support, law.float_probs()):
+        np.multiply(u, x, out=term)
+        np.cos(term, out=term)
+        term *= p
+        phi += term
+    return phi
+
+
+def _log_magnitude(mag):
+    """log|phi| from |phi|, floored at _LOG_FLOOR where |phi| is 0."""
+    return np.where(mag > 0, np.log(np.maximum(mag, 1e-320)), _LOG_FLOOR)
+
+
 class ReturnProbTable:
     """Batched k=1 conditional zero-probabilities sharing one node grid.
 
     Evaluates the same periodic trapezoid sum as the quadrature route, but
-    with log-magnitude and phase tables over (count value, node) reused by
-    every profile in the batch, so the per-profile work is two matrix
-    products.  Node count is fixed upfront from the aliasing bound over
-    the whole batch, which keeps results within 1e-12 of the exact value.
+    with tables over (count value, node) reused by every profile in the
+    batch, so the per-profile work is matrix products.  The node count is
+    fixed upfront from the aliasing bound over the whole batch, which keeps
+    results within 1e-12 of the exact value.
+
+    The tables hold log|phi| and the phase of phi.  For a law whose `char`
+    is exactly real (`SceneryLaw._real_char`: a mirror image on {-a, 0, a})
+    phi is the cosine sum in support order, the real part of `char` bit for
+    bit, and the phase is its sign: the product over sites is the exp of
+    the log-magnitude product, negated where the product with `phi < 0` is
+    odd.  That is the complex route's value bit for bit, since the cos of
+    a sum of multiples of pi is exactly +-1 at these sizes.  Any other law
+    takes `np.angle` of the complex `char` and multiplies by the cos of the
+    phase product.
     """
 
     def __init__(self, law):
@@ -376,9 +414,9 @@ class ReturnProbTable:
 
     def evaluate(self, profiles, block=512):
         law = self.law
-        admissible = [p.length % law.d0 == 0 for p in profiles]
         out = np.zeros(len(profiles))
-        todo = [i for i, ok in enumerate(admissible) if ok]
+        d0 = law.d0
+        todo = [i for i, p in enumerate(profiles) if p.length % d0 == 0]
         if not todo:
             return out
         cmax = max(int(profiles[i].counts.max()) for i in todo)
@@ -388,10 +426,18 @@ class ReturnProbTable:
         nodes = max(64, nodes + (nodes % 2))
         half = nodes // 2
         theta = (2.0 * math.pi / (d * nodes)) * np.arange(half + 1)
-        phi = law.char(np.outer(np.arange(1, cmax + 1, dtype=np.float64), theta))
-        mag = np.abs(phi)
-        logmag = np.where(mag > 0, np.log(np.maximum(mag, 1e-320)), _LOG_FLOOR)
-        ang = np.angle(phi)
+        u = np.outer(np.arange(1, cmax + 1, dtype=np.float64), theta)
+        if law._real_char:
+            phi = _cos_char(law, u)
+            del u
+            neg = (phi < 0).astype(np.float64)
+            logmag = _log_magnitude(np.abs(phi, out=phi))
+        else:
+            phi = law.char(u)
+            del u
+            ang = np.angle(phi)
+            logmag = _log_magnitude(np.abs(phi))
+        del phi
         w = np.full(half + 1, 2.0 / nodes)
         w[0] = w[-1] = 1.0 / nodes
         for lo in range(0, len(todo), block):
@@ -400,8 +446,18 @@ class ReturnProbTable:
             for row, i in enumerate(batch):
                 c = profiles[i].counts
                 mults[row] = np.bincount(c - 1, minlength=cmax)[:cmax]
-            total_log = np.maximum(mults @ logmag, _LOG_FLOOR)
-            total_ang = mults @ ang
-            vals = (np.exp(total_log) * np.cos(total_ang)) @ w
-            out[batch] = np.maximum(vals, 0.0)
+            terms = np.maximum(mults @ logmag, _LOG_FLOOR)
+            np.exp(terms, out=terms)
+            if law._real_char:
+                # the product counts sites, so it is an exact integer;
+                # shifted to the sign bit, its parity reads as -0.0 where
+                # odd and +0.0 where even; terms are >= 0, so copysign
+                # negates the odd ones
+                odd = (mults @ neg).astype(np.uint64)
+                np.left_shift(odd, 63, out=odd)
+                np.copysign(terms, odd.view(np.float64), out=terms)
+                del odd
+            else:
+                terms *= np.cos(mults @ ang)
+            out[batch] = np.maximum(terms @ w, 0.0)
         return out

@@ -6,7 +6,9 @@ agreement helpers of the harness, a bound on the mollified local time's
 increase, `sample_delta_marginal`, a sampler coded independently of
 `delta_process.sample_delta_path` so that the two can be compared, and
 the direct routes of `delta_process` (site ranks from `np.unique`, box
-extrema from one reshape per scale) that its fast kernels must equal.
+extrema from one reshape per scale) that its fast kernels must equal, and
+the complex-table route of `scenery.ReturnProbTable.evaluate` that its
+cosine table must equal.
 """
 
 import math
@@ -19,7 +21,7 @@ from rwrs.delta_process import DeltaPath, WalkRealization
 from rwrs.errors import DegenerateRatioError
 from rwrs.harness import _zero_count_trajectory, fit_power_law
 from rwrs.lattice_walk import LocalTimeProfile, _segment_profiles
-from rwrs.scenery import _union_counts
+from rwrs.scenery import _LOG_FLOOR, _union_counts
 from rwrs.simkit import estimate_from_values, replicate
 
 
@@ -213,3 +215,40 @@ def zero_set_boxcount_by_reshape(path, scales, hurst=0.75):
     if len(pts) < 3:
         raise DegenerateRatioError("no countable zero boxes; degenerate path")
     return fit_power_law(pts)
+
+
+def return_prob_table_complex(law, profiles, block=512):
+    """`scenery.ReturnProbTable(law).evaluate` on the complex `char` table.
+
+    log|phi| and np.angle(phi) tables for every law, and the cos of the
+    phase product per batch.
+    """
+    admissible = [p.length % law.d0 == 0 for p in profiles]
+    out = np.zeros(len(profiles))
+    todo = [i for i, ok in enumerate(admissible) if ok]
+    if not todo:
+        return out
+    cmax = max(int(profiles[i].counts.max()) for i in todo)
+    vmax = max(float(np.dot(profiles[i].counts, profiles[i].counts)) for i in todo)
+    d = law.d
+    nodes = int(math.ceil(8.0 * law.max_value * math.sqrt(vmax) / d))
+    nodes = max(64, nodes + (nodes % 2))
+    half = nodes // 2
+    theta = (2.0 * math.pi / (d * nodes)) * np.arange(half + 1)
+    phi = law.char(np.outer(np.arange(1, cmax + 1, dtype=np.float64), theta))
+    mag = np.abs(phi)
+    logmag = np.where(mag > 0, np.log(np.maximum(mag, 1e-320)), _LOG_FLOOR)
+    ang = np.angle(phi)
+    w = np.full(half + 1, 2.0 / nodes)
+    w[0] = w[-1] = 1.0 / nodes
+    for lo in range(0, len(todo), block):
+        batch = todo[lo : lo + block]
+        mults = np.empty((len(batch), cmax))
+        for row, i in enumerate(batch):
+            c = profiles[i].counts
+            mults[row] = np.bincount(c - 1, minlength=cmax)[:cmax]
+        total_log = np.maximum(mults @ logmag, _LOG_FLOOR)
+        total_ang = mults @ ang
+        vals = (np.exp(total_log) * np.cos(total_ang)) @ w
+        out[batch] = np.maximum(vals, 0.0)
+    return out

@@ -65,6 +65,33 @@ CASES = {
         "83d72fc3a3c1935fba1de76cb287ca6ad5455f5e25fb1139cbf33258e30dc799",
         "6cfd4408c7720c9dd5131ac084c659558b21bb3d6868b0976965a096807d6bcf",
     ),
+    # n > 64 reaches ReturnProbTable: the five-point law on the complex
+    # table, the zero-atom and span-4 laws on the cosine table
+    "return-curve-k1-five-point": (
+        "[experiment]\nsubcommand = return-curve\n[laws]\n"
+        "step = -2:1/6,-1:1/6,0:1/3,1:1/6,2:1/6\n"
+        "scenery = -2:1/10,-1:1/5,0:2/5,1:1/5,2:1/10\n[params]\n"
+        "n_list = 96 192 384\nk = 1\n[run]\nreplicas = 50\n",
+        [],
+        "f33d42b1e0ff56868480519c0cffd1202f334fbcba1ff85b158ec74eab8e6629",
+        "1218c62d2f148fa14a371be3c14ecc487172c81fd1ee0cc5a766a42fdd92a515",
+    ),
+    "return-curve-k1-zero-atom": (
+        "[experiment]\nsubcommand = return-curve\n[laws]\nstep = lazy\n"
+        "scenery = -1:1/4,0:1/2,1:1/4\n[params]\nn_list = 96 192 384\nk = 1\n"
+        "[run]\nreplicas = 50\n",
+        [],
+        "1b64361bf3249fd1e0aa792b0fd6c7ded726a260ccdbbec10ae82e6762c6dbcc",
+        "90a36bfecc1d76df7283f13a4ed98b70230debaff1778e254a100f5add2be941",
+    ),
+    "return-curve-k1-span-four": (
+        "[experiment]\nsubcommand = return-curve\n[laws]\nstep = simple\n"
+        "scenery = -2:1/2,2:1/2\n[params]\nn_list = 96 192 384\nk = 1\n"
+        "[run]\nreplicas = 50\n",
+        [],
+        "cffebb9e633e0b5e87c58987504a0e485be8ddedac8c02396569786e0c0be2c7",
+        "314c3ef5f22f39b75ffa0106f52156e556005286ef54c2951d3576d4ab8bcd7e",
+    ),
     "return-curve-k2": (
         "[experiment]\nsubcommand = return-curve\n" + SIMPLE
         + "[params]\nn_list = 16 32 64\nk = 2\nt_ratios = 1 2\n"

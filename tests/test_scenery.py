@@ -5,19 +5,28 @@ import numpy as np
 import pytest
 
 from rwrs import scenery
+from rwrs.cli import _parse_law_text
+from rwrs.harness import _round_admissible
 from rwrs.simkit import RngStream
 from rwrs.lattice_walk import LocalTimeProfile, StepLaw, simulate_local_times
 from rwrs.scenery import (
     ReturnProbTable,
     SceneryLaw,
     _char_quadrature,
+    _cos_char,
+    _log_magnitude,
     _pmf_1d,
     analyze_law,
     conditional_return_prob,
     joint_return_prob_sampled,
 )
 
-from reference import char_given_profiles, evaluate_increments, sample_and_evaluate
+from reference import (
+    char_given_profiles,
+    evaluate_increments,
+    return_prob_table_complex,
+    sample_and_evaluate,
+)
 
 RADEMACHER = SceneryLaw.rademacher()
 
@@ -210,6 +219,76 @@ def test_batch_table_matches_convolution():
     for p, got in zip(profiles, table_vals):
         want = conditional_return_prob([p], RADEMACHER)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+# scenery law -> whether `char` is exactly real on it (the cosine route)
+TABLE_LAWS = {
+    "rademacher": True,
+    "-2:1/2,2:1/2": True,  # d = 4, d0 = 2
+    "-1:1/4,0:1/2,1:1/4": True,
+    "-3:1/8,-1:3/8,1:3/8,3:1/8": False,
+    "-2:1/10,-1:1/5,0:2/5,1:1/5,2:1/10": False,
+    "-2:1/3,1:2/3": False,  # asymmetric, d0 = 3
+}
+
+
+def _table_profiles(step, n, law, count, seed):
+    """`count` walks of the largest admissible length <= n, with a length-3
+    profile (inadmissible unless d0 = 1) interleaved."""
+    n = _round_admissible(n, law.d0)
+    root = RngStream(seed, n)
+    profiles = [simulate_local_times(step, [n], root.substream(i))[0]
+                for i in range(count)]
+    profiles.insert(count // 2, LocalTimeProfile.from_dict({0: 2, 1: 1}))
+    return profiles
+
+
+def test_real_char_route_is_selected_from_the_law():
+    for text, real in TABLE_LAWS.items():
+        assert SceneryLaw.from_dict(_parse_law_text(text))._real_char is real
+    assert SceneryLaw.from_dict({-1: 0.5, 1: 0.5})._real_char
+    assert not SceneryLaw.from_dict({-1: 0.5, 0: 0.25, 2: 0.25})._real_char
+
+
+@pytest.mark.parametrize("text", list(TABLE_LAWS))
+def test_cosine_table_is_the_real_part_of_char(text):
+    law = SceneryLaw.from_dict(_parse_law_text(text))
+    for nodes in (64, 2048, 20000):
+        theta = (2.0 * math.pi / (law.d * nodes)) * np.arange(nodes // 2 + 1)
+        u = np.outer(np.arange(1, 400, dtype=np.float64), theta)
+        phi = law.char(u)
+        cos = _cos_char(law, u)
+        assert np.array_equal(cos, phi.real)
+        if law._real_char:
+            assert np.array_equal(phi.imag, np.zeros_like(cos))
+            assert np.array_equal(_log_magnitude(np.abs(cos)),
+                                  _log_magnitude(np.abs(phi)))
+
+
+@pytest.mark.parametrize("n", [128, 1024, 4096])
+@pytest.mark.parametrize("step", ["simple", "lazy"])
+@pytest.mark.parametrize("text", list(TABLE_LAWS))
+def test_table_equals_complex_route_bit_for_bit(text, step, n):
+    law = SceneryLaw.from_dict(_parse_law_text(text))
+    walk = StepLaw.simple() if step == "simple" else StepLaw.lazy()
+    profiles = _table_profiles(walk, n, law, 40, 131)
+    got = ReturnProbTable(law).evaluate(profiles)
+    want = return_prob_table_complex(law, profiles)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("text", ["rademacher", "-2:1/3,1:2/3"])
+def test_table_values_barely_depend_on_block_size(text):
+    # BLAS sums a product in an order that depends on the block's row
+    # count, so the last bits may differ, but no more
+    law = SceneryLaw.from_dict(_parse_law_text(text))
+    profiles = _table_profiles(StepLaw.simple(), 1024, law, 150, 137)
+    table = ReturnProbTable(law)
+    ref = table.evaluate(profiles, block=512)
+    for block in (1, 7, 100):
+        got = table.evaluate(profiles, block=block)
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
 
 
 def test_joint_sampled_estimator_is_unbiased():
