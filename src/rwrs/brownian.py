@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, RejectionRateError
+from .errors import RejectionRateError
 from .simkit import Estimate, estimate_from_values, replicate
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "besq0_total_integral",
     "besq0_density",
     "besq0_extinction",
-    "ray_knight_profile",
     "ray_knight_profile_fast",
     "origin_local_time_at_range_exit",
     "hitting_time_density",
@@ -126,32 +125,22 @@ class GramSample:
             raise AssertionError("negative eigenvalue after clamping")
 
 
-def gram_of_fields(fields, normalization="raw"):
+def gram_of_fields(fields):
     """Gram matrix of the fields' pairwise L2 inner products.
 
-    `scaled` divides field i by horizon_i^(3/4) first, giving the
-    normalized matrix whose smallest eigenvalue drives the small-ball
-    bounds.  Eigenvalues below 1e-14 * trace are clamped to zero so
-    near-rank-deficient samples do not produce negative round-off
-    determinants.
+    Eigenvalues below 1e-14 * trace are clamped to zero so near-rank-deficient
+    samples do not produce negative round-off determinants.
     """
-    if normalization not in ("raw", "scaled"):
-        raise ValueError("normalization must be 'raw' or 'scaled'")
     k = len(fields)
     f0 = fields[0]
     for f in fields[1:]:
         if f.origin != f0.origin or f.values.size != f0.values.size or f.h != f0.h:
             raise ValueError("fields must share one grid")
     mat = np.empty((k, k))
-    vecs = []
-    for f in fields:
-        v = f.values
-        if normalization == "scaled":
-            v = v / f.horizon ** 0.75
-        vecs.append(v)
     for i in range(k):
         for j in range(i, k):
-            mat[i, j] = mat[j, i] = f0.h * float(np.dot(vecs[i], vecs[j]))
+            mat[i, j] = mat[j, i] = f0.h * float(np.dot(fields[i].values,
+                                                        fields[j].values))
     eig = np.linalg.eigvalsh(mat)
     floor = _EIG_CLAMP * float(np.trace(mat))
     eig = np.where(eig < floor, 0.0, eig)
@@ -170,7 +159,7 @@ class CResult:
     replicas: int
 
 
-def estimate_C(T_list, replicas, fineness, stream, max_reject_rate=1e-3):
+def estimate_C(T_list, replicas, fineness, stream):
     """Monte Carlo E[D^(-1/2)] over increment-field Gram determinants.
 
     Near-singular Gram samples (any eigenvalue clamped to zero) are
@@ -183,7 +172,7 @@ def estimate_C(T_list, replicas, fineness, stream, max_reject_rate=1e-3):
 
     def task(sub):
         _, increments = sample_local_time_fields(T_list, fineness, sub)
-        gram = gram_of_fields(increments, normalization="raw")
+        gram = gram_of_fields(increments)
         if gram.det <= 0.0 or gram.lambda_min == 0.0:
             return np.nan
         return gram.det ** -0.5
@@ -191,7 +180,7 @@ def estimate_C(T_list, replicas, fineness, stream, max_reject_rate=1e-3):
     values = replicate(task, replicas, stream)
     ok = ~np.isnan(values)
     rejected = replicas - int(ok.sum())
-    if rejected > max_reject_rate * replicas:
+    if rejected > 1e-3 * replicas:
         raise RejectionRateError(
             f"{rejected}/{replicas} near-singular Gram samples; fineness too small"
         )
@@ -269,59 +258,18 @@ def hitting_time_density(y, t):
     )
 
 
-def ray_knight_profile(level, fineness, stream, horizon_cap=10 ** 9):
+def ray_knight_profile_fast(level, fineness, stream):
     """Walk local-time profile at the first time the origin count tops level*sqrt(m).
 
-    Simulates the embedded walk step by step until the visit count at the
-    origin first exceeds level * sqrt(m) and returns the normalized profile
-    N_tau(y) / sqrt(m) for offsets y >= 0; by the second Ray-Knight theorem
-    its continuum counterpart is a squared Bessel process of dimension 0
-    started from `level`.  The stopping time has infinite mean, hence the
-    hard horizon cap; see ray_knight_profile_fast for the heavy-replica
-    sampler with the identical law.
-    """
-    m = int(fineness)
-    target = int(math.floor(level * math.sqrt(m))) + 1
-    counts = np.zeros(1, dtype=np.int64)  # counts[y] for y >= 0 only
-    pos = 0
-    zeros_seen = 0
-    consumed = 0
-    while True:
-        chunk = min(1 << 16, horizon_cap - consumed)
-        if chunk < 2:
-            raise BudgetExceededError("Ray-Knight horizon cap exceeded")
-        steps = stream.gen.integers(0, 2, size=chunk) * 2 - 1
-        block = np.empty(chunk, dtype=np.int64)
-        block[0] = pos
-        np.cumsum(steps[:-1], out=block[1:])
-        block[1:] += pos
-        zero_count = np.cumsum(block == 0)
-        hit = np.nonzero(zeros_seen + zero_count >= target)[0]
-        stop = int(hit[0]) + 1 if hit.size else chunk  # include stopping visit
-        nonneg = block[:stop]
-        nonneg = nonneg[nonneg >= 0]
-        if nonneg.size:
-            top = int(nonneg.max())
-            if top >= counts.size:
-                counts = np.concatenate(
-                    [counts, np.zeros(top + 1 - counts.size, dtype=np.int64)]
-                )
-            counts[: top + 1] += np.bincount(nonneg, minlength=top + 1)
-        if hit.size:
-            return counts.astype(np.float64) / math.sqrt(m)
-        zeros_seen += int(zero_count[-1])
-        pos = int(block[-1] + steps[-1])
-        consumed += chunk
-
-
-def ray_knight_profile_fast(level, fineness, stream):
-    """Same law as ray_knight_profile via the exact upcrossing branching chain.
-
-    For the simple walk stopped at the target origin-visit count, the edge
-    upcrossing counts above the origin form a critical branching chain with
-    geometric offspring; visit counts at level y are U(y) + U(y+1).  This
-    samples the stopped profile in O(max height) work, avoiding the
-    infinite-mean stopping time of direct simulation.
+    Returns the normalized profile N_tau(y) / sqrt(m) of the embedded walk
+    for offsets y >= 0, stopped when the visit count at the origin first
+    exceeds level * sqrt(m); by the second Ray-Knight theorem its continuum
+    counterpart is a squared Bessel process of dimension 0 started from
+    `level`.  For the simple walk stopped at that count, the edge upcrossing
+    counts above the origin form a critical branching chain with geometric
+    offspring; visit counts at level y are U(y) + U(y+1).  This samples the
+    stopped profile in O(max height) work, avoiding the infinite-mean
+    stopping time of direct simulation.
     """
     m = int(fineness)
     target = int(math.floor(level * math.sqrt(m))) + 1

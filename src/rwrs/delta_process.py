@@ -24,9 +24,7 @@ from .simkit import Estimate, estimate_from_values, replicate
 
 __all__ = [
     "DeltaPath",
-    "MollifiedLocalTime",
     "sample_delta_path",
-    "mollified_local_time",
     "mollified_values",
     "estimate_Mk",
     "MkResult",
@@ -35,6 +33,8 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_TINY_STEPS = 256  # see estimate_Mk
+_TINY_SIM_STEPS = 16384
 
 
 @dataclass(frozen=True)
@@ -100,21 +100,6 @@ def sample_delta_path(horizon, dt, fineness, stream, walk=None):
     return DeltaPath(times, cum[marks], float(dt), m, walk)
 
 
-@dataclass(frozen=True)
-class MollifiedLocalTime:
-    """Gaussian-kernel occupation density of one path near level x."""
-
-    eps: float
-    t: float
-    x: float
-    value: float
-
-    def __post_init__(self):
-        bound = self.t / math.sqrt(2.0 * math.pi * self.eps) + 1e-12
-        if self.value < 0 or self.value > bound:
-            raise AssertionError("mollified local time outside kernel bounds")
-
-
 def mollified_values(path, eps, t, xs):
     """Time-discretized mollified occupation at several levels at once."""
     upto = int(round(t / path.dt))
@@ -127,11 +112,6 @@ def mollified_values(path, eps, t, xs):
         z = (vals - x) ** 2 / (2.0 * eps)
         out[i] = path.dt * float(np.exp(-z).sum()) / math.sqrt(2.0 * math.pi * eps)
     return out
-
-
-def mollified_local_time(path, eps, t, x):
-    value = float(mollified_values(path, eps, t, [x])[0])
-    return MollifiedLocalTime(float(eps), float(t), float(x), value)
 
 
 @dataclass(frozen=True)
@@ -170,8 +150,7 @@ def _segment_norm_sq(steps, stream, duration):
     return (duration / steps) ** 1.5 * v
 
 
-def estimate_Mk(k, t, replicas, fineness, stream, eps=0.0,
-                tiny_steps=256, tiny_sim_steps=16384):
+def estimate_Mk(k, t, replicas, fineness, stream, eps=0.0):
     """Importance-sampled estimate of the k-th local-time moment at level 0.
 
     Integrates k! (2 pi)^(-k/2) E[det^(-1/2)] over ordered times, sampling
@@ -180,9 +159,10 @@ def estimate_Mk(k, t, replicas, fineness, stream, eps=0.0,
 
     With eps = 0 the determinant is taken over increment fields (equal to
     the cumulative one, better conditioned); increments too short to
-    resolve on the shared grid (< tiny_steps lattice steps) enter through
-    their norm factor alone, sampled at their own fineness, the cross
-    terms being lower order for such short increments.
+    resolve on the shared grid (< `_TINY_STEPS` lattice steps) enter
+    through their norm factor alone, sampled on `_TINY_SIM_STEPS` steps of
+    their own, the cross terms being lower order for such short
+    increments.
 
     With eps > 0 the target is the regularized functional
     det(M_cumulative + eps I)^(-1/2), whose ordered-time integral equals
@@ -201,18 +181,18 @@ def estimate_Mk(k, t, replicas, fineness, stream, eps=0.0,
         if eps > 0.0:
             horizons = np.cumsum(durations)
             cum, _ = sample_local_time_fields(horizons, m, sub)
-            gram = gram_of_fields(cum, normalization="raw")
+            gram = gram_of_fields(cum)
             det = float(np.linalg.det(gram.entries + eps * np.eye(k)))
         else:
-            tiny = durations * m < tiny_steps
+            tiny = durations * m < _TINY_STEPS
             det = 1.0
             for j in np.nonzero(tiny)[0]:
-                det *= _segment_norm_sq(tiny_sim_steps, sub, durations[j])
+                det *= _segment_norm_sq(_TINY_SIM_STEPS, sub, durations[j])
             big = durations[~tiny]
             if big.size:
                 horizons = np.cumsum(big)
                 _, incs = sample_local_time_fields(horizons, m, sub)
-                gram = gram_of_fields(incs, normalization="raw")
+                gram = gram_of_fields(incs)
                 det *= gram.det
         return pref * det ** -0.5 / q if det > 0.0 else np.nan
 

@@ -14,7 +14,7 @@ import numpy as np
 from . import brownian, delta_process
 from .errors import DegenerateRatioError
 from .lattice_walk import _walk_positions, simulate_local_times
-from .scenery import ReturnProbTable, conditional_return_prob, joint_return_prob_sampled
+from .scenery import ReturnProbTable, joint_return_prob_sampled
 from .simkit import Estimate, estimate_from_values, replicate
 
 __all__ = [
@@ -154,7 +154,8 @@ def _return_values_k1(step, scen, n, replicas, stream):
     profiles = replicate(lambda sub: simulate_local_times(step, [n], sub)[0],
                          replicas, stream)
     if n <= 64:
-        return np.array([conditional_return_prob([p], scen) for p in profiles])
+        return np.array([joint_return_prob_sampled([p], scen, stream)
+                         for p in profiles])
     return ReturnProbTable(scen).evaluate(profiles)
 
 
@@ -387,7 +388,7 @@ def gram_convergence_test(step, n, T_list, replicas, fineness, stream,
 
     def brownian_task(sub):
         cum, _ = brownian.sample_local_time_fields(T_list, fineness, sub)
-        return brownian.gram_of_fields(cum, normalization="raw").entries
+        return brownian.gram_of_fields(cum).entries
 
     bro = replicate(brownian_task, replicas, stream.substream(1))
     thr = threshold if threshold is not None else ks_threshold(replicas, replicas)
@@ -425,15 +426,15 @@ def scaling_law_test(T, replicas, stream, eps=0.05, fineness=1 << 12,
 
 
 def uniformity_shadow(step, scen, n, replicas, stream, grid_points=4,
-                      theta=0.5, scenery_draws=64):
+                      scenery_draws=64):
     """Max of joint-return estimates times (n1 n2)^{3/4} over a time grid.
 
-    Times sweep [n^theta, n] geometrically (rounded to the d0 lattice); a
+    Times sweep [n^(1/2), n] geometrically (rounded to the d0 lattice); a
     bounded maximum is the desk-scale shadow of the uniform local-limit
     bound.
     """
     d0 = scen.d0
-    lo = n ** theta
+    lo = n ** 0.5
     ratios = np.geomspace(lo, n, grid_points)
     values = []
     for i1, r1 in enumerate(ratios):

@@ -9,11 +9,9 @@ counting (Rao-Blackwell).  Each case has one evaluation route:
 
 - k = 1, a batch of walks: `ReturnProbTable`, a trapezoid quadrature of the
   conditional characteristic function over its periodicity cell;
-- one walk: `conditional_return_prob`, exact dense convolution for k <= 2
-  and the k-dimensional trapezoid quadrature for k >= 3;
-- k >= 2 on the estimator path: `joint_return_prob_sampled`, which
-  integrates the sites of one segment out by convolution and samples or
-  enumerates the scenery on shared sites.
+- one walk, any k: `joint_return_prob_sampled`, exact by 1D convolution at
+  k = 1; for k >= 2 it integrates the sites of one segment out by
+  convolution and samples or enumerates the scenery on shared sites.
 
 The law itself (`SceneryLaw`) shares its validation, `from_dict` and the
 draw with `lattice_walk.StepLaw`.
@@ -24,18 +22,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceededError
 from .lattice_walk import _FiniteLaw, _gcd_all
 
 __all__ = [
     "SceneryLaw",
-    "analyze_law",
-    "conditional_return_prob",
     "joint_return_prob_sampled",
     "ReturnProbTable",
 ]
 
 _LOG_FLOOR = -800.0  # exp underflows to an exact 0.0 well before this
+_ENUMERATE_LIMIT = 4096  # shared-site sceneries enumerated rather than sampled
 
 
 class SceneryLaw(_FiniteLaw):
@@ -115,12 +111,6 @@ class SceneryLaw(_FiniteLaw):
         return out if out.shape else complex(out)
 
 
-def analyze_law(pmf):
-    """Return (sigma^2, d, d0) of a centered finite scenery pmf."""
-    law = pmf if isinstance(pmf, SceneryLaw) else SceneryLaw.from_dict(pmf)
-    return law.sigma2, law.d, law.d0
-
-
 def _union_counts(profiles):
     """Union of occupied sites and the (n_sites, k) count matrix."""
     sites = profiles[0].sites
@@ -197,114 +187,6 @@ def _pmf_1d(counts, law):
     return cur[pad:pad + size], A
 
 
-def _pmf_2d(count_pairs, law, cell_limit=int(6e7)):
-    """Dense joint pmf of (sum xi*c1, sum xi*c2) over shared-scenery sites."""
-    c1 = count_pairs[:, 0]
-    c2 = count_pairs[:, 1]
-    A1 = _halfwidth(c1, law)
-    A2 = _halfwidth(c2, law)
-    n1, n2 = 2 * A1 + 1, 2 * A2 + 1
-    if n1 * n2 > cell_limit:
-        raise BudgetExceededError(
-            f"2D convolution grid {n1}x{n2} exceeds the exact-evaluation budget"
-        )
-    cur = np.zeros((n1, n2))
-    cur[A1, A2] = 1.0
-    nxt = np.empty_like(cur)
-    atoms = [(int(x), float(p)) for x, p in zip(law.support, law.probs)]
-    for a, b in np.asarray(count_pairs, dtype=np.int64):
-        a, b = int(a), int(b)
-        nxt[:] = 0.0
-        for x, p in atoms:
-            s1, s2 = a * x, b * x
-            src1 = slice(max(0, -s1), min(n1, n1 - s1))
-            dst1 = slice(max(0, s1), min(n1, n1 + s1))
-            src2 = slice(max(0, -s2), min(n2, n2 - s2))
-            dst2 = slice(max(0, s2), min(n2, n2 + s2))
-            nxt[dst1, dst2] += p * cur[src1, src2]
-        cur, nxt = nxt, cur
-    lost = abs(1.0 - math.fsum(cur.ravel()))
-    if lost > 1e-10:
-        raise AssertionError(f"convolution truncation lost {lost:.3e} mass")
-    return cur, A1, A2
-
-
-def _alias_nodes(counts_matrix, law, d):
-    """Even node count making trapezoid aliasing < 1e-12 in every direction."""
-    v = (counts_matrix.astype(np.float64) ** 2).sum(axis=0).max()
-    m = int(math.ceil(8.0 * law.max_value * math.sqrt(max(v, 1.0)) / d))
-    return m + (m % 2)
-
-
-def _quad_value_nd(distinct, mult, law, d, nodes, block=4096):
-    k = distinct.shape[1]
-    theta = (2.0 * math.pi / (d * nodes)) * np.arange(nodes)
-    total_pts = nodes ** k
-    acc = 0.0
-    for lo in range(0, total_pts, block):
-        idx = np.arange(lo, min(lo + block, total_pts))
-        coords = np.empty((idx.size, k))
-        rem = idx.copy()
-        for j in range(k - 1, -1, -1):
-            coords[:, j] = theta[rem % nodes]
-            rem //= nodes
-        prod = np.ones(idx.size, dtype=np.complex128)
-        for row, m in zip(distinct, mult):
-            u = coords @ row.astype(np.float64)
-            prod *= law.char(u) ** int(m)
-        acc += float(prod.real.sum())
-    return acc / total_pts
-
-
-def _char_quadrature(profiles, law):
-    """Trapezoid mean of the conditional characteristic function.
-
-    The equal-weight trapezoid sum over one periodicity cell of the (2pi/d
-    periodic, even) integrand equals P(all increments 0 | walk) up to
-    aliasing terms P(Z = l*d*M), so starting at the aliasing bound already
-    gives 1e-12 accuracy; node doubling confirms to 1e-9.
-    """
-    _, counts = _union_counts(profiles)
-    distinct, mult = np.unique(counts, axis=0, return_counts=True)
-    keep = np.any(distinct != 0, axis=1)
-    distinct, mult = distinct[keep], mult[keep].astype(np.float64)
-    d = law.d
-    k = counts.shape[1]
-    m = max(64, _alias_nodes(counts, law, d))
-    prev = _quad_value_nd(distinct, mult, law, d, m)
-    while (2 * m) ** k <= (1 << 24):
-        m *= 2
-        val = _quad_value_nd(distinct, mult, law, d, m)
-        if abs(val - prev) <= 1e-9:
-            return val
-        prev = val
-    return prev
-
-
-def conditional_return_prob(profiles, law):
-    """P(all segment increments of Z equal 0 | walk realization).
-
-    Exactly 0 whenever some segment length is not a multiple of d0 (the
-    lattice constraint leaves no mass at zero).  Otherwise evaluated by an
-    exact truncated convolution for k <= 2 segments, and for k >= 3 by
-    periodic trapezoid quadrature of the conditional characteristic
-    function, whose node count doubles until two refinements agree within
-    1e-9.
-    """
-    if not profiles:
-        raise ValueError("need at least one profile")
-    if not _admissible(profiles, law):
-        return 0.0
-    if len(profiles) == 1:
-        pmf, A = _pmf_1d(profiles[0].counts, law)
-        return float(pmf[A])
-    if len(profiles) == 2:
-        _, counts = _union_counts(profiles)
-        pmf, A1, A2 = _pmf_2d(counts, law)
-        return float(pmf[A1, A2])
-    return min(1.0, max(0.0, _char_quadrature(profiles, law)))
-
-
 def _zero_prob_given_shared(shared_values, shared_counts, pmfs):
     """Per scenery row on the shared sites, P(every increment is 0 | row).
 
@@ -321,13 +203,16 @@ def _zero_prob_given_shared(shared_values, shared_counts, pmfs):
     return val
 
 
-def joint_return_prob_sampled(profiles, law, stream, scenery_draws=64,
-                              enumerate_limit=4096):
-    """Unbiased estimate of P(all increments = 0 | walk) for k >= 2.
+def joint_return_prob_sampled(profiles, law, stream, scenery_draws=64):
+    """Unbiased estimate of P(all increments = 0 | walk), any k >= 1.
 
-    Sites visited by exactly one segment are integrated out exactly by 1D
-    convolution; the scenery on sites shared between segments is enumerated
-    when cheap and sampled otherwise.  Conditioning on strictly more than
+    Exactly 0 whenever some segment length is not a multiple of d0 (the
+    lattice constraint leaves no mass at zero).  At k = 1 the value is
+    exact: the 1D convolution's pmf at zero, with no draw from `stream`.
+    For k >= 2, sites visited by exactly one segment are integrated out
+    exactly by 1D convolution; the scenery on sites shared between
+    segments is enumerated when it has at most `_ENUMERATE_LIMIT`
+    assignments and sampled otherwise.  Conditioning on strictly more than
     the bare indicator keeps this a variance-reduced estimator while
     avoiding the k-dimensional dense convolution.
     """
@@ -350,7 +235,7 @@ def joint_return_prob_sampled(profiles, law, stream, scenery_draws=64,
 
     nsh = shared_counts.shape[0]
     nsup = len(law.support)
-    if nsup ** nsh <= enumerate_limit:
+    if nsup ** nsh <= _ENUMERATE_LIMIT:
         support = np.asarray(law.support, dtype=np.int64)
         probs = law.float_probs()
         total = nsup ** nsh
@@ -392,9 +277,10 @@ def _log_magnitude(mag):
 class ReturnProbTable:
     """Batched k=1 conditional zero-probabilities sharing one node grid.
 
-    Evaluates the same periodic trapezoid sum as the quadrature route, but
-    with tables over (count value, node) reused by every profile in the
-    batch, so the per-profile work is matrix products.  The node count is
+    A periodic trapezoid sum of the conditional characteristic function
+    over one periodicity cell, with tables over (count value, node) reused
+    by every profile in the batch, so the per-profile work is matrix
+    products.  The node count is
     fixed upfront from the aliasing bound over the whole batch, which keeps
     results within 1e-12 of the exact value.
 

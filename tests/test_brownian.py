@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,10 +17,18 @@ from rwrs.brownian import (
     gram_of_fields,
     hitting_time_density,
     origin_local_time_at_range_exit,
-    ray_knight_profile,
     ray_knight_profile_fast,
     sample_local_time_fields,
 )
+
+from reference import ray_knight_profile
+
+
+def scaled(fields):
+    """Field i divided by horizon_i^(3/4): its Gram matrix is the normalized
+    one whose smallest eigenvalue drives the small-ball bounds."""
+    return [dataclasses.replace(f, values=f.values / f.horizon ** 0.75)
+            for f in fields]
 
 
 def expected_l2_norm_sq():
@@ -84,7 +93,7 @@ def test_grid_mismatch_rejected():
 def test_smallest_eigenvalue_is_variational_minimum():
     stream = RngStream(206, 0)
     _, inc = sample_local_time_fields([1.0, 2.0], 1 << 12, stream)
-    g = gram_of_fields(inc, normalization="scaled")
+    g = gram_of_fields(scaled(inc))
     rng = np.random.default_rng(1)
     best = np.inf
     for _ in range(1000):
@@ -120,7 +129,7 @@ def test_small_ball_decay_of_min_eigenvalue():
     vals = np.empty(replicas)
     for i in range(replicas):
         _, inc = sample_local_time_fields([1.0, 2.0], 1 << 13, root.substream(i))
-        g = gram_of_fields(inc, normalization="scaled")
+        g = gram_of_fields(scaled(inc))
         vals[i] = np.linalg.eigvalsh(g.entries)[0]
     hits = {eps: int((vals <= eps).sum()) for eps in (0.2, 0.1, 0.05)}
     assert hits[0.1] <= hits[0.2] / 8

@@ -8,10 +8,8 @@ from rwrs.errors import DegenerateRatioError
 from rwrs.simkit import RngStream, estimate_from_values
 from rwrs.delta_process import (
     DeltaPath,
-    MollifiedLocalTime,
     WalkRealization,
     estimate_Mk,
-    mollified_local_time,
     mollified_values,
     occupation_comparison,
     sample_delta_path,
@@ -20,6 +18,8 @@ from rwrs.delta_process import (
 from rwrs.brownian import sample_local_time_fields
 
 from reference import (
+    MollifiedLocalTime,
+    mollified_local_time,
     sample_delta_marginal,
     sample_delta_path_by_unique,
     support_increase_bound,

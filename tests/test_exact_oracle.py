@@ -105,24 +105,17 @@ def test_counting_moment_with_wide_denominators_stays_exact():
             counting_moment_per_path(STEP, scen, n, k)
 
 
-def test_float_counting_moment_is_unchanged():
-    lazy = StepLaw((-1, 0, 1), (0.25, 0.5, 0.25))
-    scen = SceneryLaw((-2, 1), (1 / 3, 2 / 3))
-    for step in (lazy, STEP):
-        for n, k in ((1, 1), (4, 1), (5, 2)):
-            assert exact_counting_moment(step, scen, n, k) == \
-                counting_moment_per_path(step, scen, n, k)
-
-
-def test_rational_and_float_modes_agree():
-    # the mode follows the laws: float weights select the float mode
-    lazy = StepLaw.lazy()
+def test_float_weight_laws_are_rejected():
+    # the oracle is exact over the rationals only
     float_lazy = StepLaw((-1, 0, 1), (0.25, 0.5, 0.25))
-    for times in ([2], [4], [2, 4]):
-        rational = exact_joint_return(lazy, RAD, times)
-        floating = exact_joint_return(float_lazy, RAD, times)
-        assert (rational.note, floating.note) == ("rational", "compensated-float")
-        assert floating.value == pytest.approx(rational.value, abs=1e-14)
+    float_scen = SceneryLaw((-2, 1), (1 / 3, 2 / 3))
+    lazy = StepLaw.lazy()
+    for step, scen in ((float_lazy, RAD), (lazy, float_scen),
+                       (float_lazy, float_scen)):
+        with pytest.raises(ValueError, match="Fraction probabilities"):
+            exact_joint_return(step, scen, [2, 4])
+        with pytest.raises(ValueError, match="Fraction probabilities"):
+            exact_counting_moment(step, scen, 4, 1)
 
 
 def test_counting_moment_examples():
@@ -187,8 +180,7 @@ def test_results_independent_of_enumeration_order():
     support = lazy.support
     probs = lazy.probs
     b = len(support)
-    from reference import profiles_from_steps
-    from rwrs.scenery import conditional_return_prob
+    from reference import conditional_return_prob, profiles_from_steps
 
     for idx in range(b ** 4):
         digits = [(idx // b ** j) % b for j in range(4)]

@@ -12,17 +12,16 @@ from rwrs.lattice_walk import LocalTimeProfile, StepLaw, simulate_local_times
 from rwrs.scenery import (
     ReturnProbTable,
     SceneryLaw,
-    _char_quadrature,
     _cos_char,
     _log_magnitude,
     _pmf_1d,
-    analyze_law,
-    conditional_return_prob,
     joint_return_prob_sampled,
 )
 
 from reference import (
+    _char_quadrature,
     char_given_profiles,
+    conditional_return_prob,
     evaluate_increments,
     return_prob_table_complex,
     sample_and_evaluate,
@@ -32,18 +31,21 @@ RADEMACHER = SceneryLaw.rademacher()
 
 
 def test_analyze_law_examples():
-    assert analyze_law({-1: Fraction(1, 2), 1: Fraction(1, 2)}) == (1.0, 2, 2)
-    assert analyze_law({-1: 0.25, 0: 0.5, 1: 0.25}) == (0.5, 1, 1)
-    assert analyze_law({-2: 0.5, 2: 0.5}) == (4.0, 4, 2)
+    # (sigma^2, d, d0), as the analyze-law subcommand reports them
+    for pmf, want in (({-1: Fraction(1, 2), 1: Fraction(1, 2)}, (1.0, 2, 2)),
+                      ({-1: 0.25, 0: 0.5, 1: 0.25}, (0.5, 1, 1)),
+                      ({-2: 0.5, 2: 0.5}, (4.0, 4, 2))):
+        law = SceneryLaw.from_dict(pmf)
+        assert (law.sigma2, law.d, law.d0) == want
 
 
 def test_analyze_law_rejects_bad_input():
     with pytest.raises(ValueError):
-        analyze_law({0: 1.0})  # degenerate
+        SceneryLaw.from_dict({0: 1.0})  # degenerate
     with pytest.raises(ValueError):
-        analyze_law({0: 0.5, 1: 0.5})  # not centered
+        SceneryLaw.from_dict({0: 0.5, 1: 0.5})  # not centered
     with pytest.raises(ValueError):
-        analyze_law({-1: 0.6, 1: 0.6})  # not normalized
+        SceneryLaw.from_dict({-1: 0.6, 1: 0.6})  # not normalized
 
 
 def test_lattice_residue_identity_holds_for_asymmetric_support():

@@ -1,9 +1,12 @@
-"""Start-up cost: what `import rwrs` loads, and the malloc thresholds of `main`.
+"""Start-up cost: what `import rwrs` loads, the malloc thresholds of `main`,
+and that `src/` exports nothing only the tests use.
 
 The import checks run in fresh interpreters, since the test process itself
 has loaded scipy.
 """
 
+import ast
+import glob
 import hashlib
 import json
 import os
@@ -17,6 +20,12 @@ from test_regression import CASES, run_case
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 WATCHED = ("scipy.stats", "scipy.special", "numpy.random")
+# public claim functions that only the acceptance criteria call
+CLAIM_FUNCTIONS = {
+    "besq0_total_integral", "besq0_density", "hitting_time_density",
+    "origin_local_time_at_range_exit",
+    "estimate_Mk", "occupation_comparison", "uniformity_shadow",
+}
 
 
 def fresh_python(code, *args):
@@ -80,3 +89,30 @@ def test_main_runs_where_libc_has_no_mallopt(tmp_path, monkeypatch, cdll):
     monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
     code, digest, _ = run_case(tmp_path, "gram")
     assert code in (0, 2) and digest == CASES["gram"][2]
+
+
+def _exports(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def test_every_export_is_used_in_src():
+    # a Name or Attribute node counts; a docstring or an import alone does not
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "rwrs", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            trees[os.path.basename(path)] = ast.parse(fh.read())
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = sorted(f"{module}:{name}" for module, tree in trees.items()
+                    for name in _exports(tree)
+                    if name not in used and name not in CLAIM_FUNCTIONS)
+    assert trees and not unused
