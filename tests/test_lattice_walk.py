@@ -96,6 +96,31 @@ def test_chunked_profiles_equal_one_shot(monkeypatch):
             assert (a.length, a.start) == (b.length, b.start)
 
 
+def test_walk_positions_do_not_depend_on_draw_chunk(monkeypatch):
+    # positions, and the stream after them, are those of one draw call at
+    # any chunk size, on a fresh stream and on one with a buffered half
+    draws = [lattice_walk._coin_steps] + [
+        DRAW_LAWS[name].sample_steps for name in ("lazy", "asymmetric", "five-point-float")]
+    cases = [(draw, total, buffered) for draw in draws
+             for total in (1, 2, 3, 1000, 1001) for buffered in (False, True)]
+
+    def run(i, draw, total, buffered):
+        stream = RngStream(53, i)
+        if buffered:
+            stream.gen.integers(0, 2, size=1)
+        positions = lattice_walk._walk_positions(draw, total, stream)
+        return (positions, stream.gen.integers(0, 2, size=3).tolist(),
+                stream.gen.standard_normal())
+
+    expected = [run(i, *case) for i, case in enumerate(cases)]
+    for chunk in (1, 2, 3, 64):
+        monkeypatch.setattr(lattice_walk, "_DRAW_CHUNK", chunk)
+        for i, case in enumerate(cases):
+            positions, ints, normal = run(i, *case)
+            assert np.array_equal(positions, expected[i][0])
+            assert (ints, normal) == expected[i][1:]
+
+
 def test_profiles_from_realized_steps():
     (p,) = profiles_from_steps([1, -1], [2])
     assert p.as_dict() == {0: 1, 1: 1}

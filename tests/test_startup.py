@@ -1,5 +1,6 @@
 """Start-up cost: what `import rwrs` loads, the malloc thresholds of `main`,
-and that `src/` exports nothing only the tests use.
+that `src/` exports nothing only the tests use, and that walk steps are
+drawn in one module.
 
 The import checks run in fresh interpreters, since the test process itself
 has loaded scipy.
@@ -116,3 +117,22 @@ def test_every_export_is_used_in_src():
                     for name in _exports(tree)
                     if name not in used and name not in CLAIM_FUNCTIONS)
     assert trees and not unused
+
+
+def test_walk_steps_are_drawn_only_in_lattice_walk():
+    # every walk step comes from lattice_walk (its builder and its laws'
+    # draws), so a change of the draw path changes one module
+    paths = sorted(glob.glob(os.path.join(SRC, "rwrs", "*.py")))
+    assert os.path.join(SRC, "rwrs", "lattice_walk.py") in paths
+    calls = []
+    for path in paths:
+        module = os.path.basename(path)
+        if module == "lattice_walk.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        calls += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("integers", "random_raw")]
+    assert not calls
