@@ -60,13 +60,16 @@ class _FiniteLaw:
         # Generator.choice(p=...) returns the support index
         # searchsorted(cdf, u, side="right") for u = (raw >> 11) * 2**-53 of
         # one raw Philox word, so cdf[j] <= u iff raw >= ceil(cdf[j] * 2**53)
-        # << 11; a threshold of 2**53 is never reached and is dropped
+        # << 11; a threshold of 2**53 is never reached and is dropped, so the
+        # kept ones are a prefix; passing the j-th adds support[j + 1] - support[j]
         cdf = self.float_probs().cumsum()
         cdf /= cdf[-1]
         cuts = np.ceil(cdf[:-1] * 2.0 ** 53)
         cuts = cuts[cuts < 2.0 ** 53].astype(np.uint64) << np.uint64(11)
+        if not cuts.size:
+            raise ValueError("all probability rounds onto the first atom")
         object.__setattr__(self, "_thresholds", cuts)
-        object.__setattr__(self, "_values", np.asarray(self.support, dtype=np.int64))
+        object.__setattr__(self, "_gaps", np.diff(self.support).tolist())
         object.__setattr__(self, "_variance", float(
             sum(x * x * p for x, p in zip(self.support, self.probs))))
 
@@ -87,14 +90,17 @@ class _FiniteLaw:
 
         Bit for bit the values of `support[stream.gen.choice(len(support),
         size, p=float_probs())]`, and the stream ends at the same position:
-        one raw 64-bit word per value, compared with the thresholds.
+        one raw 64-bit word per value, mapped to support[0] plus the sum of
+        gap_j * [raw >= threshold_j].
         """
         raw = stream.gen.bit_generator.random_raw(size)
-        idx = np.zeros(raw.shape, dtype=np.int64)
-        for cut in self._thresholds:
-            idx += raw >= cut
+        passed = [raw >= cut for cut in self._thresholds]
         del raw  # peak memory stays at two arrays of `size`, as with choice
-        return self._values[idx]
+        out = passed[0] * self._gaps[0]
+        for mask, gap in zip(passed[1:], self._gaps[1:]):
+            out += mask * gap
+        out += self.support[0]
+        return out
 
 
 class StepLaw(_FiniteLaw):

@@ -48,6 +48,9 @@ class SceneryLaw(_FiniteLaw):
         super().__post_init__()
         if len(self.support) < 2:
             raise ValueError("degenerate (single-point) scenery law")
+        x0 = self.support[0]
+        object.__setattr__(self, "_d", _gcd_all([x - x0 for x in self.support[1:]]))
+        object.__setattr__(self, "_d0", self._d // math.gcd(self.residue, self._d))
         self._check_lattice_constants()
         object.__setattr__(self, "_max_value", max(abs(x) for x in self.support))
         # phi is real for a mirror-image law, and `char` sums its imaginary
@@ -84,8 +87,7 @@ class SceneryLaw(_FiniteLaw):
 
     @property
     def d(self):
-        x0 = self.support[0]
-        return _gcd_all([x - x0 for x in self.support[1:]])
+        return self._d
 
     @property
     def residue(self):
@@ -93,9 +95,7 @@ class SceneryLaw(_FiniteLaw):
 
     @property
     def d0(self):
-        d = self.d
-        a = self.residue
-        return d // math.gcd(a, d) if a else 1
+        return self._d0
 
     @property
     def max_value(self):
@@ -112,14 +112,18 @@ class SceneryLaw(_FiniteLaw):
 
 
 def _union_counts(profiles):
-    """Union of occupied sites and the (n_sites, k) count matrix."""
-    sites = profiles[0].sites
-    for p in profiles[1:]:
-        sites = np.union1d(sites, p.sites)
-    counts = np.zeros((sites.size, len(profiles)), dtype=np.int64)
+    """Union of occupied sites and the (n_sites, k) count matrix.
+
+    Counts go densely over the union's site range, which a walk fills;
+    the rows no segment visits are dropped.
+    """
+    low = min(int(p.sites[0]) for p in profiles)
+    high = max(int(p.sites[-1]) for p in profiles)
+    dense = np.zeros((high - low + 1, len(profiles)), dtype=np.int64)
     for j, p in enumerate(profiles):
-        counts[np.searchsorted(sites, p.sites), j] = p.counts
-    return sites, counts
+        dense[p.sites - low, j] = p.counts
+    rows = np.flatnonzero(dense.any(axis=1))
+    return rows + low, dense[rows]
 
 
 def _admissible(profiles, law):
@@ -132,12 +136,12 @@ def _halfwidth(counts, law):
     The target concentrates at scale sigma * n^(3/4); the designed cut is
     12 sigma n^(3/4), widened to 8 * max|xi| * sqrt(sum c^2) whenever the
     realized conditional variance is anomalously large, so the tracked
-    truncation error stays below 1e-10.
+    truncation error stays below 1e-10.  The count sums are Python ints.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    span = int(np.abs(counts).sum()) * law.max_value
-    n = int(counts.sum())
-    v = float(np.dot(counts, counts))
+    counts = [int(c) for c in counts]
+    span = sum(map(abs, counts)) * law.max_value
+    n = sum(counts)
+    v = float(sum(c * c for c in counts))
     cut = max(
         int(math.ceil(12.0 * math.sqrt(law.sigma2) * n ** 0.75)),
         int(math.ceil(8.0 * law.max_value * math.sqrt(v))),
@@ -149,42 +153,46 @@ def _halfwidth(counts, law):
 def _pmf_1d(counts, law):
     """Dense pmf (offset -A..A) of sum over sites of xi_y * count_y.
 
-    Each convolution step writes only the window [lo, hi) outside which the
-    running pmf is exactly zero, clamped to the grid.  A cell gets the same
-    products in the same atom order as a full-width pass, so it is
-    bit-equal: the first product is stored rather than added to 0.0, and
-    the terms that pass adds beyond the window are p * 0.0.  Zero padding
-    of max|c * x| on both sides keeps every shifted read inside the
-    buffer.
+    The running sum lies on the coset x0 * C + d * Z (x0 the smallest
+    atom, C the count total so far), so cell u holds x0 * C + d * u and
+    atom x shifts it by c * (x - x0) / d >= 0.  Each step writes only the
+    window [lo, hi) inside the support and the -A..A grid.  A cell gets the
+    same products in the same atom order as a full-width pass on the grid,
+    so it is bit-equal: the first product is stored rather than added to
+    0.0, and that pass adds p * 0.0 beyond the window and off the coset.
+    The grid's lower end rises in u, so each step zeroes what the buffer
+    holds below lo; zero padding below u = 0 keeps every shifted read
+    inside the buffer.
     """
-    A = _halfwidth(counts, law)
-    size = 2 * A + 1
     counts = np.asarray(counts, dtype=np.int64).tolist()
-    atoms = [(int(x), float(p)) for x, p in zip(law.support, law.probs)]
-    (x_min, p_first), rest = atoms[0], atoms[1:]
-    x_max = atoms[-1][0]
-    pad = max(map(abs, counts), default=0) * max(-x_min, x_max)
-    cur = np.zeros(size + 2 * pad)
-    nxt = np.zeros(size + 2 * pad)
-    cur[pad + A] = 1.0
-    lo, hi = A, A + 1
+    A = _halfwidth(counts, law)
+    d, x0 = law.d, int(law.support[0])
+    atoms = [((int(x) - x0) // d, float(p)) for x, p in zip(law.support, law.probs)]
+    p_first, rest, top = atoms[0][1], atoms[1:], atoms[-1][0]
+    total = sum(counts)
+    pad = max(counts, default=0) * top
+    cur, nxt = np.zeros((2, pad + min(total * top, (A - x0 * total) // d) + 1))
+    cur[pad] = 1.0
+    lo, hi, C = 0, 1, 0
     for c in counts:
-        # the support of a centered law straddles 0, so the windows nest and
-        # the new window covers every cell nxt held two steps back
-        lo = max(0, lo + min(c * x_min, c * x_max))
-        hi = min(size, hi + max(c * x_min, c * x_max))
+        C += c
+        lo = max(0, -((A + x0 * C) // d))
+        hi = min(C * top, (A - x0 * C) // d) + 1
         a, b = pad + lo, pad + hi
+        nxt[pad:a] = 0.0
         out = nxt[a:b]
-        s = c * x_min
-        np.multiply(cur[a - s:b - s], p_first, out=out)
-        for x, p in rest:
-            s = c * x
+        np.multiply(cur[a:b], p_first, out=out)
+        for k, p in rest:
+            s = c * k
             out += p * cur[a - s:b - s]
         cur, nxt = nxt, cur
-    lost = abs(1.0 - math.fsum(cur[pad + lo:pad + hi].tolist()))
+    window = cur[pad + lo:pad + hi]
+    lost = abs(1.0 - math.fsum(window.tolist()))
     if lost > 1e-10:
         raise AssertionError(f"convolution truncation lost {lost:.3e} mass")
-    return cur[pad:pad + size], A
+    pmf = np.zeros(2 * A + 1)
+    pmf[A + x0 * C + d * lo::d][:window.size] = window
+    return pmf, A
 
 
 def _zero_prob_given_shared(shared_values, shared_counts, pmfs):
@@ -192,14 +200,16 @@ def _zero_prob_given_shared(shared_values, shared_counts, pmfs):
 
     Segment j's sum over its own sites must cancel that row's shared
     residual, so the row's value is the product of pmf_j at minus the
-    residual (0 off the truncated grid).
+    residual (0 off the truncated grid).  The float64 (BLAS) residuals are
+    exact: every partial sum is an integer of at most max|x| * n << 2^53.
     """
-    residuals = shared_values @ shared_counts  # (rows, k)
+    residuals = (shared_values.astype(np.float64)
+                 @ shared_counts.astype(np.float64)).astype(np.intp)
     val = np.full(residuals.shape[0], 1.0)
     for j, (pmf, A) in enumerate(pmfs):
-        r = -residuals[:, j] + A
+        r = A - residuals[:, j]
         ok = (r >= 0) & (r < pmf.size)
-        val *= np.where(ok, pmf[np.clip(r, 0, pmf.size - 1)], 0.0)
+        val *= np.where(ok, pmf.take(r, mode="clip"), 0.0)
     return val
 
 

@@ -19,6 +19,7 @@ import numpy as np
 # that cost (secrets, hmac and base64 with it) falls in start-up, not in
 # the first RngStream of a run
 import numpy.random  # noqa: F401
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "RngStream",
@@ -38,12 +39,21 @@ def _splitmix64(x):
     return x ^ (x >> 31)
 
 
+class _ZeroSeedSequence(ISeedSequence):
+    """Zero words for a bit generator whose key is set right after."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
 class RngStream:
     """A replayable random stream keyed by (master_seed, stream_id).
 
     Wraps a Philox counter-based generator.  Two streams with distinct key
     pairs are independent by construction; the same pair replays the same
     sequence.  Single-owner: never share one instance across threads.
+    The state is that of `Philox(key=...)`, set without the `SeedSequence`
+    that `Philox(key=...)` builds from OS entropy and never uses.
     """
 
     __slots__ = ("master_seed", "stream_id", "gen")
@@ -51,8 +61,12 @@ class RngStream:
     def __init__(self, master_seed, stream_id):
         self.master_seed = int(master_seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
-        key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
-        self.gen = np.random.Generator(np.random.Philox(key=key))
+        bitgen = np.random.Philox(_ZeroSeedSequence())
+        key = (self.master_seed, self.stream_id)
+        bitgen.state = {"bit_generator": "Philox", "buffer": (0,) * 4, "buffer_pos": 4,
+                        "state": {"counter": (0,) * 4, "key": key},
+                        "has_uint32": 0, "uinteger": 0}
+        self.gen = np.random.Generator(bitgen)
 
     def substream(self, k):
         """Derive the k-th child stream; deterministic, collision-resistant."""

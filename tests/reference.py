@@ -24,6 +24,12 @@ The pre-fold walk loops stay here as oracles of the one walk builder
 hand-written block loop of the range-exit local time.  The frozen-walk
 route lives here too: `sample_delta_path_by_unique` takes a `walk` and
 redraws only the noise, and `walk_field` is its local-time field.
+
+The k >= 2 kernels of `scenery` as they were before the coset
+convolution stay here as its oracles: `pmf_1d_on_full_grid` with
+`halfwidth_by_numpy`, `zero_prob_given_shared_int64`,
+`union_counts_by_union1d`, and `draw_by_choice`, the scenery draw through
+`Generator.choice`.
 """
 
 import math
@@ -503,3 +509,102 @@ def ray_knight_profile(level, fineness, stream, horizon_cap=10 ** 9):
         zeros_seen += int(zero_count[-1])
         pos = int(block[-1] + steps[-1])
         consumed += chunk
+
+
+# The k >= 2 evaluator's kernels as they were before the coset convolution,
+# the float64 residuals and the dense site union: the fast kernels in
+# `scenery` must equal them byte for byte.
+
+
+def halfwidth_by_numpy(counts, law):
+    """Truncation halfwidth for the dense pmf of sum_y xi_y * c_y.
+
+    The target concentrates at scale sigma * n^(3/4); the designed cut is
+    12 sigma n^(3/4), widened to 8 * max|xi| * sqrt(sum c^2) whenever the
+    realized conditional variance is anomalously large, so the tracked
+    truncation error stays below 1e-10.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    span = int(np.abs(counts).sum()) * law.max_value
+    n = int(counts.sum())
+    v = float(np.dot(counts, counts))
+    cut = max(
+        int(math.ceil(12.0 * math.sqrt(law.sigma2) * n ** 0.75)),
+        int(math.ceil(8.0 * law.max_value * math.sqrt(v))),
+        4,
+    )
+    return min(span, cut)
+
+
+def pmf_1d_on_full_grid(counts, law):
+    """Dense pmf (offset -A..A) of sum over sites of xi_y * count_y.
+
+    Each convolution step writes only the window [lo, hi) outside which the
+    running pmf is exactly zero, clamped to the grid.  A cell gets the same
+    products in the same atom order as a full-width pass, so it is
+    bit-equal: the first product is stored rather than added to 0.0, and
+    the terms that pass adds beyond the window are p * 0.0.  Zero padding
+    of max|c * x| on both sides keeps every shifted read inside the
+    buffer.
+    """
+    A = halfwidth_by_numpy(counts, law)
+    size = 2 * A + 1
+    counts = np.asarray(counts, dtype=np.int64).tolist()
+    atoms = [(int(x), float(p)) for x, p in zip(law.support, law.probs)]
+    (x_min, p_first), rest = atoms[0], atoms[1:]
+    x_max = atoms[-1][0]
+    pad = max(map(abs, counts), default=0) * max(-x_min, x_max)
+    cur = np.zeros(size + 2 * pad)
+    nxt = np.zeros(size + 2 * pad)
+    cur[pad + A] = 1.0
+    lo, hi = A, A + 1
+    for c in counts:
+        # the support of a centered law straddles 0, so the windows nest and
+        # the new window covers every cell nxt held two steps back
+        lo = max(0, lo + min(c * x_min, c * x_max))
+        hi = min(size, hi + max(c * x_min, c * x_max))
+        a, b = pad + lo, pad + hi
+        out = nxt[a:b]
+        s = c * x_min
+        np.multiply(cur[a - s:b - s], p_first, out=out)
+        for x, p in rest:
+            s = c * x
+            out += p * cur[a - s:b - s]
+        cur, nxt = nxt, cur
+    lost = abs(1.0 - math.fsum(cur[pad + lo:pad + hi].tolist()))
+    if lost > 1e-10:
+        raise AssertionError(f"convolution truncation lost {lost:.3e} mass")
+    return cur[pad:pad + size], A
+
+
+def zero_prob_given_shared_int64(shared_values, shared_counts, pmfs):
+    """Per scenery row on the shared sites, P(every increment is 0 | row).
+
+    Segment j's sum over its own sites must cancel that row's shared
+    residual, so the row's value is the product of pmf_j at minus the
+    residual (0 off the truncated grid).
+    """
+    residuals = shared_values @ shared_counts  # (rows, k)
+    val = np.full(residuals.shape[0], 1.0)
+    for j, (pmf, A) in enumerate(pmfs):
+        r = -residuals[:, j] + A
+        ok = (r >= 0) & (r < pmf.size)
+        val *= np.where(ok, pmf[np.clip(r, 0, pmf.size - 1)], 0.0)
+    return val
+
+
+def union_counts_by_union1d(profiles):
+    """Union of occupied sites and the (n_sites, k) count matrix."""
+    sites = profiles[0].sites
+    for p in profiles[1:]:
+        sites = np.union1d(sites, p.sites)
+    counts = np.zeros((sites.size, len(profiles)), dtype=np.int64)
+    for j, p in enumerate(profiles):
+        counts[np.searchsorted(sites, p.sites), j] = p.counts
+    return sites, counts
+
+
+def draw_by_choice(law, stream, size):
+    """`size` values of `law` by `Generator.choice(p=...)` on `stream`."""
+    support = np.asarray(law.support, dtype=np.int64)
+    return support[stream.gen.choice(len(support), size=size, p=law.float_probs())]

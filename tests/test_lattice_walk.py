@@ -26,6 +26,12 @@ def test_step_law_validation():
         StepLaw((-1, 1), (Fraction(1, 3), Fraction(1, 3)))  # exact sum != 1
 
 
+def test_law_with_every_threshold_dropped_is_rejected():
+    # the cdf before the last atom rounds to 1: every draw would be 0
+    with pytest.raises(ValueError, match="first atom"):
+        lattice_walk._FiniteLaw((0, 10 ** 12), (1.0, 1e-24))
+
+
 DRAW_LAWS = {
     "simple": StepLaw.simple(),
     "lazy": StepLaw.lazy(),

@@ -22,9 +22,14 @@ from reference import (
     _char_quadrature,
     char_given_profiles,
     conditional_return_prob,
+    draw_by_choice,
     evaluate_increments,
+    halfwidth_by_numpy,
+    pmf_1d_on_full_grid,
     return_prob_table_complex,
     sample_and_evaluate,
+    union_counts_by_union1d,
+    zero_prob_given_shared_int64,
 )
 
 RADEMACHER = SceneryLaw.rademacher()
@@ -365,7 +370,7 @@ def test_windowed_convolution_is_bit_equal_to_full_width():
             ref, ref_A = _pmf_1d_full_width(counts, law)
             clamped += A < int(counts.sum()) * law.max_value
             assert A == ref_A and pmf.shape == ref.shape
-            assert np.array_equal(pmf, ref)
+            assert pmf.tobytes() == ref.tobytes()
     assert clamped >= 10  # the clamp to the -A..A grid is exercised
 
 
@@ -377,3 +382,139 @@ def test_windowed_convolution_still_checks_lost_mass(monkeypatch):
         _pmf_1d(counts, RADEMACHER)
     with pytest.raises(AssertionError, match="lost"):
         _pmf_1d_full_width(counts, RADEMACHER)
+
+
+# laws whose lattice span d is 4, 6 and 9, beside PMF_LAWS' 1, 2, 3 and 10
+COSET_LAWS = PMF_LAWS + [
+    SceneryLaw.from_dict(_parse_law_text(text))
+    for text in ("-3:3/8,1:1/2,5:1/8", "-3:1/2,3:1/2", "-6:1/3,3:2/3")
+]
+
+
+def test_coset_convolution_is_byte_equal_to_the_full_grid():
+    assert [law.d for law in COSET_LAWS[-3:]] == [4, 6, 9]
+    rng = np.random.default_rng(61)
+    clamped = 0
+    for law in COSET_LAWS:
+        cases = [np.zeros(0, dtype=np.int64)]
+        for trial in range(20):
+            m = int(rng.integers(1, 200))
+            cases.append(rng.integers(1, int(rng.integers(2, 30)), size=m))
+            if trial % 4 == 0:
+                cases.append(np.full(m, int(rng.integers(1, 4))))
+        for counts in cases:
+            assert scenery._halfwidth(counts, law) == halfwidth_by_numpy(counts, law)
+            pmf, A = _pmf_1d(counts, law)
+            ref, ref_A = pmf_1d_on_full_grid(counts, law)
+            clamped += A < int(counts.sum()) * law.max_value
+            assert A == ref_A and pmf.dtype == ref.dtype
+            assert pmf.tobytes() == ref.tobytes()
+    assert clamped >= 10  # the grid clamps well inside the span, in u too
+
+
+def test_float_residuals_are_byte_equal_to_the_int64_route():
+    rng = np.random.default_rng(67)
+    for law in COSET_LAWS:
+        for _ in range(10):
+            k = int(rng.integers(2, 4))
+            pmfs = [_pmf_1d(rng.integers(1, 6, size=int(rng.integers(0, 12))), law)
+                    for _ in range(k)]
+            nsh = int(rng.integers(1, 20))
+            counts = rng.integers(0, 8, size=(nsh, k))
+            values = draw_by_choice(law, RngStream(67, nsh), (300, nsh))
+            got = scenery._zero_prob_given_shared(values, counts, pmfs)
+            ref = zero_prob_given_shared_int64(values, counts, pmfs)
+            assert got.tobytes() == ref.tobytes()
+            residuals = values @ counts
+            for j, (pmf, A) in enumerate(pmfs):
+                # rows off the grid on either side read as 0
+                off = np.abs(residuals[:, j]) > A
+                assert np.all(got[off] == 0.0)
+        # one shared site: residuals far off the grid on both sides, just
+        # off it and on its two ends
+        pmf, A = _pmf_1d([1, 2, 1], law)
+        values = np.array([[-1], [1]])
+        for c in (10 * A, A + 1, A, 1, 0):
+            got = scenery._zero_prob_given_shared(values, np.array([[c]]), [(pmf, A)])
+            ref = zero_prob_given_shared_int64(values, np.array([[c]]), [(pmf, A)])
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_union_counts_equal_union1d():
+    rng = np.random.default_rng(71)
+    step = StepLaw.simple()
+    for i in range(100):
+        k = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 300))
+        times = np.cumsum(rng.integers(1, n + 1, size=k))
+        profiles = simulate_local_times(step, times, RngStream(71, i))
+        if i % 10 == 0:  # segments whose site ranges do not touch
+            profiles = [LocalTimeProfile.from_dict({7 * j + 3: 2, 7 * j + 5: 1})
+                        for j in range(k)]
+        sites, counts = scenery._union_counts(profiles)
+        ref_sites, ref_counts = union_counts_by_union1d(profiles)
+        assert sites.dtype == ref_sites.dtype and counts.dtype == ref_counts.dtype
+        assert sites.tobytes() == ref_sites.tobytes()
+        assert counts.tobytes() == ref_counts.tobytes()
+        assert counts.shape == ref_counts.shape
+
+
+def _joint_values(law, times, seed, walks):
+    """joint_return_prob_sampled on `walks` walks, with the next raw word."""
+    step = StepLaw.simple()
+    out = []
+    for i in range(walks):
+        profiles = simulate_local_times(step, times, RngStream(seed, i))
+        stream = RngStream(seed + 1, i)
+        value = joint_return_prob_sampled(profiles, law, stream, scenery_draws=32)
+        out.append((value, int(stream.gen.bit_generator.random_raw())))
+    return out
+
+
+@pytest.mark.parametrize("times", [(60, 120), (48, 96, 144)])
+def test_joint_sampled_is_byte_equal_to_the_reference_kernels(times, monkeypatch):
+    for law in (RADEMACHER, COSET_LAWS[1], COSET_LAWS[-1]):
+        got = _joint_values(law, times, 73, 200)
+        with monkeypatch.context() as patched:
+            patched.setattr(scenery, "_pmf_1d", pmf_1d_on_full_grid)
+            patched.setattr(scenery, "_zero_prob_given_shared",
+                            zero_prob_given_shared_int64)
+            patched.setattr(scenery, "_union_counts", union_counts_by_union1d)
+            patched.setattr(SceneryLaw, "sample", draw_by_choice)
+            ref = _joint_values(law, times, 73, 200)
+        values, words = zip(*got)
+        ref_values, ref_words = zip(*ref)
+        assert np.array(values).tobytes() == np.array(ref_values).tobytes()
+        assert words == ref_words
+        assert sum(v > 0.0 for v in values) >= 20
+
+
+def test_shared_sites_are_drawn_once_through_sample(monkeypatch):
+    # the benchmark's `scenery.draws` and `scenery.sample_s` read these calls
+    calls = []
+    draw = SceneryLaw.sample
+
+    def counted(law, stream, size):
+        calls.append(size)
+        return draw(law, stream, size)
+
+    monkeypatch.setattr(SceneryLaw, "sample", counted)
+    step = StepLaw.simple()
+    sampled = 0
+    for i in range(40):
+        profiles = simulate_local_times(step, [256, 512, 768][: 1 + i % 3],
+                                        RngStream(79, i))
+        calls.clear()
+        joint_return_prob_sampled(profiles, RADEMACHER, RngStream(80, i),
+                                  scenery_draws=48)
+        if len(profiles) == 1:
+            assert calls == []
+            continue
+        _, counts = union_counts_by_union1d(profiles)
+        nsh = int(((counts > 0).sum(axis=1) >= 2).sum())
+        if 2 ** nsh > scenery._ENUMERATE_LIMIT:
+            assert calls == [(48, nsh)]
+            sampled += 1
+        else:  # enumerated or absent shared sites draw nothing
+            assert calls == []
+    assert sampled >= 20

@@ -33,6 +33,34 @@ def test_distinct_seeds_differ():
     assert (a != b).any()
 
 
+def _keyed_philox(seed, stream_id):
+    key = np.array([seed, stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _state_equal(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_state_equal(a[k], b[k]) for k in a)
+    return type(a) is type(b) and np.array_equal(a, b)
+
+
+def test_stream_is_philox_keyed_without_entropy():
+    rng = np.random.default_rng(83)
+    seeds = rng.integers(0, 2 ** 64, size=1000, dtype=np.uint64).tolist()
+    ids = rng.integers(0, 2 ** 64, size=1000, dtype=np.uint64).tolist()
+    for i, (seed, stream_id) in enumerate(zip(seeds, ids)):
+        if i % 100 == 0:  # keys on the ends of the 64-bit range
+            seed, stream_id = (0, 2 ** 64 - 1) if i % 200 else (2 ** 64 - 1, 0)
+        got, ref = RngStream(seed, stream_id).gen, _keyed_philox(seed, stream_id)
+        assert _state_equal(got.bit_generator.state, ref.bit_generator.state)
+        assert np.array_equal(got.bit_generator.random_raw(3),
+                              ref.bit_generator.random_raw(3))
+        # one 32-bit half leaves the other buffered; the normal ignores it
+        assert got.integers(0, 2) == ref.integers(0, 2)
+        assert got.standard_normal() == ref.standard_normal()
+        assert _state_equal(got.bit_generator.state, ref.bit_generator.state)
+
+
 def test_substreams_are_reproducible_and_distinct():
     root = RngStream(7, 3)
     s1 = root.substream(5)
