@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RejectionRateError
-from .lattice_walk import _coin_steps, _walk_positions
+from .lattice_walk import _coin_steps, _segment_counts, _walk_positions
 from .simkit import Estimate, estimate_from_values, replicate
 
 __all__ = [
@@ -73,21 +73,14 @@ def sample_local_time_fields(T_list, fineness, stream):
         raise ValueError("horizons must be increasing and positive")
     marks = [int(math.floor(m * T)) for T in T_list]
     total = max(marks[-1], 1)
-    positions = _walk_positions(_coin_steps, total, stream)
-    lo = int(positions.min())
-    hi = int(positions.max())
-    width = hi - lo + 1
+    lo, rows = _segment_counts(_walk_positions(_coin_steps, total, stream), marks)
     h = 1.0 / math.sqrt(m)
     increments = []
-    prev = 0
-    for i, mark in enumerate(marks):
-        seg = positions[prev:mark]
-        counts = np.bincount(seg - lo, minlength=width).astype(np.float64)
+    for i, counts in enumerate(rows):
         dur = T_list[i] - (T_list[i - 1] if i else 0.0)
         increments.append(LocalTimeField(lo, h, counts * h, dur, m))
-        prev = mark
     cumulative = []
-    running = np.zeros(width)
+    running = np.zeros(rows.shape[1])
     for i, inc in enumerate(increments):
         running = running + inc.values
         cumulative.append(LocalTimeField(lo, h, running, T_list[i], m))

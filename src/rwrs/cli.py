@@ -101,27 +101,29 @@ def _parse_fraction(text):
     return float(Fraction(text))
 
 
-# param key -> (parser, default text; None when the key is optional)
+# param key -> (parser, default text or None when the key is optional,
+# lower bound): an integer, or each entry of a list of integers, must be at
+# least its bound; a real, or each entry of a list of reals, must exceed it
 _PARAMS = {
-    "n_list": (_parse_int_list, "1024 2048 4096"),
-    "times": (_parse_int_list, "2"),
-    "n_max": (int, "8"),
-    "k": (int, "1"),
-    "t_ratios": (_parse_float_list, None),
-    "t_list": (_parse_float_list, "1.0"),
-    "fineness": (int, str(1 << 14)),
-    "n": (int, str(1 << 12)),
-    "y": (_parse_fraction, "1"),
-    "dt": (_parse_fraction, "1"),
-    "draws": (int, "100000"),
-    "level": (_parse_fraction, "1"),
-    "offset": (_parse_fraction, "1/2"),
-    "eps": (_parse_fraction, "1/20"),
-    "t": (_parse_fraction, "2"),
-    "t_ratio": (_parse_fraction, "1"),
-    "scales": (_parse_float_list, " ".join(f"1/{2 ** j}" for j in range(7, 15))),
-    "paths": (int, "100"),
-    "scenery_draws": (int, "64"),
+    "n_list": (_parse_int_list, "1024 2048 4096", 1),
+    "times": (_parse_int_list, "2", 1),
+    "n_max": (int, "8", 1),
+    "k": (int, "1", 1),
+    "t_ratios": (_parse_float_list, None, 0.0),
+    "t_list": (_parse_float_list, "1.0", 0.0),
+    "fineness": (int, str(1 << 14), 1),
+    "n": (int, str(1 << 12), 1),
+    "y": (_parse_fraction, "1", 0.0),
+    "dt": (_parse_fraction, "1", 0.0),
+    "draws": (int, "100000", 1),
+    "level": (_parse_fraction, "1", 0.0),
+    "offset": (_parse_fraction, "1/2", 0.0),
+    "eps": (_parse_fraction, "1/20", 0.0),
+    "t": (_parse_fraction, "2", 0.0),
+    "t_ratio": (_parse_fraction, "1", 0.0),
+    "scales": (_parse_float_list, " ".join(f"1/{2 ** j}" for j in range(7, 15)), 0.0),
+    "paths": (int, "100", 2),
+    "scenery_draws": (int, "64", 1),
 }
 
 
@@ -226,7 +228,8 @@ def validate_config(path, overrides=None):
                 )
     if step is not None:
         derived["step_variance"] = step.variance
-    if entry.check is not None:
+    # a subcommand's own checks relate params, so they read only valid ones
+    if entry.check is not None and not param_errors:
         errors.extend(entry.check(params, scenery, allow_inadmissible))
     # each enumeration's budget, checked as the oracle checks it; the
     # moment's first path takes n_max equal nonzero steps, so it visits
@@ -261,35 +264,34 @@ def _resolve_params(entry, raw):
     """Parse and range-check the params of a subcommand; returns (params, errors)."""
     params, errors = {}, []
     for key in sorted(entry.params):
-        parse, default = _PARAMS[key]
+        parse, default, low = _PARAMS[key]
         text = raw.get(key, default)
         if text is None:
             continue
         try:
-            params[key] = parse(text)
+            value = parse(text)
         except (ValueError, ZeroDivisionError) as exc:
             errors.append(f"params.{key}: {exc}")
+            continue
+        least = min(value, default=math.inf) if isinstance(value, list) else value
+        if isinstance(low, int) and least < low:
+            errors.append(f"params.{key}: must be at least {low}")
+        elif isinstance(low, float) and least <= low:
+            errors.append(f"params.{key}: must be above {low:g}")
+        else:
+            params[key] = value  # the checks below read only values in range
     for key in ("n_list", "times", "t_list"):
         values = params.get(key)
         if values is not None and (
-            not values or values[0] <= 0
-            or any(b <= a for a, b in zip(values, values[1:]))
-        ):
-            errors.append(f"params.{key}: must be nonempty, positive, strictly increasing")
-            del params[key]  # the checks below read only valid lists
-    if params.get("n_max", 1) < 1:
-        errors.append("params.n_max: must be at least 1")
-    if params.get("t_ratio", 1) <= 0:
-        errors.append("params.t_ratio: must be positive")
+                not values or any(b <= a for a, b in zip(values, values[1:]))):
+            errors.append(f"params.{key}: must be nonempty and strictly increasing")
+            del params[key]
     if entry.fields and params.get("fineness", 1000) < 1000:
         errors.append("params.fineness: must be at least 1000 to sample Brownian "
                       "local-time fields")
-    if params.get("paths", 2) < 2:
-        errors.append("params.paths: must be at least 2 for a standard error")
     scales = params.get("scales")
-    if scales is not None and (len(scales) < 4 or min(scales) <= 0
-                               or max(scales) / min(scales) < 100.0):
-        errors.append("params.scales: need >= 4 positive scales spanning >= 2 decades")
+    if scales is not None and (len(scales) < 4 or max(scales) / min(scales) < 100.0):
+        errors.append("params.scales: need >= 4 scales spanning >= 2 decades")
     # a box narrower than one grid cell clamps to a single cell, so with
     # every scale below dt all boxes are alike and the fit is meaningless
     dt = params.get("dt")
@@ -477,15 +479,11 @@ def _check_fit_points(p):
 
 def _check_return_curve(p, scenery, allow_inadmissible):
     k, ratios, ns = p.get("k", 1), p.get("t_ratios"), p.get("n_list", [])
-    if k < 1:
-        return ["params.k: must be at least 1"]
     errors = []
     if k == 1 and ratios is not None:
         errors.append("params.t_ratios: unused when k = 1")
     elif k > 1 and (ratios is None or len(ratios) != k):
         errors.append(f"params.t_ratios: k = {k} needs {k} T ratios, one per time")
-    elif k > 1 and min(ratios) <= 0:
-        errors.append("params.t_ratios: must be positive")
     elif k > 1 and scenery is not None:
         try:
             for n in ns:
@@ -509,6 +507,15 @@ def _check_counting_moments(p, scenery, allow_inadmissible):
     if p.get("k", 1) not in (1, 2, 3):
         errors.append("params.k: must be 1, 2 or 3")
     return errors
+
+
+def _check_correlation_ratio(p, scenery, allow_inadmissible):
+    # the ratio is taken at n on the d0 lattice, so an n off it would be
+    # reported for a run at another n, with or without the flag
+    if scenery is not None and p["n"] % scenery.d0:
+        return [f"params.n: {p['n']} violates the d0-divisibility constraint "
+                f"(d0={scenery.d0}); the ratio runs only at multiples of d0"]
+    return []
 
 
 @dataclass(frozen=True)
@@ -546,7 +553,8 @@ _SUBCOMMANDS = {
                                    _delta_localtime),
     "scaling-test": _Subcommand(set(), {"t", "eps", "fineness", "dt"}, _scaling_test),
     "correlation-ratio": _Subcommand({"step", "scenery"}, {"n", "t_ratio", "fineness"},
-                                     _correlation_ratio, fields=True),
+                                     _correlation_ratio, fields=True,
+                                     check=_check_correlation_ratio),
     "boxcount": _Subcommand(set(), {"scales", "fineness", "dt", "paths"}, _boxcount,
                             spread=False),
 }

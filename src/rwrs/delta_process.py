@@ -16,7 +16,7 @@ import numpy as np
 
 from .brownian import gram_of_fields, sample_local_time_fields
 from .errors import DegenerateRatioError, RejectionRateError
-from .lattice_walk import _coin_steps, _walk_positions
+from .lattice_walk import _coin_steps, _segment_counts, _walk_positions
 from .simkit import Estimate, estimate_from_values, replicate
 
 __all__ = [
@@ -121,9 +121,7 @@ def _duration_density(durations, t):
 
 def _segment_norm_sq(steps, stream, duration):
     """||L||_2^2 of a fresh segment of `steps` lattice steps over `duration`."""
-    pos = _walk_positions(_coin_steps, steps, stream)
-    lo = pos.min()
-    counts = np.bincount(pos - lo)
+    (counts,) = _segment_counts(_walk_positions(_coin_steps, steps, stream), [steps])[1]
     v = float(np.dot(counts, counts))
     return (duration / steps) ** 1.5 * v
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import brownian, delta_process
 from .errors import DegenerateRatioError
-from .lattice_walk import _walk_positions, simulate_local_times
+from .lattice_walk import _segment_counts, _walk_positions, simulate_local_times
 from .scenery import ReturnProbTable, joint_return_prob_sampled
 from .simkit import Estimate, estimate_from_values, replicate
 
@@ -365,11 +365,8 @@ def _walk_gram_samples(step, n, T_list, replicas, stream):
 
     def task(sub):
         positions = _walk_positions(step.sample_steps, marks[-1], sub)
-        lo = int(positions.min())
-        width = int(positions.max()) - lo + 1
-        counts = []
-        for mark in marks:
-            counts.append(np.bincount(positions[:mark] - lo, minlength=width))
+        # cumulative visit counts N_[nTi], exact in integers
+        counts = np.cumsum(_segment_counts(positions, marks)[1], axis=0)
         out = np.empty((k, k))
         for i in range(k):
             for j in range(i, k):

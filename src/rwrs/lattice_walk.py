@@ -1,11 +1,11 @@
 """Centered integer-lattice random walks and their local-time profiles.
 
 A walk of length n occupies positions S_0, ..., S_{n-1}; its local time at
-site y is the visit count N_n(y).  Walks are simulated in chunks so only
+site y is the visit count N_n(y).  Walks are simulated in blocks so only
 the profile (sparse counts), never the full path, has to be materialized
 for long runs.  Every sampled walk of the package, the embedded simple
 walk of `brownian` and `delta_process` included, is built by
-`_walk_positions`.
+`_walk_positions`, and its visits are counted by `_segment_counts`.
 """
 
 import math
@@ -181,31 +181,31 @@ def _walk_positions(draw, total, stream):
     return positions
 
 
-def _occupation(seg):
-    """Sorted occupied sites of a nonempty position array and their counts."""
-    low = int(seg.min())
-    counts = np.bincount(seg - low)
-    sites = np.flatnonzero(counts)
-    return sites + low, counts[sites]
+def _segment_counts(positions, marks):
+    """Visit counts of the segments positions[m_{i-1}:m_i], with m_0 = 0.
 
-
-def _segment_profiles(positions, breakpoints):
-    """Profile of positions[b_{i-1}:b_i] for each breakpoint b_i."""
-    profiles = []
-    prev = 0
-    for b in breakpoints:
-        seg = positions[prev:b]
-        sites, counts = _occupation(seg)
-        profiles.append(LocalTimeProfile(sites, counts, b - prev, int(seg[0])))
-        prev = b
-    return profiles
+    Returns (lo, rows): rows[i, j] is the number of visits of segment i to
+    site lo + j, on the grid [min, max] of `positions` that every row
+    shares.  Coinciding marks make an empty segment, whose row is zero; a
+    mark past the end stops at the end.  Every count of visits over a
+    walk's range in the package is taken here.
+    """
+    lo = int(positions.min())
+    shifted = positions - lo
+    width = int(shifted.max()) + 1
+    return lo, np.array([np.bincount(shifted[a:b], minlength=width)
+                         for a, b in zip([0, *marks], marks)])
 
 
 def simulate_local_times(law, breakpoints, stream):
     """Simulate one walk and return the local-time profile of each segment.
 
-    Long walks are processed in chunks of 2**20 steps so memory stays
-    O(occupied range), not O(n).
+    Segment i covers positions [b_{i-1}, b_i).  The walk is built in
+    blocks of at most `_CHUNK` positions; each block is counted by
+    `_segment_counts` and added into one row per segment over the range
+    seen so far, so memory stays O(block + k * range), not O(n).  A walk
+    of at most `_CHUNK` positions is one block, and every block size gives
+    the same profiles and leaves the stream at the same position.
     """
     breakpoints = [int(b) for b in breakpoints]
     if not breakpoints or any(b <= 0 for b in breakpoints):
@@ -213,42 +213,28 @@ def simulate_local_times(law, breakpoints, stream):
     if any(b2 <= b1 for b1, b2 in zip(breakpoints, breakpoints[1:])):
         raise ValueError("breakpoints must be strictly increasing")
     total = breakpoints[-1]
-    if total <= _CHUNK:
-        return _segment_profiles(_walk_positions(law.sample_steps, total, stream),
-                                 breakpoints)
-
-    # chunked accumulation into per-segment dicts
-    seg_counts = [dict() for _ in breakpoints]
-    seg_start = [None] * len(breakpoints)
-    pos = 0
-    t = 0
-    seg = 0
-    while t < total:
-        take = min(_CHUNK, total - t)
-        chunk = pos + _walk_positions(law.sample_steps, take, stream)
-        lo = 0
-        while lo < take:
-            hi = min(take, breakpoints[seg] - t)
-            part = chunk[lo:hi]
-            if seg_start[seg] is None:
-                seg_start[seg] = int(part[0])
-            sites, counts = _occupation(part)
-            d = seg_counts[seg]
-            for s, c in zip(sites.tolist(), counts.tolist()):
-                d[s] = d.get(s, 0) + c
-            lo = hi
-            if t + lo >= breakpoints[seg] and seg < len(breakpoints) - 1:
-                seg += 1
-        # position at the start of the next chunk: one more step past chunk end
-        if t + take < total:
-            pos = int(chunk[-1] + law.sample_steps(stream, 1)[0])
-        t += take
-    prev = 0
-    out = []
-    for i, b in enumerate(breakpoints):
-        prof = LocalTimeProfile.from_dict(seg_counts[i], start=seg_start[i])
-        if prof.length != b - prev:
-            raise AssertionError("segment mass mismatch")
-        out.append(prof)
-        prev = b
-    return out
+    firsts = [0] + breakpoints[:-1]
+    block = _walk_positions(law.sample_steps, min(total, _CHUNK), stream)
+    lo, rows = _segment_counts(block, breakpoints)
+    starts = [int(block[f]) if f < block.size else None for f in firsts]
+    done = block.size
+    while done < total:
+        take = min(_CHUNK, total - done)
+        # the block's first step continues the walk from the last position
+        block = block[-1] + _walk_positions(law.sample_steps, take + 1, stream)[1:]
+        lo_b, rows_b = _segment_counts(
+            block, [max(b - done, 0) for b in breakpoints])
+        new_lo = min(lo, lo_b)
+        width = max(lo + rows.shape[1], lo_b + rows_b.shape[1]) - new_lo
+        grown = np.zeros((len(breakpoints), width), dtype=np.int64)
+        for part, at in ((rows, lo), (rows_b, lo_b)):
+            grown[:, at - new_lo : at - new_lo + part.shape[1]] += part
+        lo, rows = new_lo, grown
+        starts = [int(block[f - done]) if done <= f < done + take else s
+                  for f, s in zip(firsts, starts)]
+        done += take
+    profiles = []
+    for row, first, b, start in zip(rows, firsts, breakpoints, starts):
+        sites = np.flatnonzero(row)
+        profiles.append(LocalTimeProfile(sites + lo, row[sites], b - first, start))
+    return profiles

@@ -18,6 +18,11 @@ the conditional characteristic function for k >= 3 (against
 `ray_knight_profile`, the direct step-by-step simulation of the stopped
 walk (against `brownian.ray_knight_profile_fast`).
 
+`simulate_local_times_by_dicts` is `lattice_walk.simulate_local_times`
+before the one occupation kernel, with its one-shot branch, its per-site
+dict branch past 2**20 positions, `_occupation` and `_segment_profiles`;
+`profiles_from_steps` counts through the latter.
+
 The pre-fold walk loops stay here as oracles of the one walk builder
 `lattice_walk._walk_positions`: `embedded_positions_by_loop`, the chunked
 `integers(0, 2)` walk, and `origin_local_time_at_range_exit_by_loop`, the
@@ -41,7 +46,7 @@ from rwrs.brownian import LocalTimeField, gram_of_fields, sample_local_time_fiel
 from rwrs.delta_process import DeltaPath, WalkRealization, mollified_values
 from rwrs.errors import BudgetExceededError, DegenerateRatioError
 from rwrs.harness import _zero_count_trajectory, fit_power_law
-from rwrs.lattice_walk import LocalTimeProfile, _segment_profiles
+from rwrs.lattice_walk import LocalTimeProfile, _walk_positions
 from rwrs.scenery import (
     _LOG_FLOOR,
     _admissible,
@@ -74,6 +79,85 @@ def profiles_from_steps(steps, breakpoints, start=0):
         raise ValueError("not enough steps for the requested breakpoints")
     positions = start + np.concatenate(([0], np.cumsum(steps[: total - 1])))
     return _segment_profiles(positions, breakpoints)
+
+
+# `lattice_walk.simulate_local_times` as it was before the one occupation
+# kernel `lattice_walk._segment_counts`, both branches kept: one shot up to
+# `_PROFILE_CHUNK` positions, per-site dicts filled chunk by chunk past it.
+_PROFILE_CHUNK = 1 << 20
+
+
+def _occupation(seg):
+    """Sorted occupied sites of a nonempty position array and their counts."""
+    low = int(seg.min())
+    counts = np.bincount(seg - low)
+    sites = np.flatnonzero(counts)
+    return sites + low, counts[sites]
+
+
+def _segment_profiles(positions, breakpoints):
+    """Profile of positions[b_{i-1}:b_i] for each breakpoint b_i."""
+    profiles = []
+    prev = 0
+    for b in breakpoints:
+        seg = positions[prev:b]
+        sites, counts = _occupation(seg)
+        profiles.append(LocalTimeProfile(sites, counts, b - prev, int(seg[0])))
+        prev = b
+    return profiles
+
+
+def simulate_local_times_by_dicts(law, breakpoints, stream):
+    """Simulate one walk and return the local-time profile of each segment.
+
+    Long walks are processed in chunks of 2**20 steps so memory stays
+    O(occupied range), not O(n).
+    """
+    breakpoints = [int(b) for b in breakpoints]
+    if not breakpoints or any(b <= 0 for b in breakpoints):
+        raise ValueError("breakpoints must be nonempty positive integers")
+    if any(b2 <= b1 for b1, b2 in zip(breakpoints, breakpoints[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    total = breakpoints[-1]
+    if total <= _PROFILE_CHUNK:
+        return _segment_profiles(_walk_positions(law.sample_steps, total, stream),
+                                 breakpoints)
+
+    # chunked accumulation into per-segment dicts
+    seg_counts = [dict() for _ in breakpoints]
+    seg_start = [None] * len(breakpoints)
+    pos = 0
+    t = 0
+    seg = 0
+    while t < total:
+        take = min(_PROFILE_CHUNK, total - t)
+        chunk = pos + _walk_positions(law.sample_steps, take, stream)
+        lo = 0
+        while lo < take:
+            hi = min(take, breakpoints[seg] - t)
+            part = chunk[lo:hi]
+            if seg_start[seg] is None:
+                seg_start[seg] = int(part[0])
+            sites, counts = _occupation(part)
+            d = seg_counts[seg]
+            for s, c in zip(sites.tolist(), counts.tolist()):
+                d[s] = d.get(s, 0) + c
+            lo = hi
+            if t + lo >= breakpoints[seg] and seg < len(breakpoints) - 1:
+                seg += 1
+        # position at the start of the next chunk: one more step past chunk end
+        if t + take < total:
+            pos = int(chunk[-1] + law.sample_steps(stream, 1)[0])
+        t += take
+    prev = 0
+    out = []
+    for i, b in enumerate(breakpoints):
+        prof = LocalTimeProfile.from_dict(seg_counts[i], start=seg_start[i])
+        if prof.length != b - prev:
+            raise AssertionError("segment mass mismatch")
+        out.append(prof)
+        prev = b
+    return out
 
 
 def mutual_inner(p, q):

@@ -58,6 +58,20 @@ def test_field_masses_and_monotonicity():
     assert np.allclose(rebuilt, cum[-1].values)
 
 
+def test_coinciding_marks_give_a_zero_increment():
+    # floor(m T) is 1000 at both horizons, so the second segment of the
+    # walk is empty (estimate_Mk with eps > 0 can draw such horizons)
+    m = 1000
+    cum, inc = sample_local_time_fields([1.0, 1.0004], m, RngStream(203, 0))
+    assert not inc[1].values.any() and inc[1].values.size == inc[0].values.size
+    assert np.array_equal(cum[0].values, cum[1].values)
+    positions = _walk_positions(_coin_steps, m, RngStream(203, 0))
+    lo = int(positions.min())
+    assert cum[0].origin == lo
+    h = 1.0 / math.sqrt(m)
+    assert np.array_equal(inc[0].values, np.bincount(positions - lo) * h)
+
+
 def test_norm_matches_numerical_double_integral():
     oracle = expected_l2_norm_sq()
     assert oracle == pytest.approx(1.0638, abs=2e-4)

@@ -301,6 +301,26 @@ times = 2 4
 n_max = 4
 """
 
+BESQ = """
+[experiment]
+subcommand = besq-check
+
+[params]
+draws = 100
+"""
+
+
+RAY_KNIGHT = """
+[experiment]
+subcommand = ray-knight
+
+[params]
+fineness = 1024
+
+[run]
+replicas = 5
+"""
+
 
 @pytest.mark.parametrize(
     "config, field",
@@ -343,6 +363,24 @@ n_max = 4
         (ESTIMATE_C.replace("t_list = 1 2", "t_list = 2 1"), "params.t_list"),
         (CORRELATION.replace("t_ratio = 2", "t_ratio = -1"), "params.t_ratio"),
         (CORRELATION.replace("t_ratio = 2", "t_ratio = 0"), "params.t_ratio"),
+        (GRAM_TINY.replace("n = 65536", "n = 0"), "params.n"),
+        (GRAM_TINY.replace("n = 65536", "n = -5"), "params.n"),
+        (BESQ.replace("draws = 100", "draws = 0"), "params.draws"),
+        (BESQ.replace("draws = 100", "draws = 100\ndt = 0"), "params.dt"),
+        (BESQ.replace("draws = 100", "draws = 100\ny = -1"), "params.y"),
+        (DELTA.replace("t = 1\n", "t = 1\neps = 0\n"), "params.eps"),
+        (DELTA.replace("t = 1\n", "t = 0\n"), "params.t"),
+        (DELTA.replace("delta-localtime", "scaling-test").replace("t = 1\n", "t = -1\n"),
+         "params.t"),
+        (RAY_KNIGHT.replace("fineness = 1024", "fineness = 1024\nlevel = -1"),
+         "params.level"),
+        (RAY_KNIGHT.replace("fineness = 1024", "fineness = 1024\noffset = -1"),
+         "params.offset"),
+        (RAY_KNIGHT.replace("fineness = 1024", "fineness = 0"), "params.fineness"),
+        (MINIMAL.replace("k = 1", "k = 1\nscenery_draws = 0"), "params.scenery_draws"),
+        (CORRELATION.replace("n = 64", "n = 0"), "params.n"),
+        # the ratio runs on the d0 = 2 lattice, so n = 65 would run at 64
+        (CORRELATION.replace("n = 64", "n = 65"), "params.n"),
     ],
     ids=["fineness-not-integer", "fineness-below-1000", "n_list-not-positive",
          "scales-too-few", "dt-below-lattice-step", "dt-below-lattice-step-scaling",
@@ -356,7 +394,12 @@ n_max = 4
          "return-curve-ratios-not-positive", "counting-moments-k4",
          "gram-t_list-decreasing", "gram-t_list-repeated", "gram-t_list-not-positive",
          "estimate-c-t_list-decreasing", "correlation-t_ratio-negative",
-         "correlation-t_ratio-zero"],
+         "correlation-t_ratio-zero", "gram-n-zero", "gram-n-negative",
+         "besq-draws-zero", "besq-dt-zero", "besq-y-negative", "delta-eps-zero",
+         "delta-t-zero", "scaling-t-negative", "ray-knight-level-negative",
+         "ray-knight-offset-negative", "ray-knight-fineness-zero",
+         "return-curve-scenery_draws-zero", "correlation-n-zero",
+         "correlation-n-off-lattice"],
 )
 def test_bad_param_value_rejected_at_validation(tmp_path, capsys, config, field):
     cfg = write_config(tmp_path, config)

@@ -10,7 +10,13 @@ from rwrs import lattice_walk
 from rwrs.simkit import RngStream
 from rwrs.lattice_walk import LocalTimeProfile, StepLaw, simulate_local_times
 
-from reference import merge_profiles, mutual_inner, profile_stats, profiles_from_steps
+from reference import (
+    merge_profiles,
+    mutual_inner,
+    profile_stats,
+    profiles_from_steps,
+    simulate_local_times_by_dicts,
+)
 
 
 def test_step_law_validation():
@@ -78,7 +84,7 @@ def test_draw_thresholds_at_the_boundary(name):
 
 
 def test_chunked_profiles_equal_one_shot(monkeypatch):
-    # a walk longer than _CHUNK is built chunk by chunk from the same stream;
+    # a walk longer than _CHUNK is built block by block from the same stream;
     # its segment profiles must equal the one-shot profiles exactly
     laws = list(DRAW_LAWS.values())[:3]
     rng = np.random.default_rng(43)
@@ -92,14 +98,58 @@ def test_chunked_profiles_equal_one_shot(monkeypatch):
         cases.append((laws[i % 3], sorted(int(b) for b in cuts) + [total]))
     one_shot = [simulate_local_times(law, bps, RngStream(47, i))
                 for i, (law, bps) in enumerate(cases)]
-    monkeypatch.setattr(lattice_walk, "_CHUNK", 64)
-    for i, (law, bps) in enumerate(cases):
-        chunked = simulate_local_times(law, bps, RngStream(47, i))
-        assert len(chunked) == len(one_shot[i]) == len(bps)
-        for a, b in zip(chunked, one_shot[i]):
+    for chunk in (1, 2, 3, 64):
+        monkeypatch.setattr(lattice_walk, "_CHUNK", chunk)
+        for i, (law, bps) in enumerate(cases):
+            chunked = simulate_local_times(law, bps, RngStream(47, i))
+            assert len(chunked) == len(one_shot[i]) == len(bps)
+            for a, b in zip(chunked, one_shot[i]):
+                assert np.array_equal(a.sites, b.sites)
+                assert np.array_equal(a.counts, b.counts)
+                assert (a.length, a.start) == (b.length, b.start)
+
+
+_C = 1 << 20
+REFERENCE_BREAKPOINTS = [
+    [_C - 1], [_C], [_C + 1], [2 * _C + 5],
+    [_C // 2, _C - 1], [_C - 1, _C], [_C, _C + 1], [_C, 2 * _C + 5],
+    [17, _C - 1, _C], [3, _C, _C + 1], [_C - 1, _C + 1, 2 * _C + 5],
+    [_C + 1, 2 * _C, 2 * _C + 5],
+]
+
+
+@pytest.mark.parametrize("name", ["simple", "lazy", "five-point-float"])
+def test_profiles_equal_the_dict_accumulating_reference(name):
+    # totals on both sides of one and two blocks of 2**20 positions, with
+    # breakpoints on and across the block boundaries: the same profiles,
+    # and the stream left at the same raw word, as the reference that
+    # counted past 2**20 positions in per-site dicts
+    law = DRAW_LAWS[name]
+    for i, bps in enumerate(REFERENCE_BREAKPOINTS):
+        ref_stream, stream = RngStream(59, i), RngStream(59, i)
+        expect = simulate_local_times_by_dicts(law, bps, ref_stream)
+        got = simulate_local_times(law, bps, stream)
+        assert len(got) == len(expect) == len(bps)
+        for a, b in zip(got, expect):
             assert np.array_equal(a.sites, b.sites)
             assert np.array_equal(a.counts, b.counts)
             assert (a.length, a.start) == (b.length, b.start)
+        assert (stream.gen.bit_generator.random_raw()
+                == ref_stream.gen.bit_generator.random_raw())
+
+
+def test_segment_counts_share_one_grid_and_count_empty_segments_as_zero():
+    positions = np.array([0, 1, 0, -1, -2, -1, 3], dtype=np.int64)
+    # the middle segment [2:2] is empty; the grid is [-2, 3] for every row
+    lo, rows = lattice_walk._segment_counts(positions, [2, 2, 7])
+    assert lo == -2
+    assert rows.tolist() == [[0, 0, 1, 1, 0, 0],
+                             [0, 0, 0, 0, 0, 0],
+                             [1, 2, 1, 0, 0, 1]]
+    # a mark past the end stops at the end
+    lo, rows = lattice_walk._segment_counts(positions, [3, 10])
+    assert lo == -2 and rows.tolist() == [[0, 0, 2, 1, 0, 0],
+                                          [1, 2, 0, 0, 0, 1]]
 
 
 def test_walk_positions_do_not_depend_on_draw_chunk(monkeypatch):

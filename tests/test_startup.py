@@ -136,3 +136,28 @@ def test_walk_steps_are_drawn_only_in_lattice_walk():
                   and isinstance(node.func, ast.Attribute)
                   and node.func.attr in ("integers", "random_raw")]
     assert not calls
+
+
+def test_visits_are_counted_only_in_lattice_walk():
+    # every count of visits over a walk's range goes through
+    # lattice_walk._segment_counts; the one other bincount counts the
+    # multiplicities of a profile's visit counts in ReturnProbTable
+    paths = sorted(glob.glob(os.path.join(SRC, "rwrs", "*.py")))
+    assert os.path.join(SRC, "rwrs", "lattice_walk.py") in paths
+    calls = []
+    for path in paths:
+        module = os.path.basename(path)
+        if module == "lattice_walk.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        allowed = set()
+        for node in ast.walk(tree):
+            if (module == "scenery.py" and isinstance(node, ast.ClassDef)
+                    and node.name == "ReturnProbTable"):
+                allowed.update(id(sub) for sub in ast.walk(node))
+        calls += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in allowed
+                  and getattr(node.func, "attr", getattr(node.func, "id", None))
+                  == "bincount"]
+    assert not calls
