@@ -163,7 +163,7 @@ def estimate_C(T_list, replicas, fineness, stream):
         raise RejectionRateError(
             f"{rejected}/{replicas} near-singular Gram samples; fineness too small"
         )
-    est = estimate_from_values(values[ok], stream.master_seed)
+    est = estimate_from_values(values[ok])
     scale = float(np.prod(durations ** 0.75))
     return CResult(
         estimate=est,

@@ -345,9 +345,7 @@ def _return_curve(config, p, stream, report):
         for n in p["n_list"]:  # k = 1 and every n inadmissible (validated)
             est = harness.estimate_from_values(
                 harness._return_values_k1(config.step, config.scenery, n,
-                                          config.replicas, stream),
-                config.seed,
-            )
+                                          config.replicas, stream))
             if est.value != 0.0:
                 raise RuntimeError(
                     f"inadmissible time n={n} has nonzero estimate {est.value}"
@@ -509,6 +507,15 @@ def _check_counting_moments(p, scenery, allow_inadmissible):
     return errors
 
 
+def _check_gram(p, scenery, allow_inadmissible):
+    # the walk side counts the visits of the first floor(n * t) steps, so a
+    # first horizon without a step gives a Gram entry that is identically 0
+    if math.floor(p["n"] * p["t_list"][0]) < 1:
+        return [f"params.n: n * t_list[0] = {p['n'] * p['t_list'][0]:g} holds "
+                "no walk step; the first horizon needs at least one"]
+    return []
+
+
 def _check_correlation_ratio(p, scenery, allow_inadmissible):
     # the ratio is taken at n on the d0 lattice, so an n off it would be
     # reported for a run at another n, with or without the flag
@@ -543,7 +550,8 @@ _SUBCOMMANDS = {
                                 _return_curve, check=_check_return_curve),
     "counting-moments": _Subcommand({"step", "scenery"}, {"n_list", "k"},
                                     _counting_moments, check=_check_counting_moments),
-    "gram": _Subcommand({"step"}, {"n", "t_list", "fineness"}, _gram, fields=True),
+    "gram": _Subcommand({"step"}, {"n", "t_list", "fineness"}, _gram, fields=True,
+                        check=_check_gram),
     "estimate-c": _Subcommand(set(), {"t_list", "fineness"}, _estimate_c,
                               fields=True),
     "besq-check": _Subcommand(set(), {"y", "dt", "draws"}, _besq_check,

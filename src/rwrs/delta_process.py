@@ -179,7 +179,7 @@ def estimate_Mk(k, t, replicas, fineness, stream, eps=0.0):
         raise RejectionRateError(
             f"{rejected}/{replicas} rejected Gram samples in moment estimate"
         )
-    est = estimate_from_values(values[ok], stream.master_seed)
+    est = estimate_from_values(values[ok])
     return MkResult(est, k, float(t), rejected, replicas)
 
 

@@ -1,18 +1,20 @@
 """Exact ground truth at tiny n by total path enumeration.
 
-Every oracle here walks the paths with one enumerator, `_gray_paths`, in
-mixed-radix Gray-code order: one step changes per transition, so positions
-and segment local times are patched incrementally instead of being
-rebuilt.  Both laws must have `Fraction` probabilities, and probabilities
-accumulate exactly over the rationals as integer numerators over a common
-denominator.  `exact_joint_return` evaluates the scenery by an exact
-integer convolution shared by every path with the same multiset of
-per-site count rows; the counting moment enumerates the scenery directly.
+Every oracle here walks the paths with one plain enumerator, `_paths`,
+which rebuilds each path's positions from its steps.  `Z` at time n reads
+only S_0..S_{n-1}, so an oracle whose last time is n enumerates n - 1
+steps: the final step's numerators sum to its denominator.  Both laws
+must have `Fraction` probabilities, and probabilities accumulate exactly
+over the rationals as integer numerators over a common denominator.
+`exact_joint_return` evaluates the scenery by an exact integer
+convolution shared by every path with the same multiset of per-site
+count rows; the counting moment enumerates the scenery directly.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -30,11 +32,10 @@ _SCENERY_BUDGET = 4 * 10 ** 6
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Exact rational value, its float, and enumeration bookkeeping."""
+    """Exact rational value, its float, and the |support|^n paths it sums over."""
 
     value: float
     path_count: int
-    note: str
     exact: Fraction
 
 
@@ -68,68 +69,17 @@ def _rational_weights(law):
     return denom, nums
 
 
-def _gray_paths(step, n_steps, times):
-    """Iterate all |support|^n_steps paths, patching state incrementally.
+def _paths(step, n_steps):
+    """Every path of n_steps steps, in lexicographic order of its steps.
 
-    Yields (counts, pos, numerator) per path, where counts maps site ->
-    per-segment visit vector over positions S_0..S_{n_steps-1} split at
-    the given times, pos is the list of positions S_0..S_{n_steps}, and
-    numerator is the path probability over the step law's common
-    denominator to the power n_steps.  counts and pos are patched in
-    place, so a caller copies what it keeps.  Digit 0 of the Gray code
-    drives the final step, so the most frequent transitions touch the
-    fewest positions.
+    Yields (positions, numerator) per path: the positions S_0..S_{n_steps}
+    and the path probability over the step law's common denominator to
+    the power n_steps.
     """
-    support = [int(x) for x in step.support]
-    nums = _rational_weights(step)[1]
-    b = len(support)
-    L = n_steps
-    seg_of = np.empty(L, dtype=np.int64)
-    prev = 0
-    for i, t in enumerate(times):
-        seg_of[prev:t] = i
-        prev = t
-    k = len(times)
-
-    # initial path: every step equals support[0]
-    pos = [t * support[0] for t in range(L + 1)]
-    counts = {}
-    for t in range(L):
-        vec = counts.setdefault(pos[t], np.zeros(k, dtype=np.int64))
-        vec[seg_of[t]] += 1
-    numerator = nums[0] ** L
-
-    a = [0] * L
-    f = list(range(L + 1))
-    o = [1] * L
-    while True:
-        yield counts, pos, numerator
-        j = f[0]
-        f[0] = 0
-        if j == L:
-            return
-        old = a[j]
-        a[j] += o[j]
-        new = a[j]
-        if new == 0 or new == b - 1:
-            o[j] = -o[j]
-            f[j] = f[j + 1]
-            f[j + 1] = j + 1
-        # digit j drives step number L - j (1-based), i.e. position index L - j on
-        delta = support[new] - support[old]
-        numerator = numerator * nums[new] // nums[old]
-        start = L - j
-        for t in range(start, L):
-            site = pos[t]
-            vec = counts[site]
-            vec[seg_of[t]] -= 1
-            if not vec.any():
-                del counts[site]
-            site += delta
-            pos[t] = site
-            vec = counts.setdefault(site, np.zeros(k, dtype=np.int64))
-            vec[seg_of[t]] += 1
-        pos[L] += delta
+    atoms = list(zip((int(x) for x in step.support), _rational_weights(step)[1]))
+    for path in product(atoms, repeat=n_steps):
+        yield (list(accumulate((x for x, _ in path), initial=0)),
+               math.prod(num for _, num in path))
 
 
 def _zero_prob_exact(rows, atoms, denom):
@@ -159,8 +109,9 @@ def exact_joint_return(step, scen, times):
     some segment length is off the d0 lattice.  The scenery is i.i.d.
     across sites, so that conditional probability depends only on the
     multiset of per-site count rows: the path numerators are summed per
-    multiset and convolved once per distinct multiset.  Both laws need
-    `Fraction` probabilities (ValueError otherwise).
+    multiset and convolved once per distinct multiset.  The rows count
+    the visits of S_0..S_{n_k-1}, so n_k - 1 steps are enumerated.  Both
+    laws need `Fraction` probabilities (ValueError otherwise).
     """
     times = [int(t) for t in times]
     if not times or any(t <= 0 for t in times):
@@ -173,16 +124,20 @@ def exact_joint_return(step, scen, times):
     rat_x = _rational_weights(scen)
     seg_lengths = [b - a for a, b in zip([0] + times[:-1], times)]
     if any(n % scen.d0 for n in seg_lengths):
-        return ExactResult(0.0, count, "lattice-vanishing", Fraction(0))
+        return ExactResult(0.0, count, Fraction(0))
+    seg_of = [j for j, length in enumerate(seg_lengths) for _ in range(length)]
     weights = {}
-    for counts, _, numerator in _gray_paths(step, n_k, times):
-        key = tuple(sorted(tuple(v.tolist()) for v in counts.values()))
+    for pos, numerator in _paths(step, n_k - 1):
+        rows = {}
+        for site, j in zip(pos, seg_of):
+            rows.setdefault(site, [0] * len(times))[j] += 1
+        key = tuple(sorted(map(tuple, rows.values())))
         weights[key] = weights.get(key, 0) + numerator
     atoms = list(zip((int(x) for x in scen.support), rat_x[1]))
     total = sum(w * _zero_prob_exact(key, atoms, rat_x[0])
                 for key, w in weights.items())
-    exact = Fraction(total, rat_s[0] ** n_k)
-    return ExactResult(float(exact), count, "rational", exact)
+    exact = Fraction(total, rat_s[0] ** (n_k - 1))
+    return ExactResult(float(exact), count, exact)
 
 
 def exact_counting_moment(step, scen, n, k):
@@ -216,9 +171,8 @@ def exact_counting_moment(step, scen, n, k):
         return supportx[digits], nums[digits].prod(axis=1)
 
     by_r = {}
-    for _, pos, numerator in _gray_paths(step, n - 1, [n]):
-        sites, seq = np.unique(np.asarray(pos[:n], dtype=np.int64),
-                               return_inverse=True)
+    for pos, numerator in _paths(step, n - 1):
+        sites, seq = np.unique(np.asarray(pos, dtype=np.int64), return_inverse=True)
         r = sites.size
         if r not in tables:
             tables[r] = table(r)

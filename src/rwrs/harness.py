@@ -170,7 +170,7 @@ def _return_values_joint(step, scen, times, replicas, stream, scenery_draws):
 
 
 def estimate_return_curve(step, scen, n_list, k=1, T_ratios=None,
-                          walk_replicas=1000, stream=None, scenery_draws=64):
+                          walk_replicas=1000, *, stream, scenery_draws=64):
     """Conditional-estimator return probabilities over n with a log-log fit.
 
     For k >= 2 the joint times are [n * T_r] rounded down to multiples of
@@ -199,7 +199,7 @@ def estimate_return_curve(step, scen, n_list, k=1, T_ratios=None,
         else:
             vals = _return_values_joint(step, scen, _joint_times(n, T_ratios, d0),
                                         walk_replicas, sub, scenery_draws)
-        estimates.append(estimate_from_values(vals, stream.master_seed))
+        estimates.append(estimate_from_values(vals))
     fit = None
     if len(n_list) >= 3:
         fit = fit_power_law(
@@ -208,7 +208,7 @@ def estimate_return_curve(step, scen, n_list, k=1, T_ratios=None,
     return estimates, fit
 
 
-def _ratio_estimate(num, denoms, master_seed):
+def _ratio_estimate(num, denoms):
     """Delta-method ratio of independent estimates num / prod(denoms)."""
     for d in denoms:
         if d.value <= 3.0 * d.std_error:
@@ -218,7 +218,7 @@ def _ratio_estimate(num, denoms, master_seed):
     for d in denoms:
         value /= d.value
         rel2 += (d.std_error / d.value) ** 2
-    return Estimate(value, abs(value) * math.sqrt(rel2), num.replicas, master_seed)
+    return Estimate(value, abs(value) * math.sqrt(rel2), num.replicas)
 
 
 def correlation_ratio(n, t_ratio, replicas, stream, step=None, scen=None,
@@ -241,15 +241,11 @@ def correlation_ratio(n, t_ratio, replicas, stream, step=None, scen=None,
     joint_vals = _return_values_joint(step, scen, [n, n + m], replicas,
                                       stream.substream(1), scenery_draws)
     p_n = estimate_from_values(
-        _return_values_k1(step, scen, n, replicas, stream.substream(2)),
-        stream.master_seed,
-    )
+        _return_values_k1(step, scen, n, replicas, stream.substream(2)))
     p_m = estimate_from_values(
-        _return_values_k1(step, scen, m, replicas, stream.substream(3)),
-        stream.master_seed,
-    )
-    joint = estimate_from_values(joint_vals, stream.master_seed)
-    lhs = _ratio_estimate(joint, [p_n, p_m], stream.master_seed)
+        _return_values_k1(step, scen, m, replicas, stream.substream(3)))
+    joint = estimate_from_values(joint_vals)
+    lhs = _ratio_estimate(joint, [p_n, p_m])
 
     t = m / n
 
@@ -264,9 +260,9 @@ def correlation_ratio(n, t_ratio, replicas, stream, step=None, scen=None,
 
     num_vals = replicate(num_task, replicas, stream.substream(4))
     den_vals = replicate(den_task, replicas, stream.substream(5))
-    num = estimate_from_values(num_vals[~np.isnan(num_vals)], stream.master_seed)
-    den = estimate_from_values(den_vals, stream.master_seed)
-    rhs = _ratio_estimate(num, [den], stream.master_seed)
+    num = estimate_from_values(num_vals[~np.isnan(num_vals)])
+    den = estimate_from_values(den_vals)
+    rhs = _ratio_estimate(num, [den])
     return lhs, rhs
 
 
@@ -327,7 +323,7 @@ def counting_moment_curve(step, scen, k, n_list, replicas, stream):
 
     samples = replicate(moments, replicas, stream)
     estimates = [
-        estimate_from_values(samples[:, j], stream.master_seed)
+        estimate_from_values(samples[:, j])
         for j in range(len(n_list))
     ]
     fit = None
@@ -441,7 +437,7 @@ def uniformity_shadow(step, scen, n, replicas, stream, grid_points=4,
             sub = stream.substream(i1 * grid_points + i2)
             vals = _return_values_joint(step, scen, [n1, n1 + n2], replicas, sub,
                                         scenery_draws)
-            est = estimate_from_values(vals, stream.master_seed)
+            est = estimate_from_values(vals)
             values.append((n1, n2, est.value * (n1 * n2) ** 0.75,
                            est.std_error * (n1 * n2) ** 0.75))
     peak = max(v[2] for v in values)

@@ -84,7 +84,6 @@ class Estimate:
     value: float
     std_error: float
     replicas: int
-    master_seed: int
 
 
 def replicate(task, replicas, stream):
@@ -101,7 +100,7 @@ def replicate(task, replicas, stream):
     return np.array([task(stream.substream(i)) for i in range(replicas)])
 
 
-def estimate_from_values(values, master_seed):
+def estimate_from_values(values):
     """Order-independent mean/std-error reduction via compensated sums."""
     values = np.asarray(values, dtype=np.float64)
     n = values.size
@@ -111,7 +110,7 @@ def estimate_from_values(values, master_seed):
         se = math.sqrt(var / n)
     else:
         se = 0.0
-    return Estimate(mean, se, n, master_seed)
+    return Estimate(mean, se, n)
 
 
 @dataclass

@@ -2,18 +2,45 @@
 
 These are slow, direct implementations kept only for the tests: the
 per-path rational joint return (one Fraction convolution per path), the
-per-path counting moment over all n steps, a brute-force double
-enumeration over paths and sceneries with no conditional factorization,
-and the characteristic function of the segment increments, summed in
-compensated floating point.
+per-path counting moment, a brute-force double enumeration over paths
+and sceneries with no conditional factorization, and the characteristic
+function of the segment increments, summed in compensated floating point.
+Each enumerates all n steps of its paths with its own enumerator,
+`_all_paths`, so the oracle's n - 1 step shortcut is checked, not shared.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from rwrs.errors import BudgetExceededError
-from rwrs.exact_oracle import _check_budget, _gray_paths, _rational_weights
+from rwrs.exact_oracle import _check_budget, _rational_weights
+
+
+def _all_paths(step, n_steps, times):
+    """Every path of n_steps steps, indexed by its base-|support| digits.
+
+    Yields (counts, positions, numerator) per path: counts maps site ->
+    per-segment visit vector over S_0..S_{n_steps-1} split at the given
+    times, positions are S_0..S_{n_steps}, and numerator is the path
+    probability over the step law's common denominator to the power
+    n_steps.
+    """
+    support = [int(x) for x in step.support]
+    nums = _rational_weights(step)[1]
+    b = len(support)
+    seg_of = np.searchsorted(np.asarray(times), np.arange(n_steps), side="right")
+    for idx in range(b ** n_steps):
+        digits = [(idx // b ** j) % b for j in range(n_steps)]
+        positions = [0]
+        for d in digits:
+            positions.append(positions[-1] + support[d])
+        counts = {}
+        for t in range(n_steps):
+            vec = counts.setdefault(positions[t], np.zeros(len(times), dtype=np.int64))
+            vec[seg_of[t]] += 1
+        yield counts, positions, math.prod(nums[d] for d in digits)
 
 
 class _Neumaier:
@@ -65,7 +92,7 @@ def joint_return_per_path(step, scen, times):
     k = len(times)
     denom_steps = _rational_weights(step)[0]
     total = Fraction(0)
-    for counts, _, numerator in _gray_paths(step, n_k, times):
+    for counts, _, numerator in _all_paths(step, n_k, times):
         matrix = np.array(list(counts.values()), dtype=np.int64).reshape(-1, k)
         cond = pmf_exact_at_zero(matrix, scen)
         total += Fraction(numerator, denom_steps ** n_k) * cond
@@ -82,7 +109,7 @@ def counting_moment_per_path(step, scen, n, k):
     nsup = len(scen.support)
 
     acc_exact = Fraction(0)
-    for _, pos, numerator in _gray_paths(step, n, [n]):
+    for _, pos, numerator in _all_paths(step, n, [n]):
         positions = np.asarray(pos[:n], dtype=np.int64)
         sites, seq = np.unique(positions, return_inverse=True)
         r = sites.size
@@ -117,7 +144,7 @@ def joint_return_bruteforce(step, scen, times):
     k = len(times)
     total = Fraction(0)
     nsup = len(scen.support)
-    for counts, _, numerator in _gray_paths(step, n_k, times):
+    for counts, _, numerator in _all_paths(step, n_k, times):
         sites = list(counts)
         matrix = np.array([counts[s] for s in sites], dtype=np.int64).reshape(-1, k)
         r = len(sites)
@@ -148,7 +175,7 @@ def exact_char_function(step, scen, times, theta):
         raise ValueError("theta must have one component per time")
     re = _Neumaier()
     im = _Neumaier()
-    for counts, _, numerator in _gray_paths(step, n_k, times):
+    for counts, _, numerator in _all_paths(step, n_k, times):
         weight = numerator / denom
         matrix = np.array(list(counts.values()), dtype=np.float64)
         u = matrix @ theta

@@ -244,7 +244,7 @@ def tightness_stats(step, scen, n, t, h_list, replicas, stream):
             return float(counts[1] - counts[0]) ** 2
 
         vals = replicate(task, replicas, stream.substream(idx))
-        est = estimate_from_values(vals, stream.master_seed)
+        est = estimate_from_values(vals)
         rows.append((float(h), est))
     return rows
 

@@ -38,7 +38,7 @@ def inv_norm():
     for i in range(4000):
         cum, _ = brownian.sample_local_time_fields([1.0], FINE, root.substream(i))
         vals[i] = cum[0].norm2_sq() ** -0.5
-    return estimate_from_values(vals, 9001)
+    return estimate_from_values(vals)
 
 
 @pytest.fixture(scope="module")
@@ -287,8 +287,8 @@ def test_criterion_10_delta_local_time(m2_zero):
              - delta_process.mollified_values(p, eps, 0.5, [0.0])[0]) ** 2
             for p in paths
         ])
-        se_s = estimate_from_values(sdiff, 0)
-        se_t = estimate_from_values(tdiff, 0)
+        se_s = estimate_from_values(sdiff)
+        se_t = estimate_from_values(tdiff)
         space_pts.append((1.0 / lag, se_s.value, se_s.std_error))
         time_pts.append((1.0 / lag, se_t.value, se_t.std_error))
     space_slope = -harness.fit_power_law(space_pts).slope
@@ -312,7 +312,7 @@ def test_criterion_10_delta_local_time(m2_zero):
             delta_process.mollified_values(p, eps_m, 1.0, [0.0])[0] ** 2
             for p in paths
         ])
-        lhs = estimate_from_values(vals, 9118)
+        lhs = estimate_from_values(vals)
         rhs = delta_process.estimate_Mk(2, 1.0, 4000, 1 << 14,
                                         RngStream(9119, int(eps_m * 1000)),
                                         eps=eps_m)

@@ -80,7 +80,7 @@ def test_norm_matches_numerical_double_integral():
     for i in range(1500):
         cum, _ = sample_local_time_fields([1.0], 1 << 14, root.substream(i))
         vals[i] = cum[0].norm2_sq()
-    est = estimate_from_values(vals, 202)
+    est = estimate_from_values(vals)
     assert abs(est.value - oracle) < 0.03
 
 

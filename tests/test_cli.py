@@ -365,6 +365,11 @@ replicas = 5
         (CORRELATION.replace("t_ratio = 2", "t_ratio = 0"), "params.t_ratio"),
         (GRAM_TINY.replace("n = 65536", "n = 0"), "params.n"),
         (GRAM_TINY.replace("n = 65536", "n = -5"), "params.n"),
+        # floor(1 * 0.5) = 0: the first horizon holds no walk step
+        (GRAM_TINY.replace("n = 65536", "n = 1").replace("t_list = 1.0", "t_list = 0.5"),
+         "params.n"),
+        (GRAM_TINY.replace("n = 65536", "n = 1").replace("t_list = 1.0", "t_list = 0.5 1"),
+         "params.n"),
         (BESQ.replace("draws = 100", "draws = 0"), "params.draws"),
         (BESQ.replace("draws = 100", "draws = 100\ndt = 0"), "params.dt"),
         (BESQ.replace("draws = 100", "draws = 100\ny = -1"), "params.y"),
@@ -395,6 +400,7 @@ replicas = 5
          "gram-t_list-decreasing", "gram-t_list-repeated", "gram-t_list-not-positive",
          "estimate-c-t_list-decreasing", "correlation-t_ratio-negative",
          "correlation-t_ratio-zero", "gram-n-zero", "gram-n-negative",
+         "gram-first-horizon-empty", "gram-first-of-two-horizons-empty",
          "besq-draws-zero", "besq-dt-zero", "besq-y-negative", "delta-eps-zero",
          "delta-t-zero", "scaling-t-negative", "ray-knight-level-negative",
          "ray-knight-offset-negative", "ray-knight-fineness-zero",

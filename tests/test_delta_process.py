@@ -142,7 +142,7 @@ def test_moment_estimator_cross_checks():
     for i in range(2500):
         cum, _ = sample_local_time_fields([1.0], 1 << 14, root.substream(i))
         vals[i] = cum[0].norm2_sq() ** -0.5
-    direct = estimate_from_values(vals, 312)
+    direct = estimate_from_values(vals)
     target = 4.0 / math.sqrt(2 * math.pi) * direct.value
     target_se = 4.0 / math.sqrt(2 * math.pi) * direct.std_error
     se = math.hypot(res.estimate.std_error, target_se)
@@ -165,7 +165,7 @@ def test_regularized_moment_identity_k2():
     for i in range(2000):
         path = sample_delta_path(1.0, 2.0 ** -10, 1 << 13, root.substream(i))
         vals[i] = mollified_values(path, eps, 1.0, [0.0])[0] ** 2
-    lhs = estimate_from_values(vals, 315)
+    lhs = estimate_from_values(vals)
     rhs = estimate_Mk(2, 1.0, 3000, 1 << 13, RngStream(316, 0), eps=eps)
     se = math.hypot(lhs.std_error, rhs.estimate.std_error)
     assert abs(lhs.value - rhs.estimate.value) <= 3 * se

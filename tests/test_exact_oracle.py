@@ -69,9 +69,21 @@ def test_rational_joint_return_matches_per_path_reference(step_name, scen_name):
     for times in times_list:
         res = exact_joint_return(step, scen, times)
         exact, count = joint_return_per_path(step, scen, times)
-        assert res.note == "rational"
         assert res.exact == exact
         assert res.value == float(exact)
+        assert res.path_count == count == len(step.support) ** times[-1]
+
+
+@pytest.mark.parametrize("step_name", list(STEPS))
+def test_joint_return_over_one_step_less_matches_all_steps_reference(step_name):
+    # the oracle enumerates times[-1] - 1 steps (none at times = [1]),
+    # the reference all of them; path_count counts the reference's paths
+    step = STEPS[step_name]
+    scen, _ = SCENERIES["zero-atom"]
+    for times in ([1], [1, 2], [3, 4]):
+        res = exact_joint_return(step, scen, times)
+        exact, count = joint_return_per_path(step, scen, times)
+        assert res.exact == exact, times
         assert res.path_count == count == len(step.support) ** times[-1]
 
 
@@ -173,7 +185,8 @@ def test_inversion_identity():
 
 
 def test_results_independent_of_enumeration_order():
-    # Gray-code iteration vs a direct per-path recomputation
+    # the oracle's lexicographic enumeration, one step short, vs a per-path
+    # recomputation over all four steps in base-3 digit order
     lazy = StepLaw.lazy()
     res = exact_joint_return(lazy, RAD, [4])
     total = Fraction(0)

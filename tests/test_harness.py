@@ -65,6 +65,11 @@ def test_return_curve_rejects_inadmissible_times():
         estimate_return_curve(STEP, RAD, [2, 3, 4], stream=RngStream(1, 0))
 
 
+def test_return_curve_needs_a_stream():
+    with pytest.raises(TypeError, match="stream"):
+        estimate_return_curve(STEP, RAD, [2, 4, 8])
+
+
 def test_return_curve_oracle_gate_small_n():
     root = RngStream(401, 0)
     n_list = [2, 4, 6, 8, 10, 12]

@@ -72,7 +72,7 @@ def test_substreams_are_reproducible_and_distinct():
 
 
 def test_constant_task():
-    est = estimate_from_values(replicate(lambda s: 1.0, 100, RngStream(99, 0)), 99)
+    est = estimate_from_values(replicate(lambda s: 1.0, 100, RngStream(99, 0)))
     assert est.value == 1.0
     assert est.std_error == 0.0
     assert est.replicas == 100
@@ -112,7 +112,7 @@ def test_replicate_matches_substream_loop(task):
 
 def test_uniform_mean_within_clt_band():
     values = replicate(lambda s: float(s.gen.uniform()), 100_000, RngStream(1234, 0))
-    est = estimate_from_values(values, 1234)
+    est = estimate_from_values(values)
     # 5 sigma of a Uniform(0,1) mean at 1e5 replicas
     assert abs(est.value - 0.5) < 0.005
     assert abs(est.std_error - math.sqrt(1 / 12 / 100_000)) < 2e-4
@@ -121,10 +121,10 @@ def test_uniform_mean_within_clt_band():
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=200), st.randoms())
 def test_reduction_is_order_independent(values, rnd):
-    est1 = estimate_from_values(np.array(values), 0)
+    est1 = estimate_from_values(np.array(values))
     shuffled = list(values)
     rnd.shuffle(shuffled)
-    est2 = estimate_from_values(np.array(shuffled), 0)
+    est2 = estimate_from_values(np.array(shuffled))
     scale = max(1.0, abs(est1.value))
     assert abs(est1.value - est2.value) <= 1e-12 * scale
 

@@ -1,6 +1,6 @@
 """Start-up cost: what `import rwrs` loads, the malloc thresholds of `main`,
-that `src/` exports nothing only the tests use, and that walk steps are
-drawn in one module.
+that `src/` exports nothing only the tests use, that walk steps are
+drawn in one module, and that the exact reference enumerates its own paths.
 
 The import checks run in fresh interpreters, since the test process itself
 has loaded scipy.
@@ -161,3 +161,21 @@ def test_visits_are_counted_only_in_lattice_walk():
                   and getattr(node.func, "attr", getattr(node.func, "id", None))
                   == "bincount"]
     assert not calls
+
+
+def test_exact_reference_enumerates_its_own_paths():
+    # the reference oracles take only the budget and the law's integer
+    # weights from rwrs.exact_oracle, so they check its enumeration (and its
+    # n - 1 step shortcut) instead of sharing it
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "exact_reference.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "rwrs.exact_oracle":
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+            imported.update(prefix + alias.name for alias in node.names
+                            if (prefix + alias.name).startswith("rwrs.exact_oracle"))
+    assert imported and imported <= {"_check_budget", "_rational_weights"}
