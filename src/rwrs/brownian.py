@@ -40,18 +40,14 @@ class LocalTimeField:
     """Local-time approximation on a uniform grid of spacing h = m^(-1/2).
 
     `origin` is the lattice site of the first grid node; node j sits at
-    x = (origin + j) * h.  `horizon` is the time mass the field carries
-    (the increment duration for increment fields).
+    x = (origin + j) * h.  The time mass h * sum(values) is the field's
+    horizon, or the increment's duration for an increment field, to within
+    one lattice step 1/m.
     """
 
     origin: int
     h: float
     values: np.ndarray
-    horizon: float
-    fineness: int
-
-    def mass(self):
-        return self.h * float(self.values.sum())
 
     def norm2_sq(self):
         return self.h * float(np.dot(self.values, self.values))
@@ -75,15 +71,12 @@ def sample_local_time_fields(T_list, fineness, stream):
     total = max(marks[-1], 1)
     lo, rows = _segment_counts(_walk_positions(_coin_steps, total, stream), marks)
     h = 1.0 / math.sqrt(m)
-    increments = []
-    for i, counts in enumerate(rows):
-        dur = T_list[i] - (T_list[i - 1] if i else 0.0)
-        increments.append(LocalTimeField(lo, h, counts * h, dur, m))
+    increments = [LocalTimeField(lo, h, counts * h) for counts in rows]
     cumulative = []
     running = np.zeros(rows.shape[1])
-    for i, inc in enumerate(increments):
+    for inc in increments:
         running = running + inc.values
-        cumulative.append(LocalTimeField(lo, h, running, T_list[i], m))
+        cumulative.append(LocalTimeField(lo, h, running))
     return cumulative, increments
 
 
@@ -91,7 +84,6 @@ def sample_local_time_fields(T_list, fineness, stream):
 class GramSample:
     """Symmetric PSD matrix of local-time inner products with det and lambda_min."""
 
-    k: int
     entries: np.ndarray
     det: float
     lambda_min: float
@@ -124,7 +116,7 @@ def gram_of_fields(fields):
     floor = _EIG_CLAMP * float(np.trace(mat))
     eig = np.where(eig < floor, 0.0, eig)
     det = float(np.prod(eig))
-    return GramSample(k, mat, det, float(eig.min()))
+    return GramSample(mat, det, float(eig.min()))
 
 
 @dataclass(frozen=True)
@@ -135,7 +127,6 @@ class CResult:
     bound_ratio: float
     bound_ratio_se: float
     rejected: int
-    replicas: int
 
 
 def estimate_C(T_list, replicas, fineness, stream):
@@ -170,7 +161,6 @@ def estimate_C(T_list, replicas, fineness, stream):
         bound_ratio=est.value * scale,
         bound_ratio_se=est.std_error * scale,
         rejected=rejected,
-        replicas=replicas,
     )
 
 

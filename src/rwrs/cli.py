@@ -184,15 +184,16 @@ def validate_config(path, overrides=None):
         except (ValueError, AssertionError, ZeroDivisionError) as exc:
             errors.append(f"laws.scenery: {exc}")
 
+    # an override counts whenever it is given, 0 included
     overrides = overrides or {}
     try:
-        seed = int(overrides.get("seed") or get("run", "seed", _DEFAULTS["seed"]))
+        seed = int(overrides.get("seed", get("run", "seed", _DEFAULTS["seed"])))
     except ValueError:
         errors.append("run.seed: not an integer")
         seed = 0
     try:
         replicas = int(
-            overrides.get("replicas") or get("run", "replicas", _DEFAULTS["replicas"])
+            overrides.get("replicas", get("run", "replicas", _DEFAULTS["replicas"]))
         )
         if replicas <= 0:
             errors.append("run.replicas: must be positive")
@@ -202,7 +203,7 @@ def validate_config(path, overrides=None):
     except ValueError:
         errors.append("run.replicas: not an integer")
         replicas = 1
-    out_dir = overrides.get("out") or get("run", "out", _DEFAULTS["out"])
+    out_dir = overrides.get("out", get("run", "out", _DEFAULTS["out"]))
     allow_inadmissible = bool(overrides.get("allow_inadmissible", False))
 
     raw_params = dict(parser["params"]) if parser.has_section("params") else {}
@@ -412,12 +413,9 @@ def _ray_knight(config, p, stream, report):
     vals = replicate(profile_at_offset, config.replicas, stream)
     other = brownian.besq0_step(p["level"], offset, stream.substream(1 << 32),
                                 size=config.replicas)
-    stat = harness._ks_statistic(vals, other)
-    thr = harness.ks_threshold(config.replicas, config.replicas)
-    rep = harness.TestReport.build("ray_knight_vs_besq", "KS", stat,
-                                   config.replicas, config.replicas, thr)
+    rep = harness._ks_report("ray_knight_vs_besq", vals, other)
     report["tests"].append(asdict(rep))
-    return [_row(rep.name, config.replicas, stat)]
+    return [_row(rep.name, config.replicas, rep.value)]
 
 
 def _delta_localtime(config, p, stream, report):
@@ -644,7 +642,7 @@ def main(argv=None):
 
     overrides = {"seed": args.seed, "out": args.out, "replicas": args.replicas,
                  "allow_inadmissible": args.allow_inadmissible}
-    overrides = {k: v for k, v in overrides.items() if v not in (None, False)}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
     config = validate_config(args.config, overrides)
     if isinstance(config, list):
         for err in config:

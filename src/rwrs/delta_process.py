@@ -6,7 +6,8 @@ realization it is Gaussian with covariance given by the Gram matrix of the
 fields, which is exactly how it is sampled here: the embedded-walk field
 supplies L, an independent Gaussian per lattice site supplies the noise.
 Summed step by step this costs O(1) per time step.  Each path draws a
-fresh walk; `DeltaPath.walk` keeps its positions.
+fresh walk; `DeltaPath.walk` keeps its positions.  A path holds its values
+on the grid of times j * dt, j = 0, ..., round(horizon / dt).
 """
 
 import math
@@ -39,17 +40,14 @@ class WalkRealization:
     """Embedded-walk positions underlying one local-time realization."""
 
     positions: np.ndarray
-    fineness: int
 
 
 @dataclass(frozen=True)
 class DeltaPath:
     """Sampled path of Brownian motion in random scenery on a uniform time grid."""
 
-    times: np.ndarray
     values: np.ndarray
     dt: float
-    fineness: int
     walk: WalkRealization | None = None
 
 
@@ -74,8 +72,7 @@ def sample_delta_path(horizon, dt, fineness, stream):
     increments = noise[off] * m ** -0.75
     cum = np.concatenate([[0.0], np.cumsum(increments)])
     marks = np.minimum((np.arange(n_grid + 1) * dt * m).astype(np.int64), total)
-    times = np.arange(n_grid + 1) * dt
-    return DeltaPath(times, cum[marks], float(dt), m, WalkRealization(positions, m))
+    return DeltaPath(cum[marks], float(dt), WalkRealization(positions))
 
 
 def mollified_values(path, eps, t, xs):
@@ -97,10 +94,7 @@ class MkResult:
     """Importance-sampled moment functional of the local time at the origin."""
 
     estimate: Estimate
-    k: int
-    t: float
     rejected: int
-    replicas: int
 
 
 def _sample_ordered_durations(k, t, stream):
@@ -180,7 +174,7 @@ def estimate_Mk(k, t, replicas, fineness, stream, eps=0.0):
             f"{rejected}/{replicas} rejected Gram samples in moment estimate"
         )
     est = estimate_from_values(values[ok])
-    return MkResult(est, k, float(t), rejected, replicas)
+    return MkResult(est, rejected)
 
 
 def _box_extrema(vals, width, level):

@@ -7,7 +7,7 @@ through power-law fits or two-sample distribution tests.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
 class ScalingFit:
     """Weighted least-squares line in log-log coordinates."""
 
-    points: tuple
     slope: float
     intercept: float
     slope_ci: float
@@ -53,17 +52,15 @@ class TestReport:
     n1: int
     n2: int
     threshold: float
-    verdict: bool = field(default=False)
-
-    @classmethod
-    def build(cls, name, statistic, value, n1, n2, threshold):
-        return cls(name, statistic, float(value), int(n1), int(n2),
-                   float(threshold), bool(value <= threshold))
+    verdict: bool
 
 
-def ks_threshold(n1, n2, alpha=1e-3):
-    """Asymptotic two-sample KS quantile at level alpha."""
-    c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
+_KS_ALPHA = 1e-3
+
+
+def ks_threshold(n1, n2):
+    """Asymptotic two-sample KS quantile at level `_KS_ALPHA`."""
+    c = math.sqrt(-math.log(_KS_ALPHA / 2.0) / 2.0)
     return c * math.sqrt((n1 + n2) / (n1 * n2))
 
 
@@ -90,6 +87,18 @@ def _ks_statistic(a, b):
         lcm = (n1 // math.gcd(n1, n2)) * n2
         d = int(np.round(d * lcm)) * 1.0 / lcm
     return float(d)
+
+
+def _ks_report(name, a, b, threshold=None):
+    """Two-sample KS report of `a` against `b`.
+
+    The threshold defaults to the asymptotic quantile `ks_threshold` of
+    the two sample sizes.
+    """
+    n1, n2 = len(a), len(b)
+    stat = _ks_statistic(a, b)
+    thr = float(ks_threshold(n1, n2) if threshold is None else threshold)
+    return TestReport(name, "KS", stat, n1, n2, thr, stat <= thr)
 
 
 def fit_power_law(points):
@@ -127,7 +136,6 @@ def fit_power_law(points):
     ci = 1.96 * math.sqrt(s2 / sxx)
     r2 = 1.0 if syy == 0 else 1.0 - ssr / syy
     return ScalingFit(
-        points=tuple(zip(xs, ys, (float(v) for v in w))),
         slope=slope,
         intercept=intercept,
         slope_ci=ci,
@@ -221,7 +229,7 @@ def _ratio_estimate(num, denoms):
     return Estimate(value, abs(value) * math.sqrt(rel2), num.replicas)
 
 
-def correlation_ratio(n, t_ratio, replicas, stream, step=None, scen=None,
+def correlation_ratio(n, t_ratio, replicas, stream, step, scen,
                       fineness=1 << 14, scenery_draws=64):
     """Both sides of the conditional-return correlation limit.
 
@@ -230,11 +238,6 @@ def correlation_ratio(n, t_ratio, replicas, stream, step=None, scen=None,
     functional ratio over two independent Brownian local-time fields.
     Both are reported with delta-method uncertainties.
     """
-    from .lattice_walk import StepLaw
-    from .scenery import SceneryLaw
-
-    step = step or StepLaw.simple()
-    scen = scen or SceneryLaw.rademacher()
     d0 = scen.d0
     n = _round_admissible(n, d0)
     m = _round_admissible(n * t_ratio, d0)
@@ -286,7 +289,6 @@ def _field_pair_stats(t1, t2, fineness, stream):
 class CountingCurve:
     """Zero-count moment estimates with slope fit and amplitude extraction."""
 
-    n_list: tuple
     estimates: tuple
     fit: ScalingFit
     amplitude: float
@@ -345,7 +347,6 @@ def counting_moment_curve(step, scen, k, n_list, replicas, stream):
     dof = max(len(n_list) - 2, 1)
     scale = float(np.dot(ws, resid ** 2)) / dof
     return CountingCurve(
-        n_list=tuple(n_list),
         estimates=tuple(estimates),
         fit=fit,
         amplitude=float(amplitude),
@@ -384,17 +385,8 @@ def gram_convergence_test(step, n, T_list, replicas, fineness, stream,
         return brownian.gram_of_fields(cum).entries
 
     bro = replicate(brownian_task, replicas, stream.substream(1))
-    thr = threshold if threshold is not None else ks_threshold(replicas, replicas)
-    reports = []
-    for i in range(k):
-        for j in range(i, k):
-            stat = _ks_statistic(walk[:, i, j], bro[:, i, j])
-            reports.append(
-                TestReport.build(
-                    f"gram[{i},{j}]", "KS", stat, replicas, replicas, thr
-                )
-            )
-    return reports
+    return [_ks_report(f"gram[{i},{j}]", walk[:, i, j], bro[:, i, j], threshold)
+            for i in range(k) for j in range(i, k)]
 
 
 def scaling_law_test(T, replicas, stream, eps=0.05, fineness=1 << 12,
@@ -413,9 +405,7 @@ def scaling_law_test(T, replicas, stream, eps=0.05, fineness=1 << 12,
 
     side_a = replicate(task_a, replicas, stream.substream(0))
     side_b = replicate(task_b, replicas, stream.substream(1))
-    thr = threshold if threshold is not None else ks_threshold(replicas, replicas)
-    stat = _ks_statistic(side_a, side_b)
-    return TestReport.build(f"scaling[T={T}]", "KS", stat, replicas, replicas, thr)
+    return _ks_report(f"scaling[T={T}]", side_a, side_b, threshold)
 
 
 def uniformity_shadow(step, scen, n, replicas, stream, grid_points=4,

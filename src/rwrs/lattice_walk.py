@@ -132,7 +132,6 @@ class LocalTimeProfile:
     sites: np.ndarray
     counts: np.ndarray
     length: int
-    start: int
 
     def __post_init__(self):
         object.__setattr__(self, "sites", np.asarray(self.sites, dtype=np.int64))
@@ -145,10 +144,10 @@ class LocalTimeProfile:
             raise ValueError("counts must sum to the segment length")
 
     @classmethod
-    def from_dict(cls, counts, start=0):
+    def from_dict(cls, counts):
         sites = np.array(sorted(counts), dtype=np.int64)
         vals = np.array([counts[int(s)] for s in sites], dtype=np.int64)
-        return cls(sites, vals, int(vals.sum()), start)
+        return cls(sites, vals, int(vals.sum()))
 
     def as_dict(self):
         return {int(s): int(c) for s, c in zip(self.sites, self.counts)}
@@ -216,7 +215,6 @@ def simulate_local_times(law, breakpoints, stream):
     firsts = [0] + breakpoints[:-1]
     block = _walk_positions(law.sample_steps, min(total, _CHUNK), stream)
     lo, rows = _segment_counts(block, breakpoints)
-    starts = [int(block[f]) if f < block.size else None for f in firsts]
     done = block.size
     while done < total:
         take = min(_CHUNK, total - done)
@@ -230,11 +228,9 @@ def simulate_local_times(law, breakpoints, stream):
         for part, at in ((rows, lo), (rows_b, lo_b)):
             grown[:, at - new_lo : at - new_lo + part.shape[1]] += part
         lo, rows = new_lo, grown
-        starts = [int(block[f - done]) if done <= f < done + take else s
-                  for f, s in zip(firsts, starts)]
         done += take
     profiles = []
-    for row, first, b, start in zip(rows, firsts, breakpoints, starts):
+    for row, first, b in zip(rows, firsts, breakpoints):
         sites = np.flatnonzero(row)
-        profiles.append(LocalTimeProfile(sites + lo, row[sites], b - first, start))
+        profiles.append(LocalTimeProfile(sites + lo, row[sites], b - first))
     return profiles

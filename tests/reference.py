@@ -66,10 +66,10 @@ class ProfileStats:
     holder_half: float
 
 
-def profiles_from_steps(steps, breakpoints, start=0):
+def profiles_from_steps(steps, breakpoints):
     """Segment local-time profiles of the walk realized by `steps`.
 
-    Positions are S_0 = start, S_1, ..., S_{B-1} with B the last breakpoint;
+    Positions are S_0 = 0, S_1, ..., S_{B-1} with B the last breakpoint;
     segment i covers times [b_{i-1}, b_i).
     """
     steps = np.asarray(steps, dtype=np.int64)
@@ -77,7 +77,7 @@ def profiles_from_steps(steps, breakpoints, start=0):
     total = breakpoints[-1]
     if steps.size < total - 1:
         raise ValueError("not enough steps for the requested breakpoints")
-    positions = start + np.concatenate(([0], np.cumsum(steps[: total - 1])))
+    positions = np.concatenate(([0], np.cumsum(steps[: total - 1])))
     return _segment_profiles(positions, breakpoints)
 
 
@@ -102,7 +102,7 @@ def _segment_profiles(positions, breakpoints):
     for b in breakpoints:
         seg = positions[prev:b]
         sites, counts = _occupation(seg)
-        profiles.append(LocalTimeProfile(sites, counts, b - prev, int(seg[0])))
+        profiles.append(LocalTimeProfile(sites, counts, b - prev))
         prev = b
     return profiles
 
@@ -125,7 +125,6 @@ def simulate_local_times_by_dicts(law, breakpoints, stream):
 
     # chunked accumulation into per-segment dicts
     seg_counts = [dict() for _ in breakpoints]
-    seg_start = [None] * len(breakpoints)
     pos = 0
     t = 0
     seg = 0
@@ -136,8 +135,6 @@ def simulate_local_times_by_dicts(law, breakpoints, stream):
         while lo < take:
             hi = min(take, breakpoints[seg] - t)
             part = chunk[lo:hi]
-            if seg_start[seg] is None:
-                seg_start[seg] = int(part[0])
             sites, counts = _occupation(part)
             d = seg_counts[seg]
             for s, c in zip(sites.tolist(), counts.tolist()):
@@ -152,7 +149,7 @@ def simulate_local_times_by_dicts(law, breakpoints, stream):
     prev = 0
     out = []
     for i, b in enumerate(breakpoints):
-        prof = LocalTimeProfile.from_dict(seg_counts[i], start=seg_start[i])
+        prof = LocalTimeProfile.from_dict(seg_counts[i])
         if prof.length != b - prev:
             raise AssertionError("segment mass mismatch")
         out.append(prof)
@@ -176,7 +173,7 @@ def merge_profiles(p, q):
     counts = np.zeros(sites.size, dtype=np.int64)
     counts[np.searchsorted(sites, p.sites)] += p.counts
     counts[np.searchsorted(sites, q.sites)] += q.counts
-    return LocalTimeProfile(sites, counts, p.length + q.length, p.start)
+    return LocalTimeProfile(sites, counts, p.length + q.length)
 
 
 def profile_stats(p, window=32):
@@ -325,15 +322,14 @@ def origin_local_time_at_range_exit_by_loop(fineness, stream):
         pos = int(block[-1] + steps[-1])
 
 
-def walk_field(walk, T):
-    """Local-time field at horizon T of a frozen `WalkRealization`."""
-    m = walk.fineness
+def walk_field(walk, T, m):
+    """Local-time field at horizon T of a frozen `WalkRealization` of fineness m."""
     mark = int(math.floor(m * T))
     seg = walk.positions[:mark]
     lo = int(seg.min())
     counts = np.bincount(seg - lo).astype(np.float64)
     h = 1.0 / math.sqrt(m)
-    return LocalTimeField(lo, h, counts / math.sqrt(m), float(T), m)
+    return LocalTimeField(lo, h, counts / math.sqrt(m))
 
 
 def sample_delta_path_by_unique(horizon, dt, fineness, stream, walk=None):
@@ -349,15 +345,14 @@ def sample_delta_path_by_unique(horizon, dt, fineness, stream, walk=None):
     n_grid = int(round(horizon / dt))
     total = int(math.floor(m * horizon))
     if walk is None:
-        walk = WalkRealization(embedded_positions_by_loop(total, stream), m)
+        walk = WalkRealization(embedded_positions_by_loop(total, stream))
     positions = walk.positions
     sites, seq = np.unique(positions, return_inverse=True)
     noise = stream.gen.standard_normal(sites.size)
     increments = noise[seq] * m ** -0.75
     cum = np.concatenate([[0.0], np.cumsum(increments)])
     marks = np.minimum((np.arange(n_grid + 1) * dt * m).astype(np.int64), total)
-    times = np.arange(n_grid + 1) * dt
-    return DeltaPath(times, cum[marks], float(dt), m, walk)
+    return DeltaPath(cum[marks], float(dt), walk)
 
 
 def zero_set_boxcount_by_reshape(path, scales, hurst=0.75):

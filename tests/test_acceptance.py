@@ -128,7 +128,7 @@ def test_criterion_4_joint_return_and_uniformity():
 
 def test_criterion_5_increment_correlation():
     lhs, rhs = harness.correlation_ratio(
-        1 << 12, 1.0, 5000, RngStream(9106, 0), fineness=1 << 14,
+        1 << 12, 1.0, 5000, RngStream(9106, 0), STEP, RAD, fineness=1 << 14,
         scenery_draws=128,
     )
     se = math.hypot(lhs.std_error, rhs.std_error)
@@ -339,7 +339,7 @@ def test_criterion_11_level_set_boxcount():
     for _ in range(100):
         incr = rng.standard_normal(n) * math.sqrt(dt)
         vals = np.concatenate([[0.0], np.cumsum(incr)])
-        path = delta_process.DeltaPath(np.arange(n + 1) * dt, vals, dt, n, None)
+        path = delta_process.DeltaPath(vals, dt, None)
         bm_slopes.append(delta_process.zero_set_boxcount(path, scales,
                                                          hurst=0.5).slope)
     bm_mean = float(np.mean(bm_slopes))

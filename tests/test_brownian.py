@@ -29,11 +29,11 @@ from reference import (
 )
 
 
-def scaled(fields):
-    """Field i divided by horizon_i^(3/4): its Gram matrix is the normalized
+def scaled(fields, durations):
+    """Field i divided by durations_i^(3/4): its Gram matrix is the normalized
     one whose smallest eigenvalue drives the small-ball bounds."""
-    return [dataclasses.replace(f, values=f.values / f.horizon ** 0.75)
-            for f in fields]
+    return [dataclasses.replace(f, values=f.values / d ** 0.75)
+            for f, d in zip(fields, durations)]
 
 
 def expected_l2_norm_sq():
@@ -49,9 +49,10 @@ def expected_l2_norm_sq():
 
 def test_field_masses_and_monotonicity():
     stream = RngStream(201, 0)
-    cum, inc = sample_local_time_fields([0.5, 1.0, 2.0], 4096, stream)
-    for field in cum:
-        assert field.mass() == pytest.approx(field.horizon, rel=0.02)
+    T = [0.5, 1.0, 2.0]
+    cum, inc = sample_local_time_fields(T, 4096, stream)
+    for field, horizon in zip(cum, T):
+        assert field.h * field.values.sum() == pytest.approx(horizon, rel=0.02)
     for a, b in zip(cum, cum[1:]):
         assert (b.values >= a.values).all()
     rebuilt = inc[0].values + inc[1].values + inc[2].values
@@ -112,7 +113,7 @@ def test_grid_mismatch_rejected():
 def test_smallest_eigenvalue_is_variational_minimum():
     stream = RngStream(206, 0)
     _, inc = sample_local_time_fields([1.0, 2.0], 1 << 12, stream)
-    g = gram_of_fields(scaled(inc))
+    g = gram_of_fields(scaled(inc, [1.0, 1.0]))
     rng = np.random.default_rng(1)
     best = np.inf
     for _ in range(1000):
@@ -148,7 +149,7 @@ def test_small_ball_decay_of_min_eigenvalue():
     vals = np.empty(replicas)
     for i in range(replicas):
         _, inc = sample_local_time_fields([1.0, 2.0], 1 << 13, root.substream(i))
-        g = gram_of_fields(scaled(inc))
+        g = gram_of_fields(scaled(inc, [1.0, 1.0]))
         vals[i] = np.linalg.eigvalsh(g.entries)[0]
     hits = {eps: int((vals <= eps).sum()) for eps in (0.2, 0.1, 0.05)}
     assert hits[0.1] <= hits[0.2] / 8

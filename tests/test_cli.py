@@ -429,6 +429,22 @@ def test_single_replica_flag_rejected_where_a_spread_is_needed(tmp_path, capsys)
         list)
 
 
+def test_zero_seed_override_is_used(tmp_path):
+    cfg = write_config(tmp_path, BESQ + "\n[run]\nseed = 5\n")
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "--seed", "0"]) == 0
+    manifest = Manifest.from_text((out / "manifest.txt").read_text())
+    assert manifest.master_seed == 0 and manifest.config["seed"] == "0"
+
+
+def test_zero_replicas_override_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, BESQ)
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "--replicas", "0"]) == 1
+    assert "config error: run.replicas:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_inadmissible_segment_runs_when_allowed(tmp_path):
     cfg = write_config(tmp_path, ORACLE.replace("times = 2 4", "times = 2 5"))
     out = tmp_path / "o"

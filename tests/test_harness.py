@@ -130,6 +130,7 @@ def test_scaling_law_identity_at_T_one():
 
 def test_correlation_ratio_reduced_scale():
     lhs, rhs = correlation_ratio(1 << 10, 1.0, 500, RngStream(408, 0),
+                                 StepLaw.simple(), SceneryLaw.rademacher(),
                                  fineness=1 << 12)
     assert agree_within(lhs, rhs, n_sigma=4.0)
     assert lhs.value - 3 * lhs.std_error > 1.0

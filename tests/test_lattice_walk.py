@@ -106,7 +106,7 @@ def test_chunked_profiles_equal_one_shot(monkeypatch):
             for a, b in zip(chunked, one_shot[i]):
                 assert np.array_equal(a.sites, b.sites)
                 assert np.array_equal(a.counts, b.counts)
-                assert (a.length, a.start) == (b.length, b.start)
+                assert a.length == b.length
 
 
 _C = 1 << 20
@@ -133,7 +133,7 @@ def test_profiles_equal_the_dict_accumulating_reference(name):
         for a, b in zip(got, expect):
             assert np.array_equal(a.sites, b.sites)
             assert np.array_equal(a.counts, b.counts)
-            assert (a.length, a.start) == (b.length, b.start)
+            assert a.length == b.length
         assert (stream.gen.bit_generator.random_raw()
                 == ref_stream.gen.bit_generator.random_raw())
 
@@ -183,7 +183,6 @@ def test_profiles_from_realized_steps():
     p1, p2 = profiles_from_steps([1, -1, 1, -1], [2, 4])
     assert p1.as_dict() == {0: 1, 1: 1}
     assert p2.as_dict() == {0: 1, 1: 1}
-    assert p2.start == 0
 
 
 def test_mass_conservation_over_random_trials():

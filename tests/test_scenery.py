@@ -95,7 +95,7 @@ def test_increments_live_on_the_residue_lattice():
 
 def test_shared_scenery_couples_segments():
     p1 = LocalTimeProfile.from_dict({0: 2, 1: 1})
-    p2 = LocalTimeProfile.from_dict({0: 1, 2: 2}, start=0)
+    p2 = LocalTimeProfile.from_dict({0: 1, 2: 2})
     base = evaluate_increments([p1, p2], {0: 1, 1: 1, 2: 1})
     flipped = evaluate_increments([p1, p2], {0: -1, 1: 1, 2: 1})
     assert base[0] - flipped[0] == 2 * 2  # site 0 counted twice in segment 1

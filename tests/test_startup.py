@@ -1,6 +1,7 @@
 """Start-up cost: what `import rwrs` loads, the malloc thresholds of `main`,
-that `src/` exports nothing only the tests use, that walk steps are
-drawn in one module, and that the exact reference enumerates its own paths.
+that `src/` exports nothing only the tests use and holds no result field
+that nothing reads, that walk steps are drawn in one module, and that the
+exact reference enumerates its own paths.
 
 The import checks run in fresh interpreters, since the test process itself
 has loaded scipy.
@@ -19,7 +20,8 @@ import pytest
 from rwrs import cli
 from test_regression import CASES, run_case
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 WATCHED = ("scipy.stats", "scipy.special", "numpy.random")
 # public claim functions that only the acceptance criteria call
 CLAIM_FUNCTIONS = {
@@ -117,6 +119,41 @@ def test_every_export_is_used_in_src():
                     for name in _exports(tree)
                     if name not in used and name not in CLAIM_FUNCTIONS)
     assert trees and not unused
+
+
+def _is_dataclass(node):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    # every annotated field of a dataclass in src/rwrs is read somewhere in
+    # src/ or in the benchmark's child (perfbench/child.py), a read being
+    # an attribute load.  Reads are matched by attribute name alone, so a
+    # field that shares its name with an attribute read on another object
+    # passes unseen: MkResult.replicas and CResult.replicas, never read,
+    # passed because Estimate.replicas and ExperimentConfig.replicas are.
+    # Exempt: TestReport, whose fields reach report.json through asdict,
+    # and ExactResult.exact, the exact rational the oracle tests compare.
+    src = sorted(glob.glob(os.path.join(SRC, "rwrs", "*.py")))
+    trees = {}
+    for path in src + [os.path.join(ROOT, "perfbench", "child.py")]:
+        with open(path, encoding="utf-8") as fh:
+            trees[path] = ast.parse(fh.read())
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = [(cls.name, stmt.target.id) for path in src
+              for cls in ast.walk(trees[path])
+              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              and cls.name != "TestReport"
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    unread = [f"{cls}.{name}" for cls, name in fields
+              if name not in read and (cls, name) != ("ExactResult", "exact")]
+    assert fields and not unread, unread
 
 
 def test_walk_steps_are_drawn_only_in_lattice_walk():
