@@ -232,17 +232,12 @@ def validate_config(path, overrides=None):
     # a subcommand's own checks relate params, so they read only valid ones
     if entry.check is not None and not param_errors:
         errors.extend(entry.check(params, scenery, allow_inadmissible))
-    # each enumeration's budget, checked as the oracle checks it; the
-    # moment's first path takes n_max equal nonzero steps, so it visits
-    # n_max sites and no path visits more
+    # each enumeration's budget, checked as the oracle checks it
     n_k, n_max = params.get("times", [0])[-1], params.get("n_max", 0)
-    budgets = [("times", exact_oracle._check_budget, step, n_k),
-               ("n_max", exact_oracle._check_budget, step, n_max),
-               ("n_max", exact_oracle._check_scenery_budget, scenery, n_max)]
-    for key, check, law, n in budgets:
+    for key, n in (("times", n_k), ("n_max", n_max)):
         try:
-            if key in params and law is not None:
-                check(law, n)
+            if key in params and step is not None:
+                exact_oracle._check_budget(step, n)
         except BudgetExceededError as exc:
             errors.append(f"params.{key}: {exc}")
 
@@ -271,7 +266,7 @@ def _resolve_params(entry, raw):
             continue
         try:
             value = parse(text)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             errors.append(f"params.{key}: {exc}")
             continue
         least = min(value, default=math.inf) if isinstance(value, list) else value

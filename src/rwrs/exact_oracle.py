@@ -1,22 +1,21 @@
 """Exact ground truth at tiny n by total path enumeration.
 
-Every oracle here walks the paths with one plain enumerator, `_paths`,
-which rebuilds each path's positions from its steps.  `Z` at time n reads
-only S_0..S_{n-1}, so an oracle whose last time is n enumerates n - 1
-steps: the final step's numerators sum to its denominator.  Both laws
-must have `Fraction` probabilities, and probabilities accumulate exactly
-over the rationals as integer numerators over a common denominator.
-`exact_joint_return` evaluates the scenery by an exact integer
+One exact algorithm: the joint return.  It walks the paths with one plain
+enumerator, `_paths`, which rebuilds each path's positions from its
+steps.  `Z` at time n reads only S_0..S_{n-1}, so a joint return whose
+last time is n enumerates n - 1 steps: the final step's numerators sum
+to its denominator.  The scenery is evaluated by an exact integer
 convolution shared by every path with the same multiset of per-site
-count rows; the counting moment enumerates the scenery directly.
+count rows.  The counting moment is a surjection-weighted sum of joint
+returns over the sets of at most k times.  Both laws must have
+`Fraction` probabilities, and probabilities accumulate exactly over the
+rationals as integer numerators over a common denominator.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
-
-import numpy as np
+from itertools import accumulate, combinations, product
 
 from .errors import BudgetExceededError
 
@@ -27,7 +26,6 @@ __all__ = [
 ]
 
 _BUDGET = 10 ** 8
-_SCENERY_BUDGET = 4 * 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -46,15 +44,6 @@ def _check_budget(step, n_steps):
             f"{len(step.support)}^{n_steps} paths exceed the {_BUDGET:.0e} budget"
         )
     return count
-
-
-def _check_scenery_budget(scen, n_sites):
-    """The counting moment enumerates every scenery on a path's sites."""
-    if len(scen.support) ** n_sites > _SCENERY_BUDGET:
-        raise BudgetExceededError(
-            f"{len(scen.support)}^{n_sites} scenery assignments exceed the "
-            f"{_SCENERY_BUDGET:.0e} budget"
-        )
 
 
 def _rational_weights(law):
@@ -101,30 +90,21 @@ def _zero_prob_exact(rows, atoms, denom):
     return Fraction(cur.get(zero, 0), denom ** len(rows))
 
 
-def exact_joint_return(step, scen, times):
-    """P(Z at every requested time = 0) by total path enumeration.
+def _joint_exact(step, scen, times):
+    """Exact P(Z_t = 0 for every t in the increasing positive `times`).
 
-    Sums path-probability times the conditional zero-probability given the
-    walk, exactly over the rationals (`ExactResult.exact`).  Exactly 0 when
-    some segment length is off the d0 lattice.  The scenery is i.i.d.
-    across sites, so that conditional probability depends only on the
-    multiset of per-site count rows: the path numerators are summed per
-    multiset and convolved once per distinct multiset.  The rows count
-    the visits of S_0..S_{n_k-1}, so n_k - 1 steps are enumerated.  Both
-    laws need `Fraction` probabilities (ValueError otherwise).
+    The scenery is i.i.d. across sites, so the conditional zero-probability
+    given the walk depends only on the multiset of per-site count rows: the
+    path numerators are summed per multiset and convolved once per distinct
+    multiset.  The rows count the visits of S_0..S_{n_k-1}, so n_k - 1
+    steps are enumerated.
     """
-    times = [int(t) for t in times]
-    if not times or any(t <= 0 for t in times):
-        raise ValueError("times must be positive")
-    if any(b >= c for b, c in zip(times, times[1:])):
-        raise ValueError("times must be increasing")
     n_k = times[-1]
-    count = _check_budget(step, n_k)
     rat_s = _rational_weights(step)
     rat_x = _rational_weights(scen)
     seg_lengths = [b - a for a, b in zip([0] + times[:-1], times)]
     if any(n % scen.d0 for n in seg_lengths):
-        return ExactResult(0.0, count, Fraction(0))
+        return Fraction(0)
     seg_of = [j for j, length in enumerate(seg_lengths) for _ in range(length)]
     weights = {}
     for pos, numerator in _paths(step, n_k - 1):
@@ -136,49 +116,43 @@ def exact_joint_return(step, scen, times):
     atoms = list(zip((int(x) for x in scen.support), rat_x[1]))
     total = sum(w * _zero_prob_exact(key, atoms, rat_x[0])
                 for key, w in weights.items())
-    exact = Fraction(total, rat_s[0] ** (n_k - 1))
+    return Fraction(total, rat_s[0] ** (n_k - 1))
+
+
+def exact_joint_return(step, scen, times):
+    """P(Z at every requested time = 0) by total path enumeration.
+
+    Sums path-probability times the conditional zero-probability given the
+    walk, exactly over the rationals (`ExactResult.exact`).  Exactly 0 when
+    some segment length is off the d0 lattice.  Both laws need `Fraction`
+    probabilities (ValueError otherwise).
+    """
+    times = [int(t) for t in times]
+    if not times or any(t <= 0 for t in times):
+        raise ValueError("times must be positive")
+    if any(b >= c for b, c in zip(times, times[1:])):
+        raise ValueError("times must be increasing")
+    count = _check_budget(step, times[-1])
+    exact = _joint_exact(step, scen, times)
     return ExactResult(float(exact), count, exact)
 
 
 def exact_counting_moment(step, scen, n, k):
-    """Exact E[(number of m <= n with Z_m = 0)^k] by double enumeration.
+    """Exact E[N_n^k], N_n the number of m <= n with Z_m = 0.
 
-    Z_m needs the ordered visit sequence, not just the profile, so the
-    scenery is enumerated (vectorized) on each path's occupied sites, from
-    one table of assignments per occupied-site count.  Z_1..Z_n read only
-    S_0..S_{n-1}, so n - 1 steps are enumerated: the final step's
-    numerators sum to its denominator.  Both laws need `Fraction`
-    probabilities (ValueError otherwise).
+    Expanding the k-th power, each set S of j distinct times is hit by
+    the surj(k, j) maps of the k factors onto S, so
+    E[N_n^k] = sum_{j <= k} surj(k, j) sum_{|S| = j} P(Z_s = 0 for s in S),
+    a sum of exact joint returns.  Both laws need `Fraction` probabilities
+    (ValueError otherwise).
     """
-    n = int(n)
+    n, k = int(n), int(k)
     if n <= 0 or k <= 0:
         raise ValueError("n and k must be positive")
     _check_budget(step, n)
-    rat_s = _rational_weights(step)
-    rat_x = _rational_weights(scen)
-    supportx = np.asarray(scen.support, dtype=np.int64)
-    nums = np.asarray(rat_x[1], dtype=object)
-    nsup = len(scen.support)
-    tables = {}
-
-    def table(r):
-        """Scenery values and numerators of all nsup**r assignments to r sites."""
-        _check_scenery_budget(scen, r)
-        idx = np.arange(nsup ** r)
-        digits = np.empty((idx.size, r), dtype=np.int64)
-        for i in range(r):
-            digits[:, i] = (idx // nsup ** i) % nsup
-        return supportx[digits], nums[digits].prod(axis=1)
-
-    by_r = {}
-    for pos, numerator in _paths(step, n - 1):
-        sites, seq = np.unique(np.asarray(pos, dtype=np.int64), return_inverse=True)
-        r = sites.size
-        if r not in tables:
-            tables[r] = table(r)
-        xi, wscen = tables[r]
-        zeros = (np.cumsum(xi[:, seq], axis=1) == 0).sum(axis=1)
-        combined = np.dot(wscen, zeros.astype(object) ** k)
-        by_r[r] = by_r.get(r, 0) + numerator * int(combined)
-    total = sum(Fraction(num, rat_x[0] ** r) for r, num in by_r.items())
-    return float(total / rat_s[0] ** (n - 1))
+    total = Fraction(0)
+    for j in range(1, min(k, n) + 1):
+        surj = sum((-1) ** i * math.comb(j, i) * (j - i) ** k for i in range(j + 1))
+        total += surj * sum(_joint_exact(step, scen, list(times))
+                            for times in combinations(range(1, n + 1), j))
+    return float(total)

@@ -328,6 +328,11 @@ def counting_moment_curve(step, scen, k, n_list, replicas, stream):
         estimate_from_values(samples[:, j])
         for j in range(len(n_list))
     ]
+    for n, e in zip(n_list, estimates):
+        if e.std_error ** 2 == 0.0:
+            raise DegenerateRatioError(
+                f"n = {n}: every replica gives the same count, so the "
+                "amplitude fit has no finite 1/se^2 weight for it")
     fit = None
     if len(n_list) >= 3:
         fit = fit_power_law(
@@ -336,7 +341,7 @@ def counting_moment_curve(step, scen, k, n_list, replicas, stream):
     # two-parameter amplitude fit: E ~ A n^{k/4} + B, weighted by 1/se^2
     xs = marks.astype(np.float64) ** (k / 4.0)
     ys = np.array([e.value for e in estimates])
-    ws = np.array([1.0 / max(e.std_error, 1e-300) ** 2 for e in estimates])
+    ws = np.array([1.0 / e.std_error ** 2 for e in estimates])
     sw, sx = ws.sum(), float(np.dot(ws, xs))
     sxx = float(np.dot(ws, xs * xs))
     sy, sxy = float(np.dot(ws, ys)), float(np.dot(ws, xs * ys))

@@ -341,9 +341,6 @@ replicas = 5
         (ORACLE.replace("n_max = 4", "n_max = 0"), "params.n_max"),
         (ORACLE.replace("times = 2 4", "times = 40"), "params.times"),
         (ORACLE.replace("n_max = 4", "n_max = 30"), "params.n_max"),
-        # 3^14 sceneries on the 14 sites of the straight path
-        (ORACLE.replace("rademacher", "-1:1/4,0:1/2,1:1/4")
-         .replace("n_max = 4", "n_max = 14"), "params.n_max"),
         # the second segment, 5 - 2 = 3, is odd while d0 = 2
         (ORACLE.replace("times = 2 4", "times = 2 5"), "params.times"),
         # a power-law fit needs three points
@@ -373,6 +370,9 @@ replicas = 5
         (BESQ.replace("draws = 100", "draws = 0"), "params.draws"),
         (BESQ.replace("draws = 100", "draws = 100\ndt = 0"), "params.dt"),
         (BESQ.replace("draws = 100", "draws = 100\ny = -1"), "params.y"),
+        # 1e400 overflows a float, as a scalar and as a list entry
+        (BESQ.replace("draws = 100", "draws = 100\ny = 1e400"), "params.y"),
+        (GRAM_TINY.replace("t_list = 1.0", "t_list = 1 1e400"), "params.t_list"),
         (DELTA.replace("t = 1\n", "t = 1\neps = 0\n"), "params.eps"),
         (DELTA.replace("t = 1\n", "t = 0\n"), "params.t"),
         (DELTA.replace("delta-localtime", "scaling-test").replace("t = 1\n", "t = -1\n"),
@@ -392,7 +392,7 @@ replicas = 5
          "replicas-one-delta", "replicas-one-gram", "boxcount-dt-default",
          "oracle-times-decreasing", "oracle-times-not-positive", "oracle-n_max-zero",
          "oracle-times-over-budget", "oracle-n_max-over-budget",
-         "oracle-n_max-scenery-budget", "oracle-times-inadmissible-segment",
+         "oracle-times-inadmissible-segment",
          "return-curve-two-n", "counting-moments-two-n", "return-curve-k-zero",
          "return-curve-k2-no-ratios", "return-curve-ratios-decreasing",
          "return-curve-ratios-collapse", "return-curve-ratios-with-k1",
@@ -401,7 +401,8 @@ replicas = 5
          "estimate-c-t_list-decreasing", "correlation-t_ratio-negative",
          "correlation-t_ratio-zero", "gram-n-zero", "gram-n-negative",
          "gram-first-horizon-empty", "gram-first-of-two-horizons-empty",
-         "besq-draws-zero", "besq-dt-zero", "besq-y-negative", "delta-eps-zero",
+         "besq-draws-zero", "besq-dt-zero", "besq-y-negative", "besq-y-overflow",
+         "gram-t_list-overflow", "delta-eps-zero",
          "delta-t-zero", "scaling-t-negative", "ray-knight-level-negative",
          "ray-knight-offset-negative", "ray-knight-fineness-zero",
          "return-curve-scenery_draws-zero", "correlation-n-zero",
@@ -443,6 +444,15 @@ def test_zero_replicas_override_rejected(tmp_path, capsys):
     assert main(["--config", cfg, "--out", str(out), "--replicas", "0"]) == 1
     assert "config error: run.replicas:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_oracle_moment_needs_no_scenery_budget(tmp_path):
+    # the moment sums joint returns, so 3 scenery atoms on up to 14 sites
+    # bound nothing beyond the 2^14 paths of the step law
+    cfg = write_config(tmp_path, ORACLE.replace("rademacher", "-1:1/4,0:1/2,1:1/4")
+                       .replace("n_max = 4", "n_max = 14"))
+    assert not isinstance(validate_config(cfg), list)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 def test_oracle_inadmissible_segment_runs_when_allowed(tmp_path):

@@ -99,11 +99,12 @@ def test_rational_joint_return_matches_double_enumeration_asymmetric():
 @pytest.mark.parametrize("scen_name", list(SCENERIES))
 @pytest.mark.parametrize("step_name", list(STEPS))
 def test_rational_counting_moment_matches_per_path_reference(step_name, scen_name):
-    # n = 1 enumerates no step at all, n = 2 a single one
+    # n = 1 enumerates no step at all, n = 2 a single one; only k = 3
+    # tells the surjection counts surj(3, 2) = 6 from 2! = 2
     step = STEPS[step_name]
     scen, _ = SCENERIES[scen_name]
-    for k in (1, 2):
-        for n in range(1, 8):
+    for k, n_top in ((1, 7), (2, 7), (3, 5)):
+        for n in range(1, n_top + 1):
             assert exact_counting_moment(step, scen, n, k) == \
                 counting_moment_per_path(step, scen, n, k), (k, n)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from rwrs.errors import DegenerateRatioError
 from rwrs.simkit import RngStream
 from rwrs.lattice_walk import StepLaw
 from rwrs.scenery import SceneryLaw
@@ -114,6 +115,13 @@ def test_counting_moment_k2_oracle_gate():
     for n, est in zip((4, 8), curve.estimates):
         exact = exact_counting_moment(STEP, RAD, n, 2)
         assert abs(est.value - exact) <= 4 * est.std_error
+
+
+def test_counting_moment_curve_names_a_mark_whose_replicas_agree():
+    # both replicas give the same count at n = 2, so its standard error is
+    # 0 and the amplitude fit's 1/se^2 weight is infinite
+    with pytest.raises(DegenerateRatioError, match="n = 2:"):
+        counting_moment_curve(STEP, RAD, 1, [2, 4, 8], 2, RngStream(3, 0))
 
 
 def test_gram_convergence_self_test():
