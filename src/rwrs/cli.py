@@ -55,7 +55,6 @@ class ExperimentConfig:
     seed: int
     replicas: int
     out_dir: str
-    allow_inadmissible: bool = False
     derived: dict = field(default_factory=dict)
 
     def snapshot(self):
@@ -170,19 +169,15 @@ def validate_config(path, overrides=None):
             return parser[section][key]
         return default
 
-    step = scenery = None
-    if "step" in entry.laws:
-        try:
-            step = StepLaw.from_dict(_parse_law_text(get("laws", "step", "simple")))
-        except (ValueError, ZeroDivisionError) as exc:
-            errors.append(f"laws.step: {exc}")
-    if "scenery" in entry.laws:
-        try:
-            scenery = SceneryLaw.from_dict(
-                _parse_law_text(get("laws", "scenery", "rademacher"))
-            )
-        except (ValueError, AssertionError, ZeroDivisionError) as exc:
-            errors.append(f"laws.scenery: {exc}")
+    laws = {}
+    for name, law, default in (("step", StepLaw, "simple"),
+                               ("scenery", SceneryLaw, "rademacher")):
+        if name in entry.laws:
+            try:
+                laws[name] = law.from_dict(_parse_law_text(get("laws", name, default)))
+            except (ValueError, AssertionError, ZeroDivisionError) as exc:
+                errors.append(f"laws.{name}: {exc}")
+    step, scenery = laws.get("step"), laws.get("scenery")
 
     # an override counts whenever it is given, 0 included
     overrides = overrides or {}
@@ -204,7 +199,6 @@ def validate_config(path, overrides=None):
         errors.append("run.replicas: not an integer")
         replicas = 1
     out_dir = overrides.get("out", get("run", "out", _DEFAULTS["out"]))
-    allow_inadmissible = bool(overrides.get("allow_inadmissible", False))
 
     raw_params = dict(parser["params"]) if parser.has_section("params") else {}
     params, param_errors = _resolve_params(entry, raw_params)
@@ -215,31 +209,12 @@ def validate_config(path, overrides=None):
         derived.update(
             {"sigma2": scenery.sigma2, "d": scenery.d, "d0": scenery.d0}
         )
-        # the oracle's segments are the gaps between its times
-        times = params.get("times", [])
-        lengths = {"n_list": params.get("n_list", []),
-                   "times": [b - a for a, b in zip([0] + times, times)]}
-        for key, ns in lengths.items():
-            bad = [n for n in ns if n % scenery.d0]
-            if bad and not allow_inadmissible:
-                errors.append(
-                    f"params.{key}: length {bad[0]} violates the d0-divisibility "
-                    f"constraint (d0={scenery.d0}); inadmissible times have "
-                    "probability exactly 0 (pass --allow-inadmissible to force)"
-                )
     if step is not None:
         derived["step_variance"] = step.variance
-    # a subcommand's own checks relate params, so they read only valid ones
-    if entry.check is not None and not param_errors:
-        errors.extend(entry.check(params, scenery, allow_inadmissible))
-    # each enumeration's budget, checked as the oracle checks it
-    n_k, n_max = params.get("times", [0])[-1], params.get("n_max", 0)
-    for key, n in (("times", n_k), ("n_max", n_max)):
-        try:
-            if key in params and step is not None:
-                exact_oracle._check_budget(step, n)
-        except BudgetExceededError as exc:
-            errors.append(f"params.{key}: {exc}")
+    # a subcommand's own checks relate its params and laws, so they run
+    # once every param and law they read is valid
+    if entry.check is not None and not param_errors and len(laws) == len(entry.laws):
+        errors.extend(entry.check(params, step, scenery))
 
     if errors:
         return errors
@@ -251,7 +226,6 @@ def validate_config(path, overrides=None):
         seed=seed,
         replicas=replicas,
         out_dir=out_dir,
-        allow_inadmissible=allow_inadmissible,
         derived=derived,
     )
 
@@ -336,9 +310,11 @@ def _oracle(config, p, stream, report):
 
 
 def _return_curve(config, p, stream, report):
-    if config.allow_inadmissible:
+    if p["n_list"][0] % config.scenery.d0:
+        # every n is off the d0 lattice and k = 1 (validated): P(Z_n = 0)
+        # is exactly 0 there, and the run checks that each estimate is
         rows = []
-        for n in p["n_list"]:  # k = 1 and every n inadmissible (validated)
+        for n in p["n_list"]:
             est = harness.estimate_from_values(
                 harness._return_values_k1(config.step, config.scenery, n,
                                           config.replicas, stream))
@@ -463,44 +439,57 @@ def _boxcount(config, p, stream, report):
 
 
 def _check_fit_points(p):
-    if "n_list" in p and len(p["n_list"]) < 3:
+    if len(p["n_list"]) < 3:
         return ["params.n_list: a power-law fit needs at least 3 values"]
     return []
 
 
-def _check_return_curve(p, scenery, allow_inadmissible):
-    k, ratios, ns = p.get("k", 1), p.get("t_ratios"), p.get("n_list", [])
+def _check_oracle(p, step, scenery):
+    # each enumeration's budget, checked as the oracle checks it
+    errors = []
+    for key, n in (("times", p["times"][-1]), ("n_max", p["n_max"])):
+        try:
+            exact_oracle._check_budget(step, n)
+        except BudgetExceededError as exc:
+            errors.append(f"params.{key}: {exc}")
+    return errors
+
+
+def _check_return_curve(p, step, scenery):
+    k, ratios, ns = p["k"], p.get("t_ratios"), p["n_list"]
+    # on the d0 lattice the run is a return curve; off it, P(Z_n = 0) is
+    # exactly 0 and the run is the exact-zero check of that, at k = 1
+    off = [n for n in ns if n % scenery.d0]
+    if off and len(off) < len(ns):
+        return [f"params.n_list: length {off[0]} violates the d0-divisibility "
+                f"constraint (d0={scenery.d0}) that other lengths meet; every n "
+                "on the lattice runs a return curve, every n off it checks that "
+                "P(Z_n = 0) is exactly 0"]
+    if off and k != 1:
+        return [f"params.k: every n is off the d0 = {scenery.d0} lattice, where "
+                "only P(Z_n = 0) is checked, so k must be 1"]
     errors = []
     if k == 1 and ratios is not None:
         errors.append("params.t_ratios: unused when k = 1")
     elif k > 1 and (ratios is None or len(ratios) != k):
         errors.append(f"params.t_ratios: k = {k} needs {k} T ratios, one per time")
-    elif k > 1 and scenery is not None:
+    elif k > 1:
         try:
             for n in ns:
                 harness._joint_times(n, ratios, scenery.d0)
         except ValueError as exc:
             errors.append(f"params.t_ratios: {exc}")
-    if not allow_inadmissible:
-        return errors + _check_fit_points(p)
-    # the flag runs the exact-zero check of P(Z_n = 0) and nothing else
-    if k != 1:
-        errors.append("params.k: --allow-inadmissible checks P(Z_n = 0) alone, "
-                      "so k must be 1")
-    if scenery is not None and any(n % scenery.d0 == 0 for n in ns):
-        errors.append("params.n_list: with --allow-inadmissible every n must be "
-                      f"off the d0 = {scenery.d0} lattice")
-    return errors
+    return errors if off else errors + _check_fit_points(p)
 
 
-def _check_counting_moments(p, scenery, allow_inadmissible):
+def _check_counting_moments(p, step, scenery):
     errors = _check_fit_points(p)
-    if p.get("k", 1) not in (1, 2, 3):
+    if p["k"] not in (1, 2, 3):
         errors.append("params.k: must be 1, 2 or 3")
     return errors
 
 
-def _check_gram(p, scenery, allow_inadmissible):
+def _check_gram(p, step, scenery):
     # the walk side counts the visits of the first floor(n * t) steps, so a
     # first horizon without a step gives a Gram entry that is identically 0
     if math.floor(p["n"] * p["t_list"][0]) < 1:
@@ -509,10 +498,10 @@ def _check_gram(p, scenery, allow_inadmissible):
     return []
 
 
-def _check_correlation_ratio(p, scenery, allow_inadmissible):
+def _check_correlation_ratio(p, step, scenery):
     # the ratio is taken at n on the d0 lattice, so an n off it would be
-    # reported for a run at another n, with or without the flag
-    if scenery is not None and p["n"] % scenery.d0:
+    # reported for a run at another n
+    if p["n"] % scenery.d0:
         return [f"params.n: {p['n']} violates the d0-divisibility constraint "
                 f"(d0={scenery.d0}); the ratio runs only at multiples of d0"]
     return []
@@ -529,15 +518,15 @@ class _Subcommand:
     spread: bool = True
     # samples Brownian local-time fields, which need 10^3 steps
     fields: bool = False
-    # (params, scenery, allow_inadmissible) -> errors, for constraints
-    # between params that no other subcommand shares
+    # (params, step, scenery) -> errors, for constraints between params
+    # and laws that no other subcommand shares; it reads only valid ones
     check: object = None
 
 
 _SUBCOMMANDS = {
     "analyze-law": _Subcommand({"scenery"}, set(), _analyze_law, spread=False),
     "oracle": _Subcommand({"step", "scenery"}, {"times", "n_max"}, _oracle,
-                          spread=False),
+                          spread=False, check=_check_oracle),
     "return-curve": _Subcommand({"step", "scenery"},
                                 {"n_list", "k", "t_ratios", "scenery_draws"},
                                 _return_curve, check=_check_return_curve),
@@ -631,12 +620,9 @@ def main(argv=None):
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--replicas", type=int, default=None,
                         help="replica-count override")
-    parser.add_argument("--allow-inadmissible", action="store_true",
-                        help="run inadmissible times and assert exact zeros")
     args = parser.parse_args(argv)
 
-    overrides = {"seed": args.seed, "out": args.out, "replicas": args.replicas,
-                 "allow_inadmissible": args.allow_inadmissible}
+    overrides = {"seed": args.seed, "out": args.out, "replicas": args.replicas}
     overrides = {k: v for k, v in overrides.items() if v is not None}
     config = validate_config(args.config, overrides)
     if isinstance(config, list):

@@ -144,12 +144,24 @@ def exact_counting_moment(step, scen, n, k):
     the surj(k, j) maps of the k factors onto S, so
     E[N_n^k] = sum_{j <= k} surj(k, j) sum_{|S| = j} P(Z_s = 0 for s in S),
     a sum of exact joint returns.  Both laws need `Fraction` probabilities
-    (ValueError otherwise).
+    (ValueError otherwise); BudgetExceededError is raised before any
+    enumeration when |support|^n, or the paths those joint returns
+    enumerate, exceed the budget.
     """
     n, k = int(n), int(k)
     if n <= 0 or k <= 0:
         raise ValueError("n and k must be positive")
     _check_budget(step, n)
+    # the C(m-1, j-1) sets of j times with last time m enumerate
+    # |support|^(m-1) paths each; at k = 1 that is below |support|^n
+    b = len(step.support)
+    count = sum(math.comb(m - 1, j - 1) * b ** (m - 1)
+                for j in range(1, min(k, n) + 1) for m in range(j, n + 1))
+    if count > _BUDGET:
+        raise BudgetExceededError(
+            f"the k = {k} moment at n = {n} enumerates {count} paths, "
+            f"over the {_BUDGET:.0e} budget"
+        )
     total = Fraction(0)
     for j in range(1, min(k, n) + 1):
         surj = sum((-1) ** i * math.comb(j, i) * (j - i) ** k for i in range(j + 1))

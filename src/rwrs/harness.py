@@ -362,19 +362,14 @@ def counting_moment_curve(step, scen, k, n_list, replicas, stream):
 def _walk_gram_samples(step, n, T_list, replicas, stream):
     """Samples of sigma_S * n^{-3/2} <N_[nTi], N_[nTj]> for every pair."""
     marks = [int(math.floor(n * t)) for t in T_list]
-    k = len(marks)
     sigma = math.sqrt(step.variance)
 
     def task(sub):
         positions = _walk_positions(step.sample_steps, marks[-1], sub)
-        # cumulative visit counts N_[nTi], exact in integers
+        # cumulative visit counts N_[nTi] and their inner products, exact
+        # in integers
         counts = np.cumsum(_segment_counts(positions, marks)[1], axis=0)
-        out = np.empty((k, k))
-        for i in range(k):
-            for j in range(i, k):
-                v = sigma * float(np.dot(counts[i], counts[j])) * n ** -1.5
-                out[i, j] = out[j, i] = v
-        return out
+        return sigma * (counts @ counts.T) * n ** -1.5
 
     return replicate(task, replicas, stream)
 

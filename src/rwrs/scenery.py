@@ -32,6 +32,7 @@ __all__ = [
 
 _LOG_FLOOR = -800.0  # exp underflows to an exact 0.0 well before this
 _ENUMERATE_LIMIT = 4096  # shared-site sceneries enumerated rather than sampled
+_BLOCK = 512  # profiles per ReturnProbTable product
 
 
 class SceneryLaw(_FiniteLaw):
@@ -308,7 +309,7 @@ class ReturnProbTable:
     def __init__(self, law):
         self.law = law
 
-    def evaluate(self, profiles, block=512):
+    def evaluate(self, profiles):
         law = self.law
         out = np.zeros(len(profiles))
         d0 = law.d0
@@ -336,8 +337,8 @@ class ReturnProbTable:
         del phi
         w = np.full(half + 1, 2.0 / nodes)
         w[0] = w[-1] = 1.0 / nodes
-        for lo in range(0, len(todo), block):
-            batch = todo[lo : lo + block]
+        for lo in range(0, len(todo), _BLOCK):
+            batch = todo[lo : lo + _BLOCK]
             mults = np.empty((len(batch), cmax))
             for row, i in enumerate(batch):
                 c = profiles[i].counts

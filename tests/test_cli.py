@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from rwrs import harness
 from rwrs.cli import ExperimentConfig, export_results, main, validate_config
 from rwrs.simkit import Manifest
 
@@ -111,10 +113,11 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
 
 
 def test_allow_inadmissible_reports_exact_zero(tmp_path):
+    # every n off the d0 lattice: return-curve checks that P(Z_n = 0) is 0
     bad = MINIMAL.replace("n_list = 8 16 32", "n_list = 7 9 11")
     cfg = write_config(tmp_path, bad)
     out = tmp_path / "inad"
-    code = main(["--config", cfg, "--out", str(out), "--allow-inadmissible"])
+    code = main(["--config", cfg, "--out", str(out)])
     assert code == 0
     body = (out / "results.csv").read_text().splitlines()[1:]
     assert [line.split(",")[:3] for line in body] == \
@@ -124,24 +127,47 @@ def test_allow_inadmissible_reports_exact_zero(tmp_path):
 @pytest.mark.parametrize(
     "config, field",
     [
-        (MINIMAL, "params.n_list"),
         (MINIMAL.replace("n_list = 8 16 32", "n_list = 7 8 16 32"), "params.n_list"),
         (MINIMAL.replace("n_list = 8 16 32", "n_list = 7 9 11")
          .replace("k = 1", "k = 2\nt_ratios = 1 2"), "params.k"),
     ],
-    ids=["all-admissible", "some-admissible", "k2"],
+    ids=["some-admissible", "k2"],
 )
 def test_allow_inadmissible_return_curve_is_the_exact_zero_check_alone(
         tmp_path, capsys, config, field):
-    # the flag runs P(Z_n = 0) at k = 1 with every n off the d0 lattice
+    # lengths off the d0 lattice run P(Z_n = 0) at k = 1, and only when
+    # every n is off it
     cfg = write_config(tmp_path, config)
-    errors = validate_config(cfg, {"allow_inadmissible": True})
+    errors = validate_config(cfg)
     assert isinstance(errors, list)
     assert any(e.startswith(field + ":") for e in errors)
     out = tmp_path / "o"
-    assert main(["--config", cfg, "--out", str(out), "--allow-inadmissible"]) == 1
-    assert f"config error: {field}:" in capsys.readouterr().err
+    assert main(["--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {field}:" in err
+    assert field != "params.n_list" or "d0-divisibility" in err
     assert not out.exists()
+
+
+def test_exact_zero_check_fails_on_a_nonzero_estimate(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "_return_values_k1",
+                        lambda step, scen, n, replicas, stream: np.full(replicas, 0.5))
+    cfg = write_config(tmp_path, MINIMAL.replace("n_list = 8 16 32", "n_list = 7 9 11"))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "runtime error: inadmissible time n=7 has nonzero estimate 0.5" \
+        in capsys.readouterr().err
+
+
+def test_counting_moments_run_off_the_lattice(tmp_path):
+    # N_n counts the returns up to any n, so n need not be a multiple of d0
+    cfg = write_config(tmp_path, MINIMAL.replace("return-curve", "counting-moments")
+                       .replace("n_list = 8 16 32", "n_list = 63 127 255"))
+    assert isinstance(validate_config(cfg), ExperimentConfig)
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    body = (out / "results.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[:2] for line in body] == \
+        [["zero_count_moment_k1", n] for n in ("63", "127", "255")]
 
 
 GRAM_TINY = """
@@ -341,8 +367,6 @@ replicas = 5
         (ORACLE.replace("n_max = 4", "n_max = 0"), "params.n_max"),
         (ORACLE.replace("times = 2 4", "times = 40"), "params.times"),
         (ORACLE.replace("n_max = 4", "n_max = 30"), "params.n_max"),
-        # the second segment, 5 - 2 = 3, is odd while d0 = 2
-        (ORACLE.replace("times = 2 4", "times = 2 5"), "params.times"),
         # a power-law fit needs three points
         (MINIMAL.replace("n_list = 8 16 32", "n_list = 8 16"), "params.n_list"),
         (COUNTING.replace("n_list = 8 16 32", "n_list = 8 16"), "params.n_list"),
@@ -392,7 +416,6 @@ replicas = 5
          "replicas-one-delta", "replicas-one-gram", "boxcount-dt-default",
          "oracle-times-decreasing", "oracle-times-not-positive", "oracle-n_max-zero",
          "oracle-times-over-budget", "oracle-n_max-over-budget",
-         "oracle-times-inadmissible-segment",
          "return-curve-two-n", "counting-moments-two-n", "return-curve-k-zero",
          "return-curve-k2-no-ratios", "return-curve-ratios-decreasing",
          "return-curve-ratios-collapse", "return-curve-ratios-with-k1",
@@ -456,8 +479,9 @@ def test_oracle_moment_needs_no_scenery_budget(tmp_path):
 
 
 def test_oracle_inadmissible_segment_runs_when_allowed(tmp_path):
+    # the second segment, 5 - 2 = 3, is odd while d0 = 2: exactly 0
     cfg = write_config(tmp_path, ORACLE.replace("times = 2 4", "times = 2 5"))
     out = tmp_path / "o"
-    assert main(["--config", cfg, "--out", str(out), "--allow-inadmissible"]) == 0
+    assert main(["--config", cfg, "--out", str(out)]) == 0
     rows = (out / "results.csv").read_text().splitlines()
     assert rows[1] == "exact_joint_return,5,0,0"

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rwrs import exact_oracle
 from rwrs.errors import BudgetExceededError
 from rwrs.lattice_walk import StepLaw
 from rwrs.scenery import SceneryLaw
@@ -210,3 +211,14 @@ def test_budget_enforced():
         exact_joint_return(STEP, RAD, [60])
     with pytest.raises(BudgetExceededError):
         exact_counting_moment(STEP, RAD, 64, 1)
+
+
+def test_moment_budget_counts_every_set_of_times(monkeypatch):
+    # at k = 2 the sets {m} and {i, m}, i < m <= 8, enumerate
+    # sum_m m * 2^(m-1) = 1,793 paths, while 2^8 = 256 passes _check_budget;
+    # at k = 1 the 255 paths of the sets {m} fit
+    monkeypatch.setattr(exact_oracle, "_BUDGET", 1000)
+    with pytest.raises(BudgetExceededError, match="1793 paths"):
+        exact_counting_moment(STEP, RAD, 8, 2)
+    assert exact_counting_moment(STEP, RAD, 8, 1) == \
+        counting_moment_per_path(STEP, RAD, 8, 1)

@@ -128,7 +128,7 @@ CASES = {
     "return-curve-inadmissible": (
         "[experiment]\nsubcommand = return-curve\n" + SIMPLE
         + "[params]\nn_list = 7 9 11\nk = 1\n[run]\nreplicas = 30\n",
-        ["--allow-inadmissible"],
+        [],
         "f6a38745f6e07d718d9ca0f4753a415d2a8128604925b58f4da522203b112e9a",
         "2d35bc1e290a99048ab1310cf40e47093a03187b2ae16b7e71e3f895f786c322",
     ),

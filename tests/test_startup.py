@@ -1,7 +1,8 @@
 """Start-up cost: what `import rwrs` loads, the malloc thresholds of `main`,
 that `src/` exports nothing only the tests use and holds no result field
-that nothing reads, that walk steps are drawn in one module, and that the
-exact reference enumerates its own paths.
+that nothing reads, that `cli.validate_config` names no param, that walk
+steps are drawn in one module, and that the exact reference enumerates its
+own paths.
 
 The import checks run in fresh interpreters, since the test process itself
 has loaded scipy.
@@ -10,10 +11,12 @@ has loaded scipy.
 import ast
 import glob
 import hashlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -119,6 +122,15 @@ def test_every_export_is_used_in_src():
                     for name in _exports(tree)
                     if name not in used and name not in CLAIM_FUNCTIONS)
     assert trees and not unused
+
+
+def test_validate_config_names_no_param():
+    # every rule about a param lives with the param table or in a
+    # subcommand's own check, so validate_config reads no param by name
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cli.validate_config)))
+    named = sorted({node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and node.value in cli._PARAMS})
+    assert not named, named
 
 
 def _is_dataclass(node):
