@@ -1,7 +1,7 @@
 """Simulation and estimation laboratory for random walks in random scenery.
 
 Subpackages cover the discrete side (lattice walks, sceneries, exact
-enumeration oracles), the continuum side (Brownian local-time fields, Gram
+oracles), the continuum side (Brownian local-time fields, Gram
 functionals, Brownian motion in random scenery and its local time), and the
 harness tying the two together through scaling-law estimates.
 """

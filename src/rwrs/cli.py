@@ -445,7 +445,7 @@ def _check_fit_points(p):
 
 
 def _check_oracle(p, step, scenery):
-    # each enumeration's budget, checked as the oracle checks it
+    # each oracle's path budget, checked as the oracle checks it
     errors = []
     for key, n in (("times", p["times"][-1]), ("n_max", p["n_max"])):
         try:

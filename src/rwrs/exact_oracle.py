@@ -1,21 +1,26 @@
-"""Exact ground truth at tiny n by total path enumeration.
+"""Exact ground truth at small n by dynamic programming over walk states.
 
-One exact algorithm: the joint return.  It walks the paths with one plain
-enumerator, `_paths`, which rebuilds each path's positions from its
-steps.  `Z` at time n reads only S_0..S_{n-1}, so a joint return whose
-last time is n enumerates n - 1 steps: the final step's numerators sum
-to its denominator.  The scenery is evaluated by an exact integer
-convolution shared by every path with the same multiset of per-site
-count rows.  The counting moment is a surjection-weighted sum of joint
-returns over the sets of at most k times.  Both laws must have
-`Fraction` probabilities, and probabilities accumulate exactly over the
-rationals as integer numerators over a common denominator.
+One exact algorithm: the joint return, by one forward pass over walk
+states.  A state is the walk's position relative to its visited range
+and the per-site count rows over that range, one column per segment
+between requested times; a segment's column is frozen once its time has
+passed.  Its weight is the integer numerator of every path that reaches
+it, so paths that reach the same state are merged.  `Z` at time m reads
+only S_0..S_{m-1}, so after m - 1 steps the pass reads off the return at
+m: the states are grouped by their multiset of nonzero rows, and each
+group is evaluated by one exact integer convolution over the scenery.
+One pass after a fixed head of earlier times reads every last time up to
+n.  The counting moment is a surjection-weighted sum of those passes over
+the heads of at most k - 1 times.  Both laws must have `Fraction`
+probabilities, and probabilities accumulate exactly over the rationals as
+integer numerators over a common denominator.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, product
+from itertools import combinations
 
 from .errors import BudgetExceededError
 
@@ -30,7 +35,11 @@ _BUDGET = 10 ** 8
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Exact rational value, its float, and the |support|^n paths it sums over."""
+    """Exact rational value and its float.
+
+    `path_count` is the |support|^n paths that the value sums over, not the
+    work done: the dynamic program merges them into far fewer states.
+    """
 
     value: float
     path_count: int
@@ -58,19 +67,6 @@ def _rational_weights(law):
     return denom, nums
 
 
-def _paths(step, n_steps):
-    """Every path of n_steps steps, in lexicographic order of its steps.
-
-    Yields (positions, numerator) per path: the positions S_0..S_{n_steps}
-    and the path probability over the step law's common denominator to
-    the power n_steps.
-    """
-    atoms = list(zip((int(x) for x in step.support), _rational_weights(step)[1]))
-    for path in product(atoms, repeat=n_steps):
-        yield (list(accumulate((x for x, _ in path), initial=0)),
-               math.prod(num for _, num in path))
-
-
 def _zero_prob_exact(rows, atoms, denom):
     """Exact P(every weighted scenery sum is 0) given per-site count rows.
 
@@ -90,39 +86,65 @@ def _zero_prob_exact(rows, atoms, denom):
     return Fraction(cur.get(zero, 0), denom ** len(rows))
 
 
-def _joint_exact(step, scen, times):
-    """Exact P(Z_t = 0 for every t in the increasing positive `times`).
+def _advance(states, moves, col, k):
+    """One step of every state, the arrival counted in column `col`."""
+    nxt = {}
+    for (pos, rows), w in states.items():
+        width = len(rows) // k
+        for x, num in moves:
+            p, r = pos + x, rows
+            if p < 0:
+                p, r = 0, (0,) * (-p * k) + r
+            elif p >= width:
+                r = r + (0,) * ((p - width + 1) * k)
+            i = p * k + col
+            key = (p, r[:i] + (r[i] + 1,) + r[i + 1:])
+            nxt[key] = nxt.get(key, 0) + w * num
+    return nxt
 
-    The scenery is i.i.d. across sites, so the conditional zero-probability
-    given the walk depends only on the multiset of per-site count rows: the
-    path numerators are summed per multiset and convolved once per distinct
-    multiset.  The rows count the visits of S_0..S_{n_k-1}, so n_k - 1
-    steps are enumerated.
+
+def _joint_exact(step, scen, head, lasts):
+    """Exact sum over m in `lasts` of P(Z_s = 0 for s in `head`, and at m).
+
+    `head` holds the increasing positive earlier times; an m that does not
+    exceed them is skipped.  A state is (position relative to the leftmost
+    visited site, the flat count rows from there to the rightmost), and
+    the scenery is i.i.d. across sites, so only the multiset of nonzero
+    rows reaches the convolution.
     """
-    n_k = times[-1]
-    rat_s = _rational_weights(step)
-    rat_x = _rational_weights(scen)
-    seg_lengths = [b - a for a, b in zip([0] + times[:-1], times)]
-    if any(n % scen.d0 for n in seg_lengths):
+    denom_s, nums_s = _rational_weights(step)
+    moves = list(zip((int(x) for x in step.support), nums_s))
+    denom_x, nums_x = _rational_weights(scen)
+    atoms = list(zip((int(x) for x in scen.support), nums_x))
+    k = len(head) + 1
+    bounds = [0, *head]
+    if any((b - a) % scen.d0 for a, b in zip(bounds, head)):
         return Fraction(0)
-    seg_of = [j for j, length in enumerate(seg_lengths) for _ in range(length)]
-    weights = {}
-    for pos, numerator in _paths(step, n_k - 1):
-        rows = {}
-        for site, j in zip(pos, seg_of):
-            rows.setdefault(site, [0] * len(times))[j] += 1
-        key = tuple(sorted(map(tuple, rows.values())))
-        weights[key] = weights.get(key, 0) + numerator
-    atoms = list(zip((int(x) for x in scen.support), rat_x[1]))
-    total = sum(w * _zero_prob_exact(key, atoms, rat_x[0])
-                for key, w in weights.items())
-    return Fraction(total, rat_s[0] ** (n_k - 1))
+    lasts = {m for m in lasts
+             if m > bounds[-1] and (m - bounds[-1]) % scen.d0 == 0}
+    if not lasts:
+        return Fraction(0)
+    states = {(0, (1,) + (0,) * (k - 1)): 1}
+    total = Fraction(0)
+    for m in range(1, max(lasts) + 1):
+        if m > 1:
+            states = _advance(states, moves, bisect_right(head, m - 1), k)
+        if m in lasts:
+            weights = {}
+            for (_, rows), w in states.items():
+                # the flat rows, k counts per site, unvisited sites dropped
+                key = tuple(sorted(r for r in zip(*[iter(rows)] * k) if any(r)))
+                weights[key] = weights.get(key, 0) + w
+            total += Fraction(sum(w * _zero_prob_exact(key, atoms, denom_x)
+                                  for key, w in weights.items()),
+                              denom_s ** (m - 1))
+    return total
 
 
 def exact_joint_return(step, scen, times):
-    """P(Z at every requested time = 0) by total path enumeration.
+    """P(Z at every requested time = 0) by one pass over walk states.
 
-    Sums path-probability times the conditional zero-probability given the
+    Sums state weight times the conditional zero-probability given the
     walk, exactly over the rationals (`ExactResult.exact`).  Exactly 0 when
     some segment length is off the d0 lattice.  Both laws need `Fraction`
     probabilities (ValueError otherwise).
@@ -133,7 +155,7 @@ def exact_joint_return(step, scen, times):
     if any(b >= c for b, c in zip(times, times[1:])):
         raise ValueError("times must be increasing")
     count = _check_budget(step, times[-1])
-    exact = _joint_exact(step, scen, times)
+    exact = _joint_exact(step, scen, times[:-1], [times[-1]])
     return ExactResult(float(exact), count, exact)
 
 
@@ -144,15 +166,15 @@ def exact_counting_moment(step, scen, n, k):
     the surj(k, j) maps of the k factors onto S, so
     E[N_n^k] = sum_{j <= k} surj(k, j) sum_{|S| = j} P(Z_s = 0 for s in S),
     a sum of exact joint returns.  Both laws need `Fraction` probabilities
-    (ValueError otherwise); BudgetExceededError is raised before any
-    enumeration when |support|^n, or the paths those joint returns
-    enumerate, exceed the budget.
+    (ValueError otherwise); BudgetExceededError is raised before any pass
+    when |support|^n, or the paths those joint returns sum over, exceed the
+    budget.  One pass per head of j - 1 times reads every last time.
     """
     n, k = int(n), int(k)
     if n <= 0 or k <= 0:
         raise ValueError("n and k must be positive")
     _check_budget(step, n)
-    # the C(m-1, j-1) sets of j times with last time m enumerate
+    # the C(m-1, j-1) sets of j times with last time m sum over
     # |support|^(m-1) paths each; at k = 1 that is below |support|^n
     b = len(step.support)
     count = sum(math.comb(m - 1, j - 1) * b ** (m - 1)
@@ -165,6 +187,6 @@ def exact_counting_moment(step, scen, n, k):
     total = Fraction(0)
     for j in range(1, min(k, n) + 1):
         surj = sum((-1) ** i * math.comb(j, i) * (j - i) ** k for i in range(j + 1))
-        total += surj * sum(_joint_exact(step, scen, list(times))
-                            for times in combinations(range(1, n + 1), j))
+        total += surj * sum(_joint_exact(step, scen, head, range(1, n + 1))
+                            for head in combinations(range(1, n), j - 1))
     return float(total)

@@ -1,7 +1,7 @@
 """Reference oracles that cross-check `rwrs.exact_oracle`.
 
 These are slow, direct implementations kept only for the tests: the
-per-path rational joint return (one Fraction convolution per path), the
+per-path rational joint return (one exact convolution per path), the
 per-path counting moment, a brute-force double enumeration over paths
 and sceneries with no conditional factorization, and the characteristic
 function of the segment increments, summed in compensated floating point.
@@ -66,19 +66,24 @@ class _Neumaier:
 
 
 def pmf_exact_at_zero(counts_matrix, scen):
-    """Exact rational P(all weighted scenery sums are 0) by dict convolution."""
+    """Exact rational P(all weighted scenery sums are 0) by dict convolution.
+
+    The weights are integer numerators over denom ** (rows so far), so a
+    single Fraction is built, at the end.
+    """
     denom, nums = _rational_weights(scen)
-    cur = {tuple([0] * counts_matrix.shape[1]): Fraction(1)}
-    atoms = list(zip(scen.support, [Fraction(n, denom) for n in nums]))
-    for row in counts_matrix:
+    zero = tuple([0] * counts_matrix.shape[1])
+    cur = {zero: 1}
+    atoms = list(zip([int(x) for x in scen.support], nums))
+    rows = counts_matrix.tolist()
+    for row in rows:
         nxt = {}
         for key, w in cur.items():
-            for x, p in atoms:
-                new = tuple(key[i] + int(row[i]) * int(x) for i in range(len(key)))
-                nxt[new] = nxt.get(new, Fraction(0)) + w * p
+            for x, num in atoms:
+                new = tuple(key[i] + row[i] * x for i in range(len(key)))
+                nxt[new] = nxt.get(new, 0) + w * num
         cur = nxt
-    zero = tuple([0] * counts_matrix.shape[1])
-    return cur.get(zero, Fraction(0))
+    return Fraction(cur.get(zero, 0), denom ** len(rows))
 
 
 def joint_return_per_path(step, scen, times):

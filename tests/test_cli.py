@@ -112,7 +112,7 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
     assert "d0-divisibility" in capsys.readouterr().err
 
 
-def test_allow_inadmissible_reports_exact_zero(tmp_path):
+def test_return_curve_off_the_lattice_reports_exact_zero(tmp_path):
     # every n off the d0 lattice: return-curve checks that P(Z_n = 0) is 0
     bad = MINIMAL.replace("n_list = 8 16 32", "n_list = 7 9 11")
     cfg = write_config(tmp_path, bad)
@@ -133,7 +133,7 @@ def test_allow_inadmissible_reports_exact_zero(tmp_path):
     ],
     ids=["some-admissible", "k2"],
 )
-def test_allow_inadmissible_return_curve_is_the_exact_zero_check_alone(
+def test_return_curve_off_the_lattice_rejects_a_mix_or_k_above_1(
         tmp_path, capsys, config, field):
     # lengths off the d0 lattice run P(Z_n = 0) at k = 1, and only when
     # every n is off it
@@ -478,7 +478,7 @@ def test_oracle_moment_needs_no_scenery_budget(tmp_path):
     assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
-def test_oracle_inadmissible_segment_runs_when_allowed(tmp_path):
+def test_oracle_off_the_lattice_segment_writes_exact_zero(tmp_path):
     # the second segment, 5 - 2 = 3, is odd while d0 = 2: exactly 0
     cfg = write_config(tmp_path, ORACLE.replace("times = 2 4", "times = 2 5"))
     out = tmp_path / "o"

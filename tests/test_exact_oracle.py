@@ -77,8 +77,8 @@ def test_rational_joint_return_matches_per_path_reference(step_name, scen_name):
 
 @pytest.mark.parametrize("step_name", list(STEPS))
 def test_joint_return_over_one_step_less_matches_all_steps_reference(step_name):
-    # the oracle enumerates times[-1] - 1 steps (none at times = [1]),
-    # the reference all of them; path_count counts the reference's paths
+    # the oracle's pass takes times[-1] - 1 steps (none at times = [1]),
+    # the reference enumerates all of them; path_count counts its paths
     step = STEPS[step_name]
     scen, _ = SCENERIES["zero-atom"]
     for times in ([1], [1, 2], [3, 4]):
@@ -86,6 +86,25 @@ def test_joint_return_over_one_step_less_matches_all_steps_reference(step_name):
         exact, count = joint_return_per_path(step, scen, times)
         assert res.exact == exact, times
         assert res.path_count == count == len(step.support) ** times[-1]
+
+
+@pytest.mark.parametrize("times, exact", [
+    ([16], Fraction(64136831, 536870912)),
+    ([20], Fraction(6756650385, 68719476736)),
+    ([8, 16], Fraction(19308239, 268435456)),
+])
+def test_joint_return_past_n_12_pinned(times, exact):
+    # values of the path enumeration that the dynamic program replaced
+    res = exact_joint_return(STEP, RAD, times)
+    assert res.exact == exact
+    assert res.path_count == 2 ** times[-1]
+
+
+def test_two_time_joint_return_at_12_matches_per_path_reference():
+    exact, count = joint_return_per_path(STEP, RAD, [6, 12])
+    res = exact_joint_return(STEP, RAD, [6, 12])
+    assert res.exact == exact
+    assert res.path_count == count == 2 ** 12
 
 
 def test_rational_joint_return_matches_double_enumeration_asymmetric():
@@ -187,8 +206,8 @@ def test_inversion_identity():
 
 
 def test_results_independent_of_enumeration_order():
-    # the oracle's lexicographic enumeration, one step short, vs a per-path
-    # recomputation over all four steps in base-3 digit order
+    # the oracle's forward pass over walk states, one step short, vs a
+    # per-path recomputation over all four steps in base-3 digit order
     lazy = StepLaw.lazy()
     res = exact_joint_return(lazy, RAD, [4])
     total = Fraction(0)
@@ -214,7 +233,7 @@ def test_budget_enforced():
 
 
 def test_moment_budget_counts_every_set_of_times(monkeypatch):
-    # at k = 2 the sets {m} and {i, m}, i < m <= 8, enumerate
+    # at k = 2 the sets {m} and {i, m}, i < m <= 8, sum over
     # sum_m m * 2^(m-1) = 1,793 paths, while 2^8 = 256 passes _check_budget;
     # at k = 1 the 255 paths of the sets {m} fit
     monkeypatch.setattr(exact_oracle, "_BUDGET", 1000)

@@ -93,6 +93,22 @@ def test_return_curve_k2_oracle_gate():
     assert abs(ests[0].value - exact) <= 4 * ests[0].std_error
 
 
+def test_return_curve_matches_exact_past_n_12():
+    # the sampled estimators against the exact DP at lengths the path
+    # enumeration could not reach in a test: k = 1 at n = 16 and 20, and
+    # k = 2 at times (8, 16) with the default 64 scenery draws
+    ests, _ = estimate_return_curve(STEP, RAD, [16, 20], walk_replicas=4000,
+                                    stream=RngStream(412, 0))
+    for n, est in zip((16, 20), ests):
+        exact = exact_joint_return(STEP, RAD, [n]).value
+        assert abs(est.value - exact) <= 3 * est.std_error, n
+    (est,), _ = estimate_return_curve(STEP, RAD, [8], k=2, T_ratios=(1, 2),
+                                      walk_replicas=4000, scenery_draws=64,
+                                      stream=RngStream(413, 0))
+    exact = exact_joint_return(STEP, RAD, [8, 16]).value
+    assert abs(est.value - exact) <= 3 * est.std_error
+
+
 def test_return_curve_slope_reduced_scale():
     root = RngStream(403, 0)
     n_list = [1 << j for j in range(8, 13)]

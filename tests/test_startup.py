@@ -1,8 +1,8 @@
 """Start-up cost: what `import rwrs` loads, the malloc thresholds of `main`,
 that `src/` exports nothing only the tests use and holds no result field
 that nothing reads, that `cli.validate_config` names no param, that walk
-steps are drawn in one module, and that the exact reference enumerates its
-own paths.
+steps are drawn in one module, that the exact oracle enumerates no paths,
+and that the exact reference enumerates its own.
 
 The import checks run in fresh interpreters, since the test process itself
 has loaded scipy.
@@ -212,10 +212,32 @@ def test_visits_are_counted_only_in_lattice_walk():
     assert not calls
 
 
+def test_exact_oracle_enumerates_no_paths():
+    # the oracle is a dynamic program over walk states: no itertools.product,
+    # no generator and no function named after paths; the all-paths
+    # enumerators live in tests/exact_reference.py
+    with open(os.path.join(SRC, "rwrs", "exact_oracle.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            found += [f"{node.lineno}: from itertools import {alias.name}"
+                      for alias in node.names if alias.name == "product"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "product"
+              and getattr(node.value, "id", None) == "itertools"):
+            found.append(f"{node.lineno}: itertools.product")
+        elif isinstance(node, ast.FunctionDef) and (
+                "path" in node.name.lower()
+                or any(isinstance(sub, (ast.Yield, ast.YieldFrom))
+                       for sub in ast.walk(node))):
+            found.append(f"{node.lineno}: def {node.name}")
+    assert not found
+
+
 def test_exact_reference_enumerates_its_own_paths():
     # the reference oracles take only the budget and the law's integer
-    # weights from rwrs.exact_oracle, so they check its enumeration (and its
-    # n - 1 step shortcut) instead of sharing it
+    # weights from rwrs.exact_oracle, so they check its dynamic program over
+    # walk states (and its n - 1 step shortcut) instead of sharing it
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "exact_reference.py")
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
