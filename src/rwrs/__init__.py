@@ -18,3 +18,6 @@ from . import (  # noqa: F401
     scenery,
     simkit,
 )
+
+# after the submodule imports, so numpy's import runs under glibc's defaults
+simkit._fix_malloc_thresholds()

@@ -8,7 +8,6 @@ and is bit-reproducible from (config, seed).
 
 import argparse
 import configparser
-import ctypes
 import json
 import math
 import os
@@ -588,29 +587,7 @@ def export_results(rows, report, out_dir):
     return [csv_path, json_path]
 
 
-def _fix_malloc_thresholds():
-    """Keep freed per-replica temporaries in the heap for the next replica.
-
-    glibc serves blocks above its mmap threshold (128 KiB at start) with
-    mmap and gives heap tops above its trim threshold back to the kernel,
-    raising both only when a large mmapped block is freed.  A replica's
-    temporaries of about 256 KB (raw Philox words, draw indices, walk
-    positions) would otherwise be unmapped on free and page-faulted in
-    again by the next replica: about 255k minor faults in one `gram-joint`
-    benchmark run, against about 250 with both thresholds fixed.  A no-op
-    where libc has no mallopt.
-    """
-    try:
-        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    except (OSError, TypeError):
-        return
-    if mallopt is not None:
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 def main(argv=None):
-    _fix_malloc_thresholds()
     parser = argparse.ArgumentParser(
         prog="rwrs",
         description="Random-walk-in-random-scenery estimation laboratory",

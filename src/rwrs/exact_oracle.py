@@ -60,9 +60,7 @@ def _rational_weights(law):
     if not all(isinstance(p, Fraction) for p in law.probs):
         raise ValueError("the exact oracle needs Fraction probabilities "
                          f"for both laws, got {law.probs}")
-    denom = 1
-    for p in law.probs:
-        denom = denom * p.denominator // math.gcd(denom, p.denominator)
+    denom = math.lcm(*(p.denominator for p in law.probs))
     nums = [int(p * denom) for p in law.probs]
     return denom, nums
 

@@ -24,13 +24,6 @@ _CHUNK = 1 << 20
 _DRAW_CHUNK = 1 << 22
 
 
-def _gcd_all(values):
-    g = 0
-    for v in values:
-        g = math.gcd(g, abs(int(v)))
-    return g
-
-
 @dataclass(frozen=True)
 class _FiniteLaw:
     """Centered law on finitely many integers.
@@ -108,7 +101,7 @@ class StepLaw(_FiniteLaw):
 
     def __post_init__(self):
         super().__post_init__()
-        if _gcd_all(self.support) != 1:
+        if math.gcd(*self.support) != 1:
             raise ValueError("support must generate the integers (gcd 1)")
 
     # bound in the class itself: the traced benchmark child wraps

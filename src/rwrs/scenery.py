@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice_walk import _FiniteLaw, _gcd_all
+from .lattice_walk import _FiniteLaw
 
 __all__ = [
     "SceneryLaw",
@@ -50,7 +50,7 @@ class SceneryLaw(_FiniteLaw):
         if len(self.support) < 2:
             raise ValueError("degenerate (single-point) scenery law")
         x0 = self.support[0]
-        object.__setattr__(self, "_d", _gcd_all([x - x0 for x in self.support[1:]]))
+        object.__setattr__(self, "_d", math.gcd(*(x - x0 for x in self.support[1:])))
         object.__setattr__(self, "_d0", self._d // math.gcd(self.residue, self._d))
         self._check_lattice_constants()
         object.__setattr__(self, "_max_value", max(abs(x) for x in self.support))
@@ -230,9 +230,6 @@ def joint_return_prob_sampled(profiles, law, stream, scenery_draws=64):
     if not _admissible(profiles, law):
         return 0.0
     k = len(profiles)
-    if k == 1:
-        pmf, A = _pmf_1d(profiles[0].counts, law)
-        return float(pmf[A])
     sites, counts = _union_counts(profiles)
     visited = (counts > 0).sum(axis=1)
     shared = visited >= 2

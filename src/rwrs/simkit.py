@@ -1,18 +1,22 @@
-"""Deterministic randomness plumbing: keyed streams, replication, manifests.
+"""Deterministic randomness plumbing: keyed streams, replication, manifests,
+and the malloc thresholds that per-replica temporaries are served under.
 
 Every random quantity in this package is drawn from an RngStream keyed by
 (master_seed, stream_id).  Streams are counter-based (Philox), so distinct
 keys give independent, non-overlapping sequences without any coordination,
 and a stream replays exactly from its key alone.  Replica i of every
 estimator draws from stream.substream(i) of the estimator's stream, through
-replicate().
+replicate().  write_manifest records a run's config snapshot, seed and
+output digests through configparser, in the INI layout of the configs.
 """
 
+import configparser
+import ctypes
 import hashlib
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 # numpy 2 loads numpy.random on first use; import it with the package so
@@ -24,7 +28,6 @@ from numpy.random.bit_generator import ISeedSequence
 __all__ = [
     "RngStream",
     "Estimate",
-    "Manifest",
     "write_manifest",
 ]
 
@@ -113,58 +116,25 @@ def estimate_from_values(values):
     return Estimate(mean, se, n)
 
 
-@dataclass
-class Manifest:
-    """Reproducibility record written alongside every output file set."""
+def _fix_malloc_thresholds():
+    """Keep freed per-replica temporaries in the heap for the next replica.
 
-    config: dict
-    master_seed: int
-    version: str
-    duration_s: float
-    digests: dict = field(default_factory=dict)
-
-    def to_text(self):
-        lines = ["[manifest]"]
-        lines.append(f"master_seed = {self.master_seed}")
-        lines.append(f"version = {self.version}")
-        lines.append(f"duration_s = {self.duration_s!r}")
-        lines.append("")
-        lines.append("[config]")
-        for key in sorted(self.config):
-            lines.append(f"{key} = {self.config[key]}")
-        lines.append("")
-        lines.append("[digests]")
-        for name in sorted(self.digests):
-            lines.append(f"{name} = {self.digests[name]}")
-        lines.append("")
-        return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, text):
-        section = None
-        config, digests, meta = {}, {}, {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1]
-                continue
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if section == "manifest":
-                meta[key] = value
-            elif section == "config":
-                config[key] = value
-            elif section == "digests":
-                digests[key] = value
-        return cls(
-            config=config,
-            master_seed=int(meta["master_seed"]),
-            version=meta["version"],
-            duration_s=float(meta["duration_s"]),
-            digests=digests,
-        )
+    glibc serves blocks above its mmap threshold (128 KiB at start) with
+    mmap and gives heap tops above its trim threshold back to the kernel,
+    raising both only when a large mmapped block is freed.  A replica's
+    temporaries of about 256 KB (raw Philox words, draw indices, walk
+    positions) would otherwise be unmapped on free and page-faulted in
+    again by the next replica: about 255k minor faults in one `gram-joint`
+    benchmark run, against about 250 with both thresholds fixed.  A no-op
+    where libc has no mallopt.
+    """
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):
+        return
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 def file_digest(path):
@@ -176,15 +146,17 @@ def file_digest(path):
 
 
 def write_manifest(config, outputs, master_seed, version, started_at, path):
-    """Digest output files and write the manifest next to them."""
-    digests = {os.path.basename(p): file_digest(p) for p in outputs}
-    manifest = Manifest(
-        config={k: str(v) for k, v in config.items()},
-        master_seed=int(master_seed),
-        version=version,
-        duration_s=time.time() - started_at,
-        digests=digests,
-    )
+    """Digest output files and write the manifest next to them as INI.
+
+    Three sections: [manifest] (master_seed, version, duration_s), [config]
+    (the snapshot, keys sorted) and [digests] (sha256 per output file name,
+    sorted).  A raw parser leaves any `%` in a value as it is.
+    """
+    manifest = configparser.RawConfigParser()
+    manifest["manifest"] = {"master_seed": int(master_seed), "version": version,
+                            "duration_s": repr(time.time() - started_at)}
+    manifest["config"] = dict(sorted(config.items()))
+    manifest["digests"] = dict(sorted((os.path.basename(p), file_digest(p))
+                                      for p in outputs))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(manifest.to_text())
-    return manifest
+        manifest.write(fh)

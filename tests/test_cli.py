@@ -1,18 +1,27 @@
+import configparser
 import json
 import math
 
 import numpy as np
 import pytest
 
-from rwrs import harness
+from rwrs import __version__, harness
 from rwrs.cli import ExperimentConfig, export_results, main, validate_config
-from rwrs.simkit import Manifest
+from rwrs.simkit import file_digest
 
 
 def write_config(tmp_path, text, name="config.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def read_manifest(out):
+    # strict (the default): a repeated section or key is an error
+    manifest = configparser.RawConfigParser()
+    with open(out / "manifest.txt", encoding="utf-8") as fh:
+        manifest.read_file(fh)
+    return manifest
 
 
 MINIMAL = """
@@ -87,9 +96,9 @@ def test_cli_end_to_end_deterministic(tmp_path):
     csv1 = (out1 / "results.csv").read_bytes()
     csv2 = (out2 / "results.csv").read_bytes()
     assert csv1 == csv2
-    m1 = Manifest.from_text((out1 / "manifest.txt").read_text())
-    m2 = Manifest.from_text((out2 / "manifest.txt").read_text())
-    assert m1.digests == m2.digests
+    m1 = read_manifest(out1)
+    m2 = read_manifest(out2)
+    assert dict(m1["digests"]) == dict(m2["digests"])
     rows = csv1.decode().splitlines()
     assert len(rows) == 3 + 1  # one per n plus header
 
@@ -100,9 +109,29 @@ def test_cli_seed_changes_digests(tmp_path):
     out2 = tmp_path / "s2"
     assert main(["--config", cfg, "--out", str(out1)]) == 0
     assert main(["--config", cfg, "--out", str(out2), "--seed", "778"]) == 0
-    m1 = Manifest.from_text((out1 / "manifest.txt").read_text())
-    m2 = Manifest.from_text((out2 / "manifest.txt").read_text())
-    assert m1.digests["results.csv"] != m2.digests["results.csv"]
+    m1 = read_manifest(out1)
+    m2 = read_manifest(out2)
+    assert m1["digests"]["results.csv"] != m2["digests"]["results.csv"]
+
+
+def test_manifest_checks_the_output_directory(tmp_path):
+    # what a verifier reads: every digest re-hashes from the file it names,
+    # and the config section is the validated config's snapshot
+    cfg = write_config(tmp_path, MINIMAL)
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    manifest = read_manifest(out)
+    assert manifest.sections() == ["manifest", "config", "digests"]
+    assert list(manifest["manifest"]) == ["master_seed", "version", "duration_s"]
+    assert manifest.getint("manifest", "master_seed") == 777
+    assert manifest["manifest"]["version"] == __version__
+    assert manifest.getfloat("manifest", "duration_s") >= 0
+    assert list(manifest["digests"]) == ["report.json", "results.csv"]
+    for name, digest in manifest["digests"].items():
+        assert digest == file_digest(str(out / name))
+    snapshot = validate_config(cfg).snapshot()
+    assert list(manifest["config"]) == sorted(snapshot)
+    assert dict(manifest["config"]) == snapshot
 
 
 def test_cli_bad_config_exits_one(tmp_path, capsys):
@@ -457,8 +486,9 @@ def test_zero_seed_override_is_used(tmp_path):
     cfg = write_config(tmp_path, BESQ + "\n[run]\nseed = 5\n")
     out = tmp_path / "o"
     assert main(["--config", cfg, "--out", str(out), "--seed", "0"]) == 0
-    manifest = Manifest.from_text((out / "manifest.txt").read_text())
-    assert manifest.master_seed == 0 and manifest.config["seed"] == "0"
+    manifest = read_manifest(out)
+    assert manifest.getint("manifest", "master_seed") == 0
+    assert manifest["config"]["seed"] == "0"
 
 
 def test_zero_replicas_override_rejected(tmp_path, capsys):

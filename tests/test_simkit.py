@@ -1,3 +1,4 @@
+import configparser
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwrs.simkit import (
-    Manifest,
     RngStream,
     estimate_from_values,
     file_digest,
@@ -132,12 +132,17 @@ def test_reduction_is_order_independent(values, rnd):
 def test_manifest_round_trip(tmp_path):
     out = tmp_path / "data.csv"
     out.write_text("a,b\n1,2\n")
-    manifest = write_manifest(
-        {"x": "1", "law": "-1:1/2,1:1/2"}, [str(out)], 42, "0.1.0", 0.0,
-        str(tmp_path / "manifest.txt"),
-    )
-    parsed = Manifest.from_text(manifest.to_text())
-    assert parsed == manifest
+    # a `%` in a value is written and read back as it is, not interpolated
+    config = {"x": "1", "law": "-1:1/2,1:1/2", "share": "5%"}
+    write_manifest(config, [str(out)], 42, "0.1.0", 0.0, str(tmp_path / "manifest.txt"))
+    parsed = configparser.RawConfigParser()
+    with open(tmp_path / "manifest.txt", encoding="utf-8") as fh:
+        parsed.read_file(fh)
+    assert parsed.getint("manifest", "master_seed") == 42
+    assert parsed["manifest"]["version"] == "0.1.0"
+    assert parsed.getfloat("manifest", "duration_s") > 0
+    assert dict(parsed["config"]) == config
+    assert dict(parsed["digests"]) == {"data.csv": file_digest(str(out))}
 
 
 def test_manifest_digests_reflect_content(tmp_path):

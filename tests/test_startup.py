@@ -1,4 +1,4 @@
-"""Start-up cost: what `import rwrs` loads, the malloc thresholds of `main`,
+"""Start-up cost: what `import rwrs` loads, the malloc thresholds it sets,
 that `src/` exports nothing only the tests use and holds no result field
 that nothing reads, that `cli.validate_config` names no param, that walk
 steps are drawn in one module, that the exact oracle enumerates no paths,
@@ -20,8 +20,8 @@ import textwrap
 
 import pytest
 
-from rwrs import cli
-from test_regression import CASES, run_case
+from rwrs import cli, simkit
+from test_regression import CASES
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -76,11 +76,11 @@ class _Libc:
         return 1
 
 
-def test_main_fixes_both_malloc_thresholds(tmp_path, monkeypatch):
+def test_main_fixes_both_malloc_thresholds(monkeypatch):
+    # cli.main runs under them since `import rwrs` sets them
     libc = _Libc()
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
-    code, digest, _ = run_case(tmp_path, "gram")
-    assert code in (0, 2) and digest == CASES["gram"][2]
+    monkeypatch.setattr(simkit.ctypes, "CDLL", lambda name: libc)
+    simkit._fix_malloc_thresholds()
     # M_MMAP_THRESHOLD (-3) to 32 MiB, M_TRIM_THRESHOLD (-1) to 64 MiB
     assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
 
@@ -91,10 +91,23 @@ def _no_libc(name):
 
 @pytest.mark.parametrize("cdll", [lambda name: object(), _no_libc],
                          ids=["no-mallopt", "no-libc"])
-def test_main_runs_where_libc_has_no_mallopt(tmp_path, monkeypatch, cdll):
-    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
-    code, digest, _ = run_case(tmp_path, "gram")
-    assert code in (0, 2) and digest == CASES["gram"][2]
+def test_main_runs_where_libc_has_no_mallopt(monkeypatch, cdll):
+    monkeypatch.setattr(simkit.ctypes, "CDLL", cdll)
+    simkit._fix_malloc_thresholds()
+
+
+def test_importing_the_library_fixes_both_malloc_thresholds():
+    # a library caller that never reaches cli.main gets the thresholds too
+    calls = fresh_python(
+        "import ctypes, json\ncalls = []\n"
+        "class Libc:\n"
+        "    def mallopt(self, param, value):\n"
+        "        calls.append([param, value])\n"
+        "        return 1\n"
+        "ctypes.CDLL = lambda name: Libc()\n"
+        "import rwrs.harness\n"
+        "print(json.dumps(calls))")
+    assert calls == [[-3, 32 << 20], [-1, 64 << 20]]
 
 
 def _exports(tree):
