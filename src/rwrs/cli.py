@@ -33,14 +33,14 @@ _LAW_ALIASES = {
     "lazy": {-1: Fraction(1, 4), 0: Fraction(1, 2), 1: Fraction(1, 4)},
 }
 
-# every subcommand accepts [run]; law/param keys are checked per subcommand
-_COMMON_RUN_KEYS = {"seed", "out", "replicas"}
-
 _DEFAULTS = {
     "seed": "20240801",
     "replicas": "1000",
     "out": "out",
 }
+
+# every subcommand accepts [run]; law/param keys are checked per subcommand
+_COMMON_RUN_KEYS = set(_DEFAULTS)
 
 
 @dataclass
@@ -267,10 +267,14 @@ def _resolve_params(entry, raw):
     if scales and dt is not None and max(scales) < dt:
         errors.append(f"params.scales: the largest scale {max(scales):g} is below "
                       f"params.dt = {dt:g}, so every box is one grid cell")
-    # the scenery-integral path needs one lattice step per time-grid cell
+    # the scenery-integral path needs one lattice step per time-grid cell,
+    # and a horizon of at least one cell
     if "dt" in params and "fineness" in params and params["dt"] * params["fineness"] < 1:
         errors.append("params.dt: dt * fineness must be at least 1 "
                       "(one lattice step per time-grid cell)")
+    if "t" in params and "dt" in params and params["t"] < params["dt"]:
+        errors.append(f"params.t: must be at least params.dt = {params['dt']:g} "
+                      "(one time-grid cell)")
     return params, errors
 
 

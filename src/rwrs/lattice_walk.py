@@ -1,11 +1,10 @@
 """Centered integer-lattice random walks and their local-time profiles.
 
 A walk of length n occupies positions S_0, ..., S_{n-1}; its local time at
-site y is the visit count N_n(y).  Walks are simulated in blocks so only
-the profile (sparse counts), never the full path, has to be materialized
-for long runs.  Every sampled walk of the package, the embedded simple
-walk of `brownian` and `delta_process` included, is built by
-`_walk_positions`, and its visits are counted by `_segment_counts`.
+site y is the visit count N_n(y).  Every sampled walk of the package,
+the embedded simple walk of `brownian` and `delta_process` included, is
+built whole by `_walk_positions`, and its visits are counted by
+`_segment_counts`.
 """
 
 import math
@@ -19,10 +18,6 @@ __all__ = [
     "LocalTimeProfile",
     "simulate_local_times",
 ]
-
-_CHUNK = 1 << 20
-_DRAW_CHUNK = 1 << 22
-
 
 @dataclass(frozen=True)
 class _FiniteLaw:
@@ -154,22 +149,15 @@ def _coin_steps(stream, size):
 def _walk_positions(draw, total, stream):
     """Positions S_0 = 0, S_1, ..., S_{total-1} of one walk.
 
-    The total - 1 steps come from `draw(stream, size)`, at most
-    `_DRAW_CHUNK` per call, each chunk summed in place onto the position
-    before it.  Every sampled walk is built here: a step law's with
-    `law.sample_steps`, the embedded simple walk of the continuum side
-    with `_coin_steps`.  Both give the same values in several calls as in
-    one, so the walk does not depend on the chunk size.
+    The total - 1 steps come from one `draw(stream, total - 1)` call and
+    are summed in place.  Every sampled walk is built here: a step law's
+    with `law.sample_steps`, the embedded simple walk of the continuum
+    side with `_coin_steps`.
     """
     positions = np.empty(total, dtype=np.int64)
     positions[:1] = 0
-    done = 1
-    while done < total:
-        take = min(_DRAW_CHUNK, total - done)
-        block = positions[done : done + take]
-        np.cumsum(draw(stream, take), out=block)
-        block += positions[done - 1]
-        done += take
+    if total > 1:
+        np.cumsum(draw(stream, total - 1), out=positions[1:])
     return positions
 
 
@@ -192,38 +180,19 @@ def _segment_counts(positions, marks):
 def simulate_local_times(law, breakpoints, stream):
     """Simulate one walk and return the local-time profile of each segment.
 
-    Segment i covers positions [b_{i-1}, b_i).  The walk is built in
-    blocks of at most `_CHUNK` positions; each block is counted by
-    `_segment_counts` and added into one row per segment over the range
-    seen so far, so memory stays O(block + k * range), not O(n).  A walk
-    of at most `_CHUNK` positions is one block, and every block size gives
-    the same profiles and leaves the stream at the same position.
+    Segment i covers positions [b_{i-1}, b_i).  The whole walk of b_k
+    positions is built by `_walk_positions` and counted once by
+    `_segment_counts`, so memory is O(n + k * range).
     """
     breakpoints = [int(b) for b in breakpoints]
     if not breakpoints or any(b <= 0 for b in breakpoints):
         raise ValueError("breakpoints must be nonempty positive integers")
     if any(b2 <= b1 for b1, b2 in zip(breakpoints, breakpoints[1:])):
         raise ValueError("breakpoints must be strictly increasing")
-    total = breakpoints[-1]
-    firsts = [0] + breakpoints[:-1]
-    block = _walk_positions(law.sample_steps, min(total, _CHUNK), stream)
-    lo, rows = _segment_counts(block, breakpoints)
-    done = block.size
-    while done < total:
-        take = min(_CHUNK, total - done)
-        # the block's first step continues the walk from the last position
-        block = block[-1] + _walk_positions(law.sample_steps, take + 1, stream)[1:]
-        lo_b, rows_b = _segment_counts(
-            block, [max(b - done, 0) for b in breakpoints])
-        new_lo = min(lo, lo_b)
-        width = max(lo + rows.shape[1], lo_b + rows_b.shape[1]) - new_lo
-        grown = np.zeros((len(breakpoints), width), dtype=np.int64)
-        for part, at in ((rows, lo), (rows_b, lo_b)):
-            grown[:, at - new_lo : at - new_lo + part.shape[1]] += part
-        lo, rows = new_lo, grown
-        done += take
+    lo, rows = _segment_counts(
+        _walk_positions(law.sample_steps, breakpoints[-1], stream), breakpoints)
     profiles = []
-    for row, first, b in zip(rows, firsts, breakpoints):
+    for row, first, b in zip(rows, [0] + breakpoints[:-1], breakpoints):
         sites = np.flatnonzero(row)
         profiles.append(LocalTimeProfile(sites + lo, row[sites], b - first))
     return profiles

@@ -113,18 +113,18 @@ class SceneryLaw(_FiniteLaw):
 
 
 def _union_counts(profiles):
-    """Union of occupied sites and the (n_sites, k) count matrix.
+    """The (n_sites, k) count matrix over the union of occupied sites.
 
-    Counts go densely over the union's site range, which a walk fills;
-    the rows no segment visits are dropped.
+    Row i counts the visits of every segment to the i-th smallest site
+    that some segment visits.  Counts go densely over the union's site
+    range, which a walk fills; the rows no segment visits are dropped.
     """
     low = min(int(p.sites[0]) for p in profiles)
     high = max(int(p.sites[-1]) for p in profiles)
     dense = np.zeros((high - low + 1, len(profiles)), dtype=np.int64)
     for j, p in enumerate(profiles):
         dense[p.sites - low, j] = p.counts
-    rows = np.flatnonzero(dense.any(axis=1))
-    return rows + low, dense[rows]
+    return dense[dense.any(axis=1)]
 
 
 def _admissible(profiles, law):
@@ -230,7 +230,7 @@ def joint_return_prob_sampled(profiles, law, stream, scenery_draws=64):
     if not _admissible(profiles, law):
         return 0.0
     k = len(profiles)
-    sites, counts = _union_counts(profiles)
+    counts = _union_counts(profiles)
     visited = (counts > 0).sum(axis=1)
     shared = visited >= 2
     pmfs = []

@@ -204,21 +204,21 @@ def sample_and_evaluate(profiles, law, stream):
     A site's value is drawn once and reused by every segment that visits
     it, which is what couples the increments.
     """
-    sites, counts = _union_counts(profiles)
+    sites, counts = union_counts_by_union1d(profiles)
     values = law.sample(stream, sites.size)
     return [int(v) for v in counts.T @ values]
 
 
 def evaluate_increments(profiles, scenery):
     """Z increments for an explicitly given site -> value map."""
-    sites, counts = _union_counts(profiles)
+    sites, counts = union_counts_by_union1d(profiles)
     values = np.array([scenery[int(s)] for s in sites], dtype=np.int64)
     return [int(v) for v in counts.T @ values]
 
 
 def char_given_profiles(profiles, law, theta):
     """Conditional characteristic value prod_y phi(sum_j theta_j N_j(y))."""
-    _, counts = _union_counts(profiles)
+    counts = _union_counts(profiles)
     u = counts.astype(np.float64) @ np.asarray(theta, dtype=np.float64)
     vals = law.char(u)
     return complex(np.prod(vals))
@@ -482,7 +482,7 @@ def _char_quadrature(profiles, law):
     aliasing terms P(Z = l*d*M), so starting at the aliasing bound already
     gives 1e-12 accuracy; node doubling confirms to 1e-9.
     """
-    _, counts = _union_counts(profiles)
+    counts = _union_counts(profiles)
     distinct, mult = np.unique(counts, axis=0, return_counts=True)
     keep = np.any(distinct != 0, axis=1)
     distinct, mult = distinct[keep], mult[keep].astype(np.float64)
@@ -517,7 +517,7 @@ def conditional_return_prob(profiles, law):
         pmf, A = _pmf_1d(profiles[0].counts, law)
         return float(pmf[A])
     if len(profiles) == 2:
-        _, counts = _union_counts(profiles)
+        counts = _union_counts(profiles)
         pmf, A1, A2 = _pmf_2d(counts, law)
         return float(pmf[A1, A2])
     return min(1.0, max(0.0, _char_quadrature(profiles, law)))

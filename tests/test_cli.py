@@ -430,6 +430,11 @@ replicas = 5
         (DELTA.replace("t = 1\n", "t = 0\n"), "params.t"),
         (DELTA.replace("delta-localtime", "scaling-test").replace("t = 1\n", "t = -1\n"),
          "params.t"),
+        # t below one grid cell leaves the path with no lattice step
+        (DELTA.replace("t = 1\n", "t = 1/1000000\n").replace("fineness = 1024", "fineness = 16384")
+         .replace("dt = 1/256", "dt = 1/16384"), "params.t"),
+        (DELTA.replace("delta-localtime", "scaling-test").replace("t = 1\n", "t = 1/1000\n"),
+         "params.t"),
         (RAY_KNIGHT.replace("fineness = 1024", "fineness = 1024\nlevel = -1"),
          "params.level"),
         (RAY_KNIGHT.replace("fineness = 1024", "fineness = 1024\noffset = -1"),
@@ -455,7 +460,8 @@ replicas = 5
          "gram-first-horizon-empty", "gram-first-of-two-horizons-empty",
          "besq-draws-zero", "besq-dt-zero", "besq-y-negative", "besq-y-overflow",
          "gram-t_list-overflow", "delta-eps-zero",
-         "delta-t-zero", "scaling-t-negative", "ray-knight-level-negative",
+         "delta-t-zero", "scaling-t-negative", "delta-t-below-dt",
+         "scaling-t-below-dt", "ray-knight-level-negative",
          "ray-knight-offset-negative", "ray-knight-fineness-zero",
          "return-curve-scenery_draws-zero", "correlation-n-zero",
          "correlation-n-off-lattice"],

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,8 @@ from rwrs.simkit import RngStream
 from rwrs.lattice_walk import LocalTimeProfile, StepLaw, simulate_local_times
 
 from reference import (
+    draw_by_choice,
+    embedded_positions_by_loop,
     merge_profiles,
     mutual_inner,
     profile_stats,
@@ -83,30 +86,28 @@ def test_draw_thresholds_at_the_boundary(name):
     assert np.array_equal(law.sample_steps(stream, raw.size), expect)
 
 
-def test_chunked_profiles_equal_one_shot(monkeypatch):
-    # a walk longer than _CHUNK is built block by block from the same stream;
-    # its segment profiles must equal the one-shot profiles exactly
+def test_profiles_equal_the_dict_reference_on_random_breakpoints():
+    # random segment layouts: the same profiles, and the stream left at the
+    # same raw word, as the reference that counts each segment on its own
     laws = list(DRAW_LAWS.values())[:3]
     rng = np.random.default_rng(43)
-    cases = []
     for i in range(100):
         total = int(rng.integers(65, 1200))
         k = int(rng.integers(1, 5))
         cuts = rng.choice(np.arange(1, total), size=k - 1, replace=False)
-        if i % 10 == 0:  # breakpoints on chunk boundaries
+        if i % 10 == 0:  # breakpoints on multiples of 64
             cuts = [b for b in (64, 128, 192) if b < total]
-        cases.append((laws[i % 3], sorted(int(b) for b in cuts) + [total]))
-    one_shot = [simulate_local_times(law, bps, RngStream(47, i))
-                for i, (law, bps) in enumerate(cases)]
-    for chunk in (1, 2, 3, 64):
-        monkeypatch.setattr(lattice_walk, "_CHUNK", chunk)
-        for i, (law, bps) in enumerate(cases):
-            chunked = simulate_local_times(law, bps, RngStream(47, i))
-            assert len(chunked) == len(one_shot[i]) == len(bps)
-            for a, b in zip(chunked, one_shot[i]):
-                assert np.array_equal(a.sites, b.sites)
-                assert np.array_equal(a.counts, b.counts)
-                assert a.length == b.length
+        law, bps = laws[i % 3], sorted(int(b) for b in cuts) + [total]
+        ref_stream, stream = RngStream(47, i), RngStream(47, i)
+        expect = simulate_local_times_by_dicts(law, bps, ref_stream)
+        got = simulate_local_times(law, bps, stream)
+        assert len(got) == len(expect) == len(bps)
+        for a, b in zip(got, expect):
+            assert np.array_equal(a.sites, b.sites)
+            assert np.array_equal(a.counts, b.counts)
+            assert a.length == b.length
+        assert (stream.gen.bit_generator.random_raw()
+                == ref_stream.gen.bit_generator.random_raw())
 
 
 _C = 1 << 20
@@ -152,29 +153,37 @@ def test_segment_counts_share_one_grid_and_count_empty_segments_as_zero():
                                           [1, 2, 0, 0, 0, 1]]
 
 
-def test_walk_positions_do_not_depend_on_draw_chunk(monkeypatch):
-    # positions, and the stream after them, are those of one draw call at
-    # any chunk size, on a fresh stream and on one with a buffered half
-    draws = [lattice_walk._coin_steps] + [
-        DRAW_LAWS[name].sample_steps for name in ("lazy", "asymmetric", "five-point-float")]
-    cases = [(draw, total, buffered) for draw in draws
+def test_walk_positions_equal_the_loop_and_choice_references():
+    # positions, and the draws after them, are those of the chunked coin
+    # loop for `_coin_steps` and of S_0 = 0 plus the cumsum of
+    # `Generator.choice` steps for a step law, on a fresh stream and on
+    # one with a buffered half
+    def by_choice(law):
+        def build(total, stream):
+            steps = draw_by_choice(law, stream, total - 1)
+            return np.concatenate(([0], np.cumsum(steps)))
+        return law.sample_steps, build
+
+    pairs = [(lattice_walk._coin_steps, embedded_positions_by_loop)] + [
+        by_choice(DRAW_LAWS[name]) for name in ("lazy", "asymmetric", "five-point-float")]
+    cases = [(pair, total, buffered) for pair in pairs
              for total in (1, 2, 3, 1000, 1001) for buffered in (False, True)]
 
-    def run(i, draw, total, buffered):
+    def run(i, build, total, buffered):
         stream = RngStream(53, i)
         if buffered:
             stream.gen.integers(0, 2, size=1)
-        positions = lattice_walk._walk_positions(draw, total, stream)
+        positions = build(total, stream)
         return (positions, stream.gen.integers(0, 2, size=3).tolist(),
                 stream.gen.standard_normal())
 
-    expected = [run(i, *case) for i, case in enumerate(cases)]
-    for chunk in (1, 2, 3, 64):
-        monkeypatch.setattr(lattice_walk, "_DRAW_CHUNK", chunk)
-        for i, case in enumerate(cases):
-            positions, ints, normal = run(i, *case)
-            assert np.array_equal(positions, expected[i][0])
-            assert (ints, normal) == expected[i][1:]
+    for i, ((draw, reference), total, buffered) in enumerate(cases):
+        positions, ints, normal = run(
+            i, partial(lattice_walk._walk_positions, draw), total, buffered)
+        expect = run(i, reference, total, buffered)
+        assert positions.dtype == np.int64
+        assert np.array_equal(positions, expect[0])
+        assert (ints, normal) == expect[1:]
 
 
 def test_profiles_from_realized_steps():
@@ -295,7 +304,7 @@ def test_sup_and_range_tail_bounds():
     assert sup_exceed / 1000 < 1e-2
 
 
-def test_long_walk_chunked_path_never_materialized():
+def test_long_walk_profile_spans_only_its_range():
     law = StepLaw.simple()
     n = (1 << 20) + 12345
     (p,) = simulate_local_times(law, [n], RngStream(37, 0))
