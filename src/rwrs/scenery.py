@@ -33,6 +33,8 @@ __all__ = [
 _LOG_FLOOR = -800.0  # exp underflows to an exact 0.0 well before this
 _ENUMERATE_LIMIT = 4096  # shared-site sceneries enumerated rather than sampled
 _BLOCK = 512  # profiles per ReturnProbTable product
+_ROWS = 64  # count values per ReturnProbTable table chunk
+_PARITY_SITES = 2 ** 23  # float32 parity products are exact below this
 
 
 class SceneryLaw(_FiniteLaw):
@@ -301,6 +303,14 @@ class ReturnProbTable:
     a sum of multiples of pi is exactly +-1 at these sizes.  Any other law
     takes `np.angle` of the complex `char` and multiplies by the cos of the
     phase product.
+
+    The tables are built `_ROWS` count values at a time into preallocated
+    arrays, the sign table as float32 0/1.  Its product with the count
+    multiplicities is taken in float32, exact while a profile has fewer
+    than 2**23 sites (no caller builds more than 2**18 positions; a larger
+    profile raises ValueError), and signs the terms in place.  Each block's
+    arrays are released before the next, so memory is
+    O((cmax + _BLOCK) * nodes).
     """
 
     def __init__(self, law):
@@ -313,6 +323,11 @@ class ReturnProbTable:
         todo = [i for i, p in enumerate(profiles) if p.length % d0 == 0]
         if not todo:
             return out
+        real = law._real_char
+        if real and max(profiles[i].counts.size for i in todo) >= _PARITY_SITES:
+            raise ValueError(
+                f"a profile has 2**23 = {_PARITY_SITES} sites or more; the "
+                "float32 sign parity is exact only below that")
         cmax = max(int(profiles[i].counts.max()) for i in todo)
         vmax = max(float(np.dot(profiles[i].counts, profiles[i].counts)) for i in todo)
         d = law.d
@@ -320,18 +335,23 @@ class ReturnProbTable:
         nodes = max(64, nodes + (nodes % 2))
         half = nodes // 2
         theta = (2.0 * math.pi / (d * nodes)) * np.arange(half + 1)
-        u = np.outer(np.arange(1, cmax + 1, dtype=np.float64), theta)
-        if law._real_char:
-            phi = _cos_char(law, u)
-            del u
-            neg = (phi < 0).astype(np.float64)
-            logmag = _log_magnitude(np.abs(phi, out=phi))
-        else:
-            phi = law.char(u)
-            del u
-            ang = np.angle(phi)
-            logmag = _log_magnitude(np.abs(phi))
-        del phi
+        # every table operation is elementwise, so a chunk of rows gets the
+        # bits the whole table would
+        logmag = np.empty((cmax, half + 1))
+        phase = np.empty((cmax, half + 1), dtype=np.float32 if real else np.float64)
+        for lo in range(0, cmax, _ROWS):
+            hi = min(lo + _ROWS, cmax)
+            u = np.outer(np.arange(lo + 1, hi + 1, dtype=np.float64), theta)
+            if real:
+                phi = _cos_char(law, u)
+                phase[lo:hi] = phi < 0
+                np.abs(phi, out=phi)
+            else:
+                phi = law.char(u)
+                phase[lo:hi] = np.angle(phi)
+                phi = np.abs(phi)
+            logmag[lo:hi] = _log_magnitude(phi)
+        del u, phi
         w = np.full(half + 1, 2.0 / nodes)
         w[0] = w[-1] = 1.0 / nodes
         for lo in range(0, len(todo), _BLOCK):
@@ -340,18 +360,26 @@ class ReturnProbTable:
             for row, i in enumerate(batch):
                 c = profiles[i].counts
                 mults[row] = np.bincount(c - 1, minlength=cmax)[:cmax]
-            terms = np.maximum(mults @ logmag, _LOG_FLOOR)
+            terms = mults @ logmag
+            np.maximum(terms, _LOG_FLOOR, out=terms)
             np.exp(terms, out=terms)
-            if law._real_char:
-                # the product counts sites, so it is an exact integer;
-                # shifted to the sign bit, its parity reads as -0.0 where
-                # odd and +0.0 where even; terms are >= 0, so copysign
-                # negates the odd ones
-                odd = (mults @ neg).astype(np.uint64)
-                np.left_shift(odd, 63, out=odd)
-                np.copysign(terms, odd.view(np.float64), out=terms)
-                del odd
+            if real:
+                # the product counts sites, so it is an exact integer below
+                # 2**23; plus 2**23 it lies in [2**23, 2**24), where a
+                # float32's last mantissa bit is its parity, and the shift
+                # moves that bit to the sign: -0.0 where odd, +0.0 where
+                # even.  terms are >= 0, so copysign negates the odd ones
+                odd = mults.astype(np.float32) @ phase
+                odd += 2.0 ** 23
+                bits = odd.view(np.uint32)
+                np.left_shift(bits, 31, out=bits)
+                np.copysign(terms, odd, out=terms)
+                del odd, bits
             else:
-                terms *= np.cos(mults @ ang)
+                cos = mults @ phase
+                np.cos(cos, out=cos)
+                terms *= cos
+                del cos
             out[batch] = np.maximum(terms @ w, 0.0)
+            del mults, terms
         return out

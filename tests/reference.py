@@ -21,7 +21,9 @@ walk (against `brownian.ray_knight_profile_fast`).
 `simulate_local_times_by_dicts` is `lattice_walk.simulate_local_times`
 before the one occupation kernel, with its one-shot branch, its per-site
 dict branch past 2**20 positions, `_occupation` and `_segment_profiles`;
-`profiles_from_steps` counts through the latter.
+`profiles_from_steps` counts through the latter.  It builds its positions
+as the cumsum of `draw_by_choice` steps, not with the walk builder it
+checks.
 
 The pre-fold walk loops stay here as oracles of the one walk builder
 `lattice_walk._walk_positions`: `embedded_positions_by_loop`, the chunked
@@ -46,7 +48,7 @@ from rwrs.brownian import LocalTimeField, gram_of_fields, sample_local_time_fiel
 from rwrs.delta_process import DeltaPath, WalkRealization, mollified_values
 from rwrs.errors import BudgetExceededError, DegenerateRatioError
 from rwrs.harness import _zero_count_trajectory, fit_power_law
-from rwrs.lattice_walk import LocalTimeProfile, _walk_positions
+from rwrs.lattice_walk import LocalTimeProfile
 from rwrs.scenery import (
     _LOG_FLOOR,
     _admissible,
@@ -107,6 +109,12 @@ def _segment_profiles(positions, breakpoints):
     return profiles
 
 
+def _positions_by_choice(law, total, stream):
+    """S_0 = 0, ..., S_{total-1}: the cumsum of `total - 1` choice draws."""
+    steps = draw_by_choice(law, stream, total - 1) if total > 1 else []
+    return np.concatenate(([0], np.cumsum(steps, dtype=np.int64)))
+
+
 def simulate_local_times_by_dicts(law, breakpoints, stream):
     """Simulate one walk and return the local-time profile of each segment.
 
@@ -120,7 +128,7 @@ def simulate_local_times_by_dicts(law, breakpoints, stream):
         raise ValueError("breakpoints must be strictly increasing")
     total = breakpoints[-1]
     if total <= _PROFILE_CHUNK:
-        return _segment_profiles(_walk_positions(law.sample_steps, total, stream),
+        return _segment_profiles(_positions_by_choice(law, total, stream),
                                  breakpoints)
 
     # chunked accumulation into per-segment dicts
@@ -130,7 +138,7 @@ def simulate_local_times_by_dicts(law, breakpoints, stream):
     seg = 0
     while t < total:
         take = min(_PROFILE_CHUNK, total - t)
-        chunk = pos + _walk_positions(law.sample_steps, take, stream)
+        chunk = pos + _positions_by_choice(law, take, stream)
         lo = 0
         while lo < take:
             hi = min(take, breakpoints[seg] - t)
@@ -144,7 +152,7 @@ def simulate_local_times_by_dicts(law, breakpoints, stream):
                 seg += 1
         # position at the start of the next chunk: one more step past chunk end
         if t + take < total:
-            pos = int(chunk[-1] + law.sample_steps(stream, 1)[0])
+            pos = int(chunk[-1] + draw_by_choice(law, stream, 1)[0])
         t += take
     prev = 0
     out = []

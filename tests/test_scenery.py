@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -283,6 +284,50 @@ def test_table_equals_complex_route_bit_for_bit(text, step, n):
     want = return_prob_table_complex(law, profiles)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("text", ["rademacher", "-2:1/3,1:2/3"])
+def test_table_equals_complex_route_over_two_blocks(text):
+    # a full block and a partial one, so each block's arrays are rebuilt
+    law = SceneryLaw.from_dict(_parse_law_text(text))
+    profiles = _table_profiles(StepLaw.simple(), 512, law, scenery._BLOCK + 188, 139)
+    got = ReturnProbTable(law).evaluate(profiles)
+    want = return_prob_table_complex(law, profiles, block=scenery._BLOCK)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_table_peak_memory_is_one_table_and_one_block():
+    # return-k1's largest shape; the bound counts the float64 log|phi|
+    # table, the float32 sign table, one block's float64 terms and float32
+    # parity, and its float64 multiplicities
+    law = RADEMACHER
+    profiles = _table_profiles(StepLaw.simple(), 8192, law, 500, 141)
+    admissible = [p for p in profiles if p.length % law.d0 == 0]
+    cmax = max(int(p.counts.max()) for p in admissible)
+    vmax = max(float(np.dot(p.counts, p.counts)) for p in admissible)
+    nodes = int(math.ceil(8.0 * law.max_value * math.sqrt(vmax) / law.d))
+    nodes = max(64, nodes + (nodes % 2))
+    cols, rows = nodes // 2 + 1, min(len(admissible), scenery._BLOCK)
+    expected = cmax * cols * (8 + 4) + rows * cols * (8 + 4) + rows * cmax * 8
+    table = ReturnProbTable(law)
+    tracemalloc.start()
+    try:
+        table.evaluate(profiles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * expected, (peak, expected)
+
+
+def test_table_rejects_profiles_past_the_float32_parity_bound():
+    # evaluate reads only the counts and length, so stride-0 views stand in
+    # for a profile of 2**23 sites without its memory
+    sites = 2 ** 23
+    big = LocalTimeProfile(np.broadcast_to(np.int64(0), (sites,)),
+                           np.broadcast_to(np.int64(1), (sites,)), sites)
+    with pytest.raises(ValueError, match=r"2\*\*23"):
+        ReturnProbTable(RADEMACHER).evaluate([big])
 
 
 @pytest.mark.parametrize("text", ["rademacher", "-2:1/3,1:2/3"])
