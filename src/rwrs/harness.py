@@ -158,12 +158,9 @@ def _joint_times(n, T_ratios, d0):
 
 
 def _return_values_k1(step, scen, n, replicas, stream):
-    """Per-replica conditional P(Z_n = 0 | walk) values, batched."""
+    """Per-replica P(Z_n = 0 | walk) at every n: one `ReturnProbTable` batch."""
     profiles = replicate(lambda sub: simulate_local_times(step, [n], sub)[0],
                          replicas, stream)
-    if n <= 64:
-        return np.array([joint_return_prob_sampled([p], scen, stream)
-                         for p in profiles])
     return ReturnProbTable(scen).evaluate(profiles)
 
 

@@ -5,13 +5,13 @@ Z are sums over occupied sites of xi_y weighted by visit counts, so their
 conditional joint law is an explicit finite convolution.  Averaging that
 conditional zero-probability over walk replicas is an unbiased estimator of
 P(Z = 0 at all requested times) with much smaller variance than indicator
-counting (Rao-Blackwell).  Each case has one evaluation route:
+counting (Rao-Blackwell).  Each k has one evaluation route:
 
-- k = 1, a batch of walks: `ReturnProbTable`, a trapezoid quadrature of the
+- k = 1, at every n: `ReturnProbTable`, a trapezoid quadrature of the
   conditional characteristic function over its periodicity cell;
-- one walk, any k: `joint_return_prob_sampled`, exact by 1D convolution at
-  k = 1; for k >= 2 it integrates the sites of one segment out by
-  convolution and samples or enumerates the scenery on shared sites.
+- k >= 2, one walk: `joint_return_prob_sampled` integrates the sites of
+  one segment out by 1D convolution and samples or enumerates the scenery
+  on shared sites; its exact k = 1 case is the table's test reference.
 
 The law itself (`SceneryLaw`) shares its validation, `from_dict` and the
 draw with `lattice_walk.StepLaw`.
@@ -217,11 +217,12 @@ def _zero_prob_given_shared(shared_values, shared_counts, pmfs):
 
 
 def joint_return_prob_sampled(profiles, law, stream, scenery_draws=64):
-    """Unbiased estimate of P(all increments = 0 | walk), any k >= 1.
+    """Unbiased estimate of P(all increments = 0 | walk): the k >= 2 evaluator.
 
     Exactly 0 whenever some segment length is not a multiple of d0 (the
-    lattice constraint leaves no mass at zero).  At k = 1 the value is
-    exact: the 1D convolution's pmf at zero, with no draw from `stream`.
+    lattice constraint leaves no mass at zero).  The generic path takes
+    k = 1 too, exactly (the 1D convolution's pmf at zero, with no draw
+    from `stream`); the tests hold `ReturnProbTable` to that value.
     For k >= 2, sites visited by exactly one segment are integrated out
     exactly by 1D convolution; the scenery on sites shared between
     segments is enumerated when it has at most `_ENUMERATE_LIMIT`

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from rwrs import cli, harness
 from rwrs.errors import DegenerateRatioError
 from rwrs.simkit import RngStream
 from rwrs.lattice_walk import StepLaw
@@ -107,6 +108,24 @@ def test_return_curve_matches_exact_past_n_12():
                                       stream=RngStream(413, 0))
     exact = exact_joint_return(STEP, RAD, [8, 16]).value
     assert abs(est.value - exact) <= 3 * est.std_error
+
+
+def test_k1_values_never_reach_the_single_walk_convolution(tmp_path, monkeypatch):
+    # one k = 1 route at every n: ReturnProbTable, small n and the CLI's
+    # off-lattice exact-zero check included
+    def refuse(*args, **kwargs):
+        raise AssertionError("k = 1 reached joint_return_prob_sampled")
+
+    monkeypatch.setattr(harness, "joint_return_prob_sampled", refuse)
+    ests, _ = estimate_return_curve(STEP, RAD, [2, 8, 64], walk_replicas=50,
+                                    stream=RngStream(414, 0))
+    assert ests[0].value == 0.5
+    cfg = tmp_path / "config.ini"
+    cfg.write_text("[experiment]\nsubcommand = return-curve\n[laws]\n"
+                   "step = simple\nscenery = rademacher\n[params]\n"
+                   "n_list = 7 9 11\nk = 1\n[run]\nreplicas = 30\n",
+                   encoding="utf-8")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_return_curve_slope_reduced_scale():

@@ -54,19 +54,19 @@ CASES = {
         "[experiment]\nsubcommand = return-curve\n" + SIMPLE
         + "[params]\nn_list = 8 16 32 128\nk = 1\n[run]\nreplicas = 50\n",
         [],
-        "a7c5078cb8e58f25f046bf8a0625fe82df6944f291778c1f12663daefdf6f0a9",
-        "39d9a42efd07caef8fed3fee3d80f383dbb4734e050469875fcde95115957f3d",
+        "a40666cd927e997f176057e102b56c06be4fb02dd83428751ee4c83f8b9c99df",
+        "0fab8f3a1683bcf92cdbcd5c238c4512460ea62ffdbf1bad477d94f5301ddcc6",
     ),
     "return-curve-k1-asymmetric": (
         "[experiment]\nsubcommand = return-curve\n[laws]\nstep = lazy\n"
         "scenery = -2:1/3,1:2/3\n[params]\nn_list = 6 12 24 96\nk = 1\n"
         "[run]\nreplicas = 50\n",
         [],
-        "83d72fc3a3c1935fba1de76cb287ca6ad5455f5e25fb1139cbf33258e30dc799",
-        "6cfd4408c7720c9dd5131ac084c659558b21bb3d6868b0976965a096807d6bcf",
+        "d8173042d9b22d0ac0726307327315a1556161dc125f10e16a347b5786120a9a",
+        "07e334aa1c1bb2f76695d917f96bce41fc47a5cb4b38d1afd0781d41cdc76a19",
     ),
-    # n > 64 reaches ReturnProbTable: the five-point law on the complex
-    # table, the zero-atom and span-4 laws on the cosine table
+    # every k = 1 case reaches ReturnProbTable: the five-point law on the
+    # complex table, the zero-atom and span-4 laws on the cosine table
     "return-curve-k1-five-point": (
         "[experiment]\nsubcommand = return-curve\n[laws]\n"
         "step = -2:1/6,-1:1/6,0:1/3,1:1/6,2:1/6\n"

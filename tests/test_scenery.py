@@ -251,6 +251,23 @@ def _table_profiles(step, n, law, count, seed):
     return profiles
 
 
+@pytest.mark.parametrize("text", ["rademacher", "-1:1/4,0:1/2,1:1/4",
+                                  "-3:3/8,1:1/2,5:1/8", "-2:1/3,1:2/3"])
+def test_table_equals_convolution_at_every_small_n(text):
+    # every admissible n <= 64, the lengths where k = 1 once went through
+    # the single-walk convolution: the table gives its values to 1e-15
+    law = SceneryLaw.from_dict(_parse_law_text(text))
+    for s, step in enumerate((StepLaw.simple(), StepLaw.lazy())):
+        for n in range(law.d0, 65, law.d0):
+            root = RngStream(415 + s, n)
+            profiles = [simulate_local_times(step, [n], root.substream(i))[0]
+                        for i in range(100)]
+            got = ReturnProbTable(law).evaluate(profiles)
+            want = [joint_return_prob_sampled([p], law, RngStream(416, i))
+                    for i, p in enumerate(profiles)]
+            assert np.max(np.abs(got - want)) <= 1e-15, (s, n)
+
+
 def test_real_char_route_is_selected_from_the_law():
     for text, real in TABLE_LAWS.items():
         assert SceneryLaw.from_dict(_parse_law_text(text))._real_char is real

@@ -2,7 +2,8 @@
 that `src/` exports nothing only the tests use and holds no result field
 that nothing reads, that `cli.validate_config` names no param, that walk
 steps are drawn in one module, that the exact oracle enumerates no paths,
-and that the exact reference enumerates its own.
+that the exact reference enumerates its own paths and that the dict-route
+walk reference builds its own positions.
 
 The import checks run in fresh interpreters, since the test process itself
 has loaded scipy.
@@ -263,3 +264,36 @@ def test_exact_reference_enumerates_its_own_paths():
             imported.update(prefix + alias.name for alias in node.names
                             if (prefix + alias.name).startswith("rwrs.exact_oracle"))
     assert imported and imported <= {"_check_budget", "_rational_weights"}
+
+
+# the dict-route walk reference and the helpers it builds its walk with
+DICT_ROUTE = {"simulate_local_times_by_dicts", "_positions_by_choice",
+              "_segment_profiles", "_occupation", "draw_by_choice"}
+
+
+def test_dict_route_reference_builds_its_own_walk():
+    # the reference takes only the profile type from rwrs, so it draws its
+    # steps with Generator.choice and counts visits itself instead of
+    # sharing lattice_walk._walk_positions or _segment_counts
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reference.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    from_rwrs = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("rwrs"):
+            from_rwrs.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.Import):
+            from_rwrs.update((a.asname or a.name.split(".")[0], a.name)
+                             for a in node.names if a.name.startswith("rwrs"))
+    funcs = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name in DICT_ROUTE]
+    assert {f.name for f in funcs} == DICT_ROUTE
+    used = set()
+    for node in (sub for f in funcs for sub in ast.walk(f)):
+        if isinstance(node, ast.Name) and node.id in from_rwrs:
+            used.add(from_rwrs[node.id])
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("rwrs"):
+            used.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            used.update(a.name for a in node.names if a.name.startswith("rwrs"))
+    assert used and used <= {"LocalTimeProfile"}
