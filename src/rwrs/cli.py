@@ -22,7 +22,7 @@ from . import __version__, brownian, delta_process, exact_oracle, harness
 from .errors import BudgetExceededError, DegenerateRatioError
 from .lattice_walk import StepLaw
 from .scenery import SceneryLaw
-from .simkit import RngStream, replicate, write_manifest
+from .simkit import RngStream, estimate_from_values, replicate, write_manifest
 
 __all__ = ["main", "validate_config", "run", "export_results", "ExperimentConfig"]
 
@@ -318,7 +318,7 @@ def _return_curve(config, p, stream, report):
         # is exactly 0 there, and the run checks that each estimate is
         rows = []
         for n in p["n_list"]:
-            est = harness.estimate_from_values(
+            est = estimate_from_values(
                 harness._return_values_k1(config.step, config.scenery, n,
                                           config.replicas, stream))
             if est.value != 0.0:
@@ -397,9 +397,8 @@ def _delta_localtime(config, p, stream, report):
         path = delta_process.sample_delta_path(p["t"], p["dt"], p["fineness"], sub)
         return delta_process.mollified_values(path, p["eps"], p["t"], [0.0])[0]
 
-    vals = replicate(mollified_at_zero, config.replicas, stream)
-    return [_row("mollified_local_time", config.replicas, float(vals.mean()),
-                 float(vals.std(ddof=1) / math.sqrt(len(vals))))]
+    est = estimate_from_values(replicate(mollified_at_zero, config.replicas, stream))
+    return [_row("mollified_local_time", config.replicas, est.value, est.std_error)]
 
 
 def _scaling_test(config, p, stream, report):
@@ -437,8 +436,8 @@ def _boxcount(config, p, stream, report):
             "zero set; a slope estimate needs at least 2"
         )
     report["values"]["excluded_paths"] = p["paths"] - len(slopes)
-    se = float(np.std(slopes, ddof=1) / math.sqrt(len(slopes)))
-    return [_row("boxcount_slope", len(slopes), float(np.mean(slopes)), se)]
+    est = estimate_from_values(slopes)
+    return [_row("boxcount_slope", len(slopes), est.value, est.std_error)]
 
 
 def _check_fit_points(p):

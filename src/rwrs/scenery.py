@@ -10,8 +10,10 @@ counting (Rao-Blackwell).  Each k has one evaluation route:
 - k = 1, at every n: `ReturnProbTable`, a trapezoid quadrature of the
   conditional characteristic function over its periodicity cell;
 - k >= 2, one walk: `joint_return_prob_sampled` integrates the sites of
-  one segment out by 1D convolution and samples or enumerates the scenery
-  on shared sites; its exact k = 1 case is the table's test reference.
+  one segment out by an exact 1D convolution, whose pmf covers the whole
+  support on its coset x0 * C + d * Z with nothing truncated, and samples
+  or enumerates the scenery on shared sites; its exact k = 1 case is the
+  table's test reference.
 
 The law itself (`SceneryLaw`) shares its validation, `from_dict` and the
 draw with `lattice_walk.StepLaw`.
@@ -55,7 +57,6 @@ class SceneryLaw(_FiniteLaw):
         object.__setattr__(self, "_d", math.gcd(*(x - x0 for x in self.support[1:])))
         object.__setattr__(self, "_d0", self._d // math.gcd(self.residue, self._d))
         self._check_lattice_constants()
-        object.__setattr__(self, "_max_value", max(abs(x) for x in self.support))
         # phi is real for a mirror-image law, and `char` sums its imaginary
         # parts to exactly 0 when at most one magnitude is nonzero: the
         # terms are -s, (0,) +s.  Two or more magnitudes leave rounding
@@ -102,7 +103,7 @@ class SceneryLaw(_FiniteLaw):
 
     @property
     def max_value(self):
-        return self._max_value
+        return max(map(abs, self.support))
 
     def char(self, u):
         """Characteristic function at scalar or array u (complex in general)."""
@@ -133,86 +134,55 @@ def _admissible(profiles, law):
     return all(p.length % law.d0 == 0 for p in profiles)
 
 
-def _halfwidth(counts, law):
-    """Truncation halfwidth for the dense pmf of sum_y xi_y * c_y.
-
-    The target concentrates at scale sigma * n^(3/4); the designed cut is
-    12 sigma n^(3/4), widened to 8 * max|xi| * sqrt(sum c^2) whenever the
-    realized conditional variance is anomalously large, so the tracked
-    truncation error stays below 1e-10.  The count sums are Python ints.
-    """
-    counts = [int(c) for c in counts]
-    span = sum(map(abs, counts)) * law.max_value
-    n = sum(counts)
-    v = float(sum(c * c for c in counts))
-    cut = max(
-        int(math.ceil(12.0 * math.sqrt(law.sigma2) * n ** 0.75)),
-        int(math.ceil(8.0 * law.max_value * math.sqrt(v))),
-        4,
-    )
-    return min(span, cut)
-
-
 def _pmf_1d(counts, law):
-    """Dense pmf (offset -A..A) of sum over sites of xi_y * count_y.
+    """Exact pmf of sum over sites of xi_y * count_y, on its coset.
 
-    The running sum lies on the coset x0 * C + d * Z (x0 the smallest
-    atom, C the count total so far), so cell u holds x0 * C + d * u and
-    atom x shifts it by c * (x - x0) / d >= 0.  Each step writes only the
-    window [lo, hi) inside the support and the -A..A grid.  A cell gets the
-    same products in the same atom order as a full-width pass on the grid,
-    so it is bit-equal: the first product is stored rather than added to
-    0.0, and that pass adds p * 0.0 beyond the window and off the coset.
-    The grid's lower end rises in u, so each step zeroes what the buffer
-    holds below lo; zero padding below u = 0 keeps every shifted read
-    inside the buffer.
+    Returns `(pmf, low)` with `pmf[u] = P(sum = low + d * u)`, `low = x0 * C`
+    (x0 the smallest atom, C the count total, d the law's span), over the
+    whole support: `C * top + 1` cells, `top = (max - x0) / d`.  The running
+    sum lies on the coset x0 * C + d * Z, and atom x shifts it by
+    c * (x - x0) / d >= 0, so each step writes the support so far, a window
+    that only grows: the cells past it still hold the buffer's zeros, and
+    zero padding below u = 0 keeps every shifted read inside the buffer.
+    The first product is stored rather than added to 0.0, which a
+    full-width pass gets bit for bit; the copy releases both work rows.
     """
     counts = np.asarray(counts, dtype=np.int64).tolist()
-    A = _halfwidth(counts, law)
     d, x0 = law.d, int(law.support[0])
     atoms = [((int(x) - x0) // d, float(p)) for x, p in zip(law.support, law.probs)]
     p_first, rest, top = atoms[0][1], atoms[1:], atoms[-1][0]
     total = sum(counts)
     pad = max(counts, default=0) * top
-    cur, nxt = np.zeros((2, pad + min(total * top, (A - x0 * total) // d) + 1))
+    cur, nxt = np.zeros((2, pad + total * top + 1))
     cur[pad] = 1.0
-    lo, hi, C = 0, 1, 0
+    b = pad + 1
     for c in counts:
-        C += c
-        lo = max(0, -((A + x0 * C) // d))
-        hi = min(C * top, (A - x0 * C) // d) + 1
-        a, b = pad + lo, pad + hi
-        nxt[pad:a] = 0.0
-        out = nxt[a:b]
-        np.multiply(cur[a:b], p_first, out=out)
+        b += c * top
+        out = nxt[pad:b]
+        np.multiply(cur[pad:b], p_first, out=out)
         for k, p in rest:
             s = c * k
-            out += p * cur[a - s:b - s]
+            out += p * cur[pad - s:b - s]
         cur, nxt = nxt, cur
-    window = cur[pad + lo:pad + hi]
-    lost = abs(1.0 - math.fsum(window.tolist()))
-    if lost > 1e-10:
-        raise AssertionError(f"convolution truncation lost {lost:.3e} mass")
-    pmf = np.zeros(2 * A + 1)
-    pmf[A + x0 * C + d * lo::d][:window.size] = window
-    return pmf, A
+    return cur[pad:].copy(), x0 * total
 
 
-def _zero_prob_given_shared(shared_values, shared_counts, pmfs):
+def _zero_prob_given_shared(shared_values, shared_counts, pmfs, d):
     """Per scenery row on the shared sites, P(every increment is 0 | row).
 
     Segment j's sum over its own sites must cancel that row's shared
     residual, so the row's value is the product of pmf_j at minus the
-    residual (0 off the truncated grid).  The float64 (BLAS) residuals are
+    residual, read on the coset `low + d * u` of `(pmf, low)` (0 off the
+    coset or outside the support).  The float64 (BLAS) residuals are
     exact: every partial sum is an integer of at most max|x| * n << 2^53.
     """
     residuals = (shared_values.astype(np.float64)
                  @ shared_counts.astype(np.float64)).astype(np.intp)
     val = np.full(residuals.shape[0], 1.0)
-    for j, (pmf, A) in enumerate(pmfs):
-        r = A - residuals[:, j]
-        ok = (r >= 0) & (r < pmf.size)
-        val *= np.where(ok, pmf.take(r, mode="clip"), 0.0)
+    for j, (pmf, low) in enumerate(pmfs):
+        u, off = np.divmod(-low - residuals[:, j], d)
+        ok = (off == 0) & (u >= 0) & (u < pmf.size)
+        val *= np.where(ok, pmf.take(u, mode="clip"), 0.0)
     return val
 
 
@@ -224,11 +194,13 @@ def joint_return_prob_sampled(profiles, law, stream, scenery_draws=64):
     k = 1 too, exactly (the 1D convolution's pmf at zero, with no draw
     from `stream`); the tests hold `ReturnProbTable` to that value.
     For k >= 2, sites visited by exactly one segment are integrated out
-    exactly by 1D convolution; the scenery on sites shared between
-    segments is enumerated when it has at most `_ENUMERATE_LIMIT`
-    assignments and sampled otherwise.  Conditioning on strictly more than
-    the bare indicator keeps this a variance-reduced estimator while
-    avoiding the k-dimensional dense convolution.
+    exactly by 1D convolution over their whole support; the scenery on
+    sites shared between segments is enumerated when it has at most
+    `_ENUMERATE_LIMIT` assignments and sampled otherwise.  With no shared
+    site the enumeration has one empty row, which reads each pmf at zero.
+    Conditioning on strictly more than the bare indicator keeps this a
+    variance-reduced estimator while avoiding the k-dimensional dense
+    convolution.
     """
     if not _admissible(profiles, law):
         return 0.0
@@ -241,9 +213,6 @@ def joint_return_prob_sampled(profiles, law, stream, scenery_draws=64):
         excl = (counts[:, j] > 0) & ~shared
         pmfs.append(_pmf_1d(counts[excl, j], law))
     shared_counts = counts[shared]
-    if shared_counts.shape[0] == 0:
-        return float(np.prod([pmf[A] for pmf, A in pmfs]))
-
     nsh = shared_counts.shape[0]
     nsup = len(law.support)
     if nsup ** nsh <= _ENUMERATE_LIMIT:
@@ -258,11 +227,11 @@ def joint_return_prob_sampled(profiles, law, stream, scenery_draws=64):
             choice[:, i] = support[digit]
             weight *= probs[digit]
             digits //= nsup
-        val = _zero_prob_given_shared(choice, shared_counts, pmfs)
+        val = _zero_prob_given_shared(choice, shared_counts, pmfs, law.d)
         return float(np.dot(weight, val))
 
     draws = law.sample(stream, (scenery_draws, nsh))
-    return float(_zero_prob_given_shared(draws, shared_counts, pmfs).mean())
+    return float(_zero_prob_given_shared(draws, shared_counts, pmfs, law.d).mean())
 
 
 def _cos_char(law, u):

@@ -33,10 +33,12 @@ route lives here too: `sample_delta_path_by_unique` takes a `walk` and
 redraws only the noise, and `walk_field` is its local-time field.
 
 The k >= 2 kernels of `scenery` as they were before the coset
-convolution stay here as its oracles: `pmf_1d_on_full_grid` with
-`halfwidth_by_numpy`, `zero_prob_given_shared_int64`,
-`union_counts_by_union1d`, and `draw_by_choice`, the scenery draw through
-`Generator.choice`.
+convolution stay here as its oracles, and share no code with it:
+`pmf_1d_on_full_grid`, the dense -A..A pmf over the whole support, read on
+the coset by `pmf_1d_on_coset`; `zero_prob_given_shared_int64`;
+`union_counts_by_union1d`; and `draw_by_choice`, the scenery draw through
+`Generator.choice`.  `_pmf_2d`, the k = 2 oracle, truncates its grid at
+`halfwidth_by_numpy`.
 """
 
 import math
@@ -49,13 +51,7 @@ from rwrs.delta_process import DeltaPath, WalkRealization, mollified_values
 from rwrs.errors import BudgetExceededError, DegenerateRatioError
 from rwrs.harness import _zero_count_trajectory, fit_power_law
 from rwrs.lattice_walk import LocalTimeProfile
-from rwrs.scenery import (
-    _LOG_FLOOR,
-    _admissible,
-    _halfwidth,
-    _pmf_1d,
-    _union_counts,
-)
+from rwrs.scenery import _LOG_FLOOR, _admissible, _union_counts
 from rwrs.simkit import estimate_from_values, replicate
 
 
@@ -427,8 +423,8 @@ def _pmf_2d(count_pairs, law, cell_limit=int(6e7)):
     """Dense joint pmf of (sum xi*c1, sum xi*c2) over shared-scenery sites."""
     c1 = count_pairs[:, 0]
     c2 = count_pairs[:, 1]
-    A1 = _halfwidth(c1, law)
-    A2 = _halfwidth(c2, law)
+    A1 = halfwidth_by_numpy(c1, law)
+    A2 = halfwidth_by_numpy(c2, law)
     n1, n2 = 2 * A1 + 1, 2 * A2 + 1
     if n1 * n2 > cell_limit:
         raise BudgetExceededError(
@@ -512,7 +508,8 @@ def conditional_return_prob(profiles, law):
 
     Exactly 0 whenever some segment length is not a multiple of d0 (the
     lattice constraint leaves no mass at zero).  Otherwise evaluated by an
-    exact truncated convolution for k <= 2 segments, and for k >= 3 by
+    exact convolution for k = 1 (over the whole support) and k = 2
+    (truncated at `halfwidth_by_numpy`), and for k >= 3 by
     periodic trapezoid quadrature of the conditional characteristic
     function, whose node count doubles until two refinements agree within
     1e-9.
@@ -522,7 +519,7 @@ def conditional_return_prob(profiles, law):
     if not _admissible(profiles, law):
         return 0.0
     if len(profiles) == 1:
-        pmf, A = _pmf_1d(profiles[0].counts, law)
+        pmf, A = pmf_1d_on_full_grid(profiles[0].counts, law)
         return float(pmf[A])
     if len(profiles) == 2:
         counts = _union_counts(profiles)
@@ -600,7 +597,8 @@ def ray_knight_profile(level, fineness, stream, horizon_cap=10 ** 9):
 
 # The k >= 2 evaluator's kernels as they were before the coset convolution,
 # the float64 residuals and the dense site union: the fast kernels in
-# `scenery` must equal them byte for byte.
+# `scenery` must equal them byte for byte.  They take no name from
+# `rwrs.scenery` (tests/test_startup.py).
 
 
 def halfwidth_by_numpy(counts, law):
@@ -624,23 +622,24 @@ def halfwidth_by_numpy(counts, law):
 
 
 def pmf_1d_on_full_grid(counts, law):
-    """Dense pmf (offset -A..A) of sum over sites of xi_y * count_y.
+    """Dense pmf (offset -A..A, A = sum|c| * max|x|) of sum_y xi_y * c_y.
 
-    Each convolution step writes only the window [lo, hi) outside which the
-    running pmf is exactly zero, clamped to the grid.  A cell gets the same
-    products in the same atom order as a full-width pass, so it is
-    bit-equal: the first product is stored rather than added to 0.0, and
-    the terms that pass adds beyond the window are p * 0.0.  Zero padding
-    of max|c * x| on both sides keeps every shifted read inside the
-    buffer.
+    The grid holds the whole support, so nothing is truncated.  Each
+    convolution step writes only the window [lo, hi) outside which the
+    running pmf is exactly zero.  A cell gets the same products in the
+    same atom order as a full-width pass, so it is bit-equal: the first
+    product is stored rather than added to 0.0, and the terms that pass
+    adds beyond the window are p * 0.0.  Zero padding of max|c * x| on
+    both sides keeps every shifted read inside the buffer.
     """
-    A = halfwidth_by_numpy(counts, law)
-    size = 2 * A + 1
     counts = np.asarray(counts, dtype=np.int64).tolist()
     atoms = [(int(x), float(p)) for x, p in zip(law.support, law.probs)]
     (x_min, p_first), rest = atoms[0], atoms[1:]
     x_max = atoms[-1][0]
-    pad = max(map(abs, counts), default=0) * max(-x_min, x_max)
+    reach = max(-x_min, x_max)
+    A = sum(map(abs, counts)) * reach
+    size = 2 * A + 1
+    pad = max(map(abs, counts), default=0) * reach
     cur = np.zeros(size + 2 * pad)
     nxt = np.zeros(size + 2 * pad)
     cur[pad + A] = 1.0
@@ -648,8 +647,8 @@ def pmf_1d_on_full_grid(counts, law):
     for c in counts:
         # the support of a centered law straddles 0, so the windows nest and
         # the new window covers every cell nxt held two steps back
-        lo = max(0, lo + min(c * x_min, c * x_max))
-        hi = min(size, hi + max(c * x_min, c * x_max))
+        lo += min(c * x_min, c * x_max)
+        hi += max(c * x_min, c * x_max)
         a, b = pad + lo, pad + hi
         out = nxt[a:b]
         s = c * x_min
@@ -658,25 +657,41 @@ def pmf_1d_on_full_grid(counts, law):
             s = c * x
             out += p * cur[a - s:b - s]
         cur, nxt = nxt, cur
-    lost = abs(1.0 - math.fsum(cur[pad + lo:pad + hi].tolist()))
-    if lost > 1e-10:
-        raise AssertionError(f"convolution truncation lost {lost:.3e} mass")
     return cur[pad:pad + size], A
 
 
-def zero_prob_given_shared_int64(shared_values, shared_counts, pmfs):
+def pmf_1d_on_coset(counts, law):
+    """`pmf_1d_on_full_grid` read at x0 * C + d * u, u = 0 .. C * top.
+
+    The `(pmf, low)` of `scenery._pmf_1d`: x0 and max are the smallest and
+    largest atoms, C the count total, d the gcd of the atoms' differences
+    and top = (max - x0) / d.
+    """
+    grid, A = pmf_1d_on_full_grid(counts, law)
+    support = [int(x) for x in law.support]
+    x0 = support[0]
+    d = math.gcd(*(x - x0 for x in support[1:]))
+    total = int(np.sum(counts))
+    low = x0 * total
+    cells = total * (support[-1] - x0) // d + 1
+    return grid[A + low::d][:cells].copy(), low
+
+
+def zero_prob_given_shared_int64(shared_values, shared_counts, pmfs, d):
     """Per scenery row on the shared sites, P(every increment is 0 | row).
 
     Segment j's sum over its own sites must cancel that row's shared
     residual, so the row's value is the product of pmf_j at minus the
-    residual (0 off the truncated grid).
+    residual: cell u of `(pmf, low)` holds low + d * u, and rows off that
+    coset or outside the support read 0.
     """
     residuals = shared_values @ shared_counts  # (rows, k)
     val = np.full(residuals.shape[0], 1.0)
-    for j, (pmf, A) in enumerate(pmfs):
-        r = -residuals[:, j] + A
-        ok = (r >= 0) & (r < pmf.size)
-        val *= np.where(ok, pmf[np.clip(r, 0, pmf.size - 1)], 0.0)
+    for j, (pmf, low) in enumerate(pmfs):
+        r = -residuals[:, j] - low
+        u = r // d
+        ok = (r % d == 0) & (u >= 0) & (u < pmf.size)
+        val *= np.where(ok, pmf[np.clip(u, 0, pmf.size - 1)], 0.0)
     return val
 
 

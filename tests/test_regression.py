@@ -170,7 +170,7 @@ CASES = {
         "[experiment]\nsubcommand = delta-localtime\n"
         "[params]\nt = 1\nfineness = 1024\ndt = 1/256\n[run]\nreplicas = 50\n",
         [],
-        "6eaee7ec10c6aae7258b07566d2c0c56e6c6734b1e5ca74882fd6aedc34ffbd2",
+        "c0a59157238afc1405c9e20d2103c421ba3f4f7f0f593908d9df42d013162c46",
         "d132bb9fdcef2935fcc5fa6dbef023a3b0ec0318e4e4bb6567325c056a691a75",
     ),
     "scaling-test": (
@@ -191,7 +191,7 @@ CASES = {
         "[experiment]\nsubcommand = boxcount\n"
         "[params]\nfineness = 4096\ndt = 1/4096\npaths = 20\n",
         [],
-        "6201eca6f160d98be84f31d60cd4fb8ee182586ec2f18f13367778468f7bb9d0",
+        "86f0dea00eea04d6ba39d3e5a6f0d712f74061b5bc46b1f62c4ebf21e5d62347",
         "233e272d8126a23edf14d021af7d2cc5cb9483fbc8cae253ce777bea4698e165",
     ),
     # widths 1, 2, 5, 16, 55, 164, 328 cells: a clamped width of 1, pairwise

@@ -25,7 +25,7 @@ from reference import (
     conditional_return_prob,
     draw_by_choice,
     evaluate_increments,
-    halfwidth_by_numpy,
+    pmf_1d_on_coset,
     pmf_1d_on_full_grid,
     return_prob_table_complex,
     sample_and_evaluate,
@@ -385,8 +385,11 @@ def test_joint_sampled_vanishes_off_lattice():
 
 
 def _pmf_1d_full_width(counts, law):
-    """Reference 1D convolution that sweeps the whole -A..A grid every step."""
-    A = scenery._halfwidth(counts, law)
+    """Reference 1D convolution that sweeps the whole -A..A grid every step.
+
+    A = sum|c| * max|x| holds the whole support.
+    """
+    A = int(np.abs(counts).sum()) * law.max_value
     size = 2 * A + 1
     cur = np.zeros(size)
     cur[A] = 1.0
@@ -404,10 +407,21 @@ def _pmf_1d_full_width(counts, law):
             elif -size < s < 0:
                 nxt[:s] += p * cur[-s:]
         cur, nxt = nxt, cur
-    lost = abs(1.0 - math.fsum(cur))
-    if lost > 1e-10:
-        raise AssertionError(f"convolution truncation lost {lost:.3e} mass")
     return cur, A
+
+
+def _assert_coset_cells(pmf, low, counts, law, ref, A):
+    """`(pmf, low)` is the whole support of the dense `ref`, byte for byte,
+    and `ref` is exactly 0 everywhere else, off the coset too."""
+    total = int(np.sum(counts))
+    top = (law.support[-1] - law.support[0]) // law.d
+    assert low == law.support[0] * total
+    assert pmf.dtype == ref.dtype and pmf.size == total * top + 1
+    cells = A + low + law.d * np.arange(pmf.size)
+    assert pmf.tobytes() == ref[cells].tobytes()
+    rest = np.ones(ref.size, dtype=bool)
+    rest[cells] = False
+    assert not ref[rest].any()
 
 
 PMF_LAWS = [
@@ -415,7 +429,7 @@ PMF_LAWS = [
     SceneryLaw.from_dict({-1: Fraction(1, 4), 0: Fraction(1, 2), 1: Fraction(1, 4)}),
     SceneryLaw.from_dict({-2: Fraction(1, 3), 1: Fraction(2, 3)}),
     SceneryLaw((-2, -1, 0, 1, 2), (0.1, 0.25, 0.35, 0.15, 0.15)),
-    # rare large values: the grid is clamped well inside the span
+    # rare large values: a span far wider than the pmf's bulk
     SceneryLaw.from_dict({-10: Fraction(1, 100), 0: Fraction(98, 100),
                           10: Fraction(1, 100)}),
 ]
@@ -423,29 +437,25 @@ PMF_LAWS = [
 
 def test_windowed_convolution_is_bit_equal_to_full_width():
     rng = np.random.default_rng(53)
-    clamped = 0
     for law in PMF_LAWS:
         for trial in range(25):
             m = int(rng.integers(1, 300))
             counts = rng.integers(1, int(rng.integers(2, 40)), size=m)
             if trial % 5 == 0:
                 counts = np.full(m, int(rng.integers(1, 4)))
-            pmf, A = _pmf_1d(counts, law)
-            ref, ref_A = _pmf_1d_full_width(counts, law)
-            clamped += A < int(counts.sum()) * law.max_value
-            assert A == ref_A and pmf.shape == ref.shape
-            assert pmf.tobytes() == ref.tobytes()
-    assert clamped >= 10  # the clamp to the -A..A grid is exercised
+            pmf, low = _pmf_1d(counts, law)
+            ref, A = _pmf_1d_full_width(counts, law)
+            _assert_coset_cells(pmf, low, counts, law, ref, A)
 
 
-def test_windowed_convolution_still_checks_lost_mass(monkeypatch):
-    # a grid far narrower than the spread loses mass; both versions refuse
-    monkeypatch.setattr(scenery, "_halfwidth", lambda counts, law: 3)
-    counts = np.ones(40, dtype=np.int64)
-    with pytest.raises(AssertionError, match="lost"):
-        _pmf_1d(counts, RADEMACHER)
-    with pytest.raises(AssertionError, match="lost"):
-        _pmf_1d_full_width(counts, RADEMACHER)
+def test_pmf_holds_the_whole_support():
+    # the end cells, -+1000, lie 71 standard deviations out
+    law = SceneryLaw.from_dict(_parse_law_text("-10:1/100,0:98/100,10:1/100"))
+    counts = np.ones(100, dtype=np.int64)
+    pmf, low = _pmf_1d(counts, law)
+    assert low == -1000 and pmf.size == 100 * 2 + 1
+    assert pmf[0] == pytest.approx(0.01 ** 100, rel=1e-12, abs=0.0)
+    assert pmf[-1] == pytest.approx(0.01 ** 100, rel=1e-12, abs=0.0)
 
 
 # laws whose lattice span d is 4, 6 and 9, beside PMF_LAWS' 1, 2, 3 and 10
@@ -458,7 +468,6 @@ COSET_LAWS = PMF_LAWS + [
 def test_coset_convolution_is_byte_equal_to_the_full_grid():
     assert [law.d for law in COSET_LAWS[-3:]] == [4, 6, 9]
     rng = np.random.default_rng(61)
-    clamped = 0
     for law in COSET_LAWS:
         cases = [np.zeros(0, dtype=np.int64)]
         for trial in range(20):
@@ -467,18 +476,15 @@ def test_coset_convolution_is_byte_equal_to_the_full_grid():
             if trial % 4 == 0:
                 cases.append(np.full(m, int(rng.integers(1, 4))))
         for counts in cases:
-            assert scenery._halfwidth(counts, law) == halfwidth_by_numpy(counts, law)
-            pmf, A = _pmf_1d(counts, law)
-            ref, ref_A = pmf_1d_on_full_grid(counts, law)
-            clamped += A < int(counts.sum()) * law.max_value
-            assert A == ref_A and pmf.dtype == ref.dtype
-            assert pmf.tobytes() == ref.tobytes()
-    assert clamped >= 10  # the grid clamps well inside the span, in u too
+            pmf, low = _pmf_1d(counts, law)
+            ref, A = pmf_1d_on_full_grid(counts, law)
+            _assert_coset_cells(pmf, low, counts, law, ref, A)
 
 
 def test_float_residuals_are_byte_equal_to_the_int64_route():
     rng = np.random.default_rng(67)
     for law in COSET_LAWS:
+        d = law.d
         for _ in range(10):
             k = int(rng.integers(2, 4))
             pmfs = [_pmf_1d(rng.integers(1, 6, size=int(rng.integers(0, 12))), law)
@@ -486,22 +492,29 @@ def test_float_residuals_are_byte_equal_to_the_int64_route():
             nsh = int(rng.integers(1, 20))
             counts = rng.integers(0, 8, size=(nsh, k))
             values = draw_by_choice(law, RngStream(67, nsh), (300, nsh))
-            got = scenery._zero_prob_given_shared(values, counts, pmfs)
-            ref = zero_prob_given_shared_int64(values, counts, pmfs)
+            got = scenery._zero_prob_given_shared(values, counts, pmfs, d)
+            ref = zero_prob_given_shared_int64(values, counts, pmfs, d)
             assert got.tobytes() == ref.tobytes()
             residuals = values @ counts
-            for j, (pmf, A) in enumerate(pmfs):
-                # rows off the grid on either side read as 0
-                off = np.abs(residuals[:, j]) > A
+            for j, (pmf, low) in enumerate(pmfs):
+                # rows outside the support on either side read as 0
+                need = -residuals[:, j]
+                off = (need < low) | (need > low + d * (pmf.size - 1))
                 assert np.all(got[off] == 0.0)
-        # one shared site: residuals far off the grid on both sides, just
-        # off it and on its two ends
-        pmf, A = _pmf_1d([1, 2, 1], law)
-        values = np.array([[-1], [1]])
-        for c in (10 * A, A + 1, A, 1, 0):
-            got = scenery._zero_prob_given_shared(values, np.array([[c]]), [(pmf, A)])
-            ref = zero_prob_given_shared_int64(values, np.array([[c]]), [(pmf, A)])
-            assert got.tobytes() == ref.tobytes()
+        # one shared site of count 1 whose value cancels every sum from far
+        # below the support to far above it: both ends, just off them, and
+        # (for d > 1) off the coset
+        pmf, low = _pmf_1d([1, 2, 1], law)
+        high = low + d * (pmf.size - 1)
+        far = 10 * (high - low)
+        need = np.r_[low - far, np.arange(low - 2 * d - 1, high + 2 * d + 2), high + far]
+        values = -need[:, None]
+        got = scenery._zero_prob_given_shared(values, np.array([[1]]), [(pmf, low)], d)
+        ref = zero_prob_given_shared_int64(values, np.array([[1]]), [(pmf, low)], d)
+        assert got.tobytes() == ref.tobytes()
+        on = (need >= low) & (need <= high) & ((need - low) % d == 0)
+        assert got[on].tobytes() == pmf.tobytes()
+        assert not got[~on].any()
 
 
 def test_union_counts_equal_union1d():
@@ -539,7 +552,7 @@ def test_joint_sampled_is_byte_equal_to_the_reference_kernels(times, monkeypatch
     for law in (RADEMACHER, COSET_LAWS[1], COSET_LAWS[-1]):
         got = _joint_values(law, times, 73, 200)
         with monkeypatch.context() as patched:
-            patched.setattr(scenery, "_pmf_1d", pmf_1d_on_full_grid)
+            patched.setattr(scenery, "_pmf_1d", pmf_1d_on_coset)
             patched.setattr(scenery, "_zero_prob_given_shared",
                             zero_prob_given_shared_int64)
             patched.setattr(scenery, "_union_counts",

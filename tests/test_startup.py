@@ -2,8 +2,9 @@
 that `src/` exports nothing only the tests use and holds no result field
 that nothing reads, that `cli.validate_config` names no param, that walk
 steps are drawn in one module, that the exact oracle enumerates no paths,
-that the exact reference enumerates its own paths and that the dict-route
-walk reference builds its own positions.
+that the exact reference enumerates its own paths, that the dict-route
+walk reference builds its own positions and that the references of the
+scenery kernels take no name from `rwrs.scenery`.
 
 The import checks run in fresh interpreters, since the test process itself
 has loaded scipy.
@@ -297,3 +298,40 @@ def test_dict_route_reference_builds_its_own_walk():
         elif isinstance(node, ast.Import):
             used.update(a.name for a in node.names if a.name.startswith("rwrs"))
     assert used and used <= {"LocalTimeProfile"}
+
+
+# the oracles of scenery's k >= 2 kernels, and the k = 2 oracle
+SCENERY_ORACLES = {"pmf_1d_on_full_grid", "pmf_1d_on_coset", "halfwidth_by_numpy",
+                   "zero_prob_given_shared_int64", "union_counts_by_union1d",
+                   "_pmf_2d"}
+
+
+def test_scenery_kernel_references_take_no_scenery_name():
+    # a fault in scenery._pmf_1d, _zero_prob_given_shared or _union_counts
+    # cannot reach the reference it is checked against: the references take
+    # no name from rwrs, except the budget error that _pmf_2d raises
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reference.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    from_rwrs = {}  # local name -> qualified name
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("rwrs"):
+            from_rwrs.update((a.asname or a.name, f"{node.module}.{a.name}")
+                             for a in node.names)
+        elif isinstance(node, ast.Import):
+            from_rwrs.update((a.asname or a.name.split(".")[0], a.name)
+                             for a in node.names if a.name.startswith("rwrs"))
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name in SCENERY_ORACLES}
+    assert set(funcs) == SCENERY_ORACLES
+    for name, func in funcs.items():
+        used = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and node.id in from_rwrs:
+                used.add(from_rwrs[node.id])
+            elif isinstance(node, ast.ImportFrom) and node.module.startswith("rwrs"):
+                used.update(f"{node.module}.{a.name}" for a in node.names)
+            elif isinstance(node, ast.Import):
+                used.update(a.name for a in node.names if a.name.startswith("rwrs"))
+        allowed = {"rwrs.errors.BudgetExceededError"} if name == "_pmf_2d" else set()
+        assert used == allowed, name
