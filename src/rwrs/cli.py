@@ -28,9 +28,9 @@ __all__ = ["main", "validate_config", "run", "export_results", "ExperimentConfig
 
 
 _LAW_ALIASES = {
-    "simple": {-1: Fraction(1, 2), 1: Fraction(1, 2)},
-    "rademacher": {-1: Fraction(1, 2), 1: Fraction(1, 2)},
-    "lazy": {-1: Fraction(1, 4), 0: Fraction(1, 2), 1: Fraction(1, 4)},
+    "simple": StepLaw.simple(),
+    "rademacher": SceneryLaw.rademacher(),
+    "lazy": StepLaw.lazy(),
 }
 
 _DEFAULTS = {
@@ -77,7 +77,7 @@ def _law_to_text(law):
 def _parse_law_text(text):
     text = text.strip()
     if text in _LAW_ALIASES:
-        return dict(_LAW_ALIASES[text])
+        text = _law_to_text(_LAW_ALIASES[text])
     pmf = {}
     for part in text.split(","):
         site, _, prob = part.partition(":")
@@ -174,7 +174,7 @@ def validate_config(path, overrides=None):
         if name in entry.laws:
             try:
                 laws[name] = law.from_dict(_parse_law_text(get("laws", name, default)))
-            except (ValueError, AssertionError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 errors.append(f"laws.{name}: {exc}")
     step, scenery = laws.get("step"), laws.get("scenery")
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .brownian import gram_of_fields, sample_local_time_fields
 from .errors import DegenerateRatioError, RejectionRateError
-from .lattice_walk import _coin_steps, _segment_counts, _walk_positions
+from .lattice_walk import _coin_steps, _walk_positions
 from .simkit import Estimate, estimate_from_values, replicate
 
 __all__ = [
@@ -113,13 +113,6 @@ def _duration_density(durations, t):
     return math.exp(logc) * t ** (-k / 4.0) * float(np.prod(durations ** -0.75))
 
 
-def _segment_norm_sq(steps, stream, duration):
-    """||L||_2^2 of a fresh segment of `steps` lattice steps over `duration`."""
-    (counts,) = _segment_counts(_walk_positions(_coin_steps, steps, stream), [steps])[1]
-    v = float(np.dot(counts, counts))
-    return (duration / steps) ** 1.5 * v
-
-
 def estimate_Mk(k, t, replicas, fineness, stream, eps=0.0):
     """Importance-sampled estimate of the k-th local-time moment at level 0.
 
@@ -130,9 +123,11 @@ def estimate_Mk(k, t, replicas, fineness, stream, eps=0.0):
     With eps = 0 the determinant is taken over increment fields (equal to
     the cumulative one, better conditioned); increments too short to
     resolve on the shared grid (< `_TINY_STEPS` lattice steps) enter
-    through their norm factor alone, sampled on `_TINY_SIM_STEPS` steps of
-    their own, the cross terms being lower order for such short
-    increments.
+    through their norm factor alone, the cross terms being lower order for
+    such short increments: ||L||^2 of a unit-horizon field of
+    `_TINY_SIM_STEPS` steps of their own, times duration^(3/2) by Brownian
+    scaling.  Its grid spacing 1/128 is a power of two, so the field holds
+    the visit counts scaled exactly.
 
     With eps > 0 the target is the regularized functional
     det(M_cumulative + eps I)^(-1/2), whose ordered-time integral equals
@@ -157,7 +152,8 @@ def estimate_Mk(k, t, replicas, fineness, stream, eps=0.0):
             tiny = durations * m < _TINY_STEPS
             det = 1.0
             for j in np.nonzero(tiny)[0]:
-                det *= _segment_norm_sq(_TINY_SIM_STEPS, sub, durations[j])
+                cum, _ = sample_local_time_fields([1.0], _TINY_SIM_STEPS, sub)
+                det *= cum[0].norm2_sq() * durations[j] ** 1.5
             big = durations[~tiny]
             if big.size:
                 horizons = np.cumsum(big)

@@ -14,7 +14,7 @@ import numpy as np
 from . import brownian, delta_process
 from .errors import DegenerateRatioError
 from .lattice_walk import _segment_counts, _walk_positions, simulate_local_times
-from .scenery import ReturnProbTable, joint_return_prob_sampled
+from .scenery import ReturnProbTable, _check_exact_residuals, joint_return_prob_sampled
 from .simkit import Estimate, estimate_from_values, replicate
 
 __all__ = [
@@ -196,6 +196,8 @@ def estimate_return_curve(step, scen, n_list, k=1, T_ratios=None,
         raise ValueError("k must be >= 1")
     if k > 1 and (T_ratios is None or len(T_ratios) != k):
         raise ValueError("k >= 2 needs one T ratio per time")
+    if k > 1:  # the longest walk, before any is drawn
+        _check_exact_residuals(scen, _joint_times(n_list[-1], T_ratios, d0)[-1])
     estimates = []
     for idx, n in enumerate(n_list):
         sub = stream.substream(idx)
@@ -238,6 +240,7 @@ def correlation_ratio(n, t_ratio, replicas, stream, step, scen,
     d0 = scen.d0
     n = _round_admissible(n, d0)
     m = _round_admissible(n * t_ratio, d0)
+    _check_exact_residuals(scen, n + m)
     joint_vals = _return_values_joint(step, scen, [n, n + m], replicas,
                                       stream.substream(1), scenery_draws)
     p_n = estimate_from_values(
@@ -306,14 +309,19 @@ def _zero_count_trajectory(step, scen, marks, stream):
 def counting_moment_curve(step, scen, k, n_list, replicas, stream):
     """Direct-counting moments of the zero-visit count with their scaling fit.
 
-    One trajectory of length max(n_list) serves every mark.  The amplitude
-    reported for the n^{k/4} law comes from a two-parameter fit
-    A n^{k/4} + B, which absorbs the additive lattice-sum correction that
-    otherwise contaminates the constant at desk-scale n.
+    One trajectory of length max(n_list) serves every mark, and its int64
+    running sum of Z needs max|x| * max(n_list) < 2**63 (ValueError, before
+    any walk, otherwise).  The amplitude reported for the n^{k/4} law comes
+    from a two-parameter fit A n^{k/4} + B, which absorbs the additive
+    lattice-sum correction that otherwise contaminates the constant at
+    desk-scale n.
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
     n_list = [int(n) for n in n_list]
+    if scen.max_value * max(n_list) >= 2 ** 63:
+        raise ValueError(f"max|x| * max(n_list) = {scen.max_value} * {max(n_list)} "
+                         "reaches 2**63, the bound of the int64 running sum of Z")
     marks = np.asarray(n_list)
 
     def moments(sub):

@@ -23,7 +23,7 @@ __all__ = [
 class _FiniteLaw:
     """Centered law on finitely many integers.
 
-    The support is sorted and distinct and every probability is positive.
+    The support is sorted distinct integers, each probability positive.
     Normalization and centering are checked exactly when all probabilities
     are Fractions and within 1e-12 otherwise.
     """
@@ -34,7 +34,8 @@ class _FiniteLaw:
     def __post_init__(self):
         if len(self.support) != len(self.probs) or not self.support:
             raise ValueError("support and probs must be nonempty and same length")
-        if list(self.support) != sorted(set(self.support)):
+        if (not all(hasattr(x, "__index__") for x in self.support)
+                or list(self.support) != sorted(set(self.support))):
             raise ValueError("support must be sorted distinct integers")
         if any(p <= 0 for p in self.probs):
             raise ValueError("all probabilities must be positive")

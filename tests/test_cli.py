@@ -249,6 +249,66 @@ seed = 1
     assert report["derived"]["sigma2"] == 4.0
 
 
+def test_analyze_law_takes_atoms_of_any_size(tmp_path):
+    # d and d0 are read off the atoms, with no check over n or phi that
+    # grows with d
+    cfg = write_config(tmp_path, """
+[experiment]
+subcommand = analyze-law
+
+[laws]
+scenery = -100000000:1/2,100000000:1/2
+""")
+    config = validate_config(cfg)
+    assert isinstance(config, ExperimentConfig), config
+    assert (config.derived["d"], config.derived["d0"]) == (200000000, 2)
+
+
+@pytest.mark.parametrize("step,scenery", [("rademacher", "simple"),
+                                          ("lazy", "lazy"),
+                                          ("simple", "rademacher")])
+def test_law_names_are_accepted_in_both_sections(tmp_path, step, scenery):
+    text = MINIMAL.replace("step = simple", f"step = {step}").replace(
+        "scenery = rademacher", f"scenery = {scenery}")
+    config = validate_config(write_config(tmp_path, text))
+    assert isinstance(config, ExperimentConfig), config
+    pairs = {"simple": "-1:1/2,1:1/2", "rademacher": "-1:1/2,1:1/2",
+             "lazy": "-1:1/4,0:1/2,1:1/4"}
+    snap = config.snapshot()
+    assert (snap["laws.step"], snap["laws.scenery"]) == (pairs[step], pairs[scenery])
+
+
+@pytest.mark.parametrize("subcommand,params,atom,bound", [
+    ("return-curve", "n_list = 4 8 16\nk = 2\nt_ratios = 1/2 1", 2 ** 51, "2**53"),
+    ("counting-moments", "n_list = 2 4 8\nk = 1", 2 ** 61, "2**63"),
+], ids=["return-curve", "counting-moments"])
+def test_sums_past_their_exact_bound_are_run_errors(tmp_path, capsys, monkeypatch,
+                                                    subcommand, params, atom, bound):
+    # atoms of any size validate; a sum of Z that would leave its exact
+    # range is refused at run time, before any walk is drawn
+    def no_walk(*args):
+        raise AssertionError("a walk was drawn")
+
+    monkeypatch.setattr(harness, "_walk_positions", no_walk)
+    monkeypatch.setattr(harness, "simulate_local_times", no_walk)
+    cfg = write_config(tmp_path, f"""
+[experiment]
+subcommand = {subcommand}
+
+[laws]
+scenery = -{atom}:1/2,{atom}:1/2
+
+[params]
+{params}
+
+[run]
+replicas = 4
+""")
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "runtime error" in err and bound in err, err
+
+
 BOXCOUNT = """
 [experiment]
 subcommand = boxcount

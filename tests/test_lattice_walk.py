@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rwrs import lattice_walk
 from rwrs.simkit import RngStream
 from rwrs.lattice_walk import LocalTimeProfile, StepLaw, simulate_local_times
+from rwrs.scenery import SceneryLaw
 
 from reference import (
     draw_by_choice,
@@ -33,6 +34,15 @@ def test_step_law_validation():
         StepLaw((-2, 2), (0.5, 0.5))  # does not generate the integers
     with pytest.raises(ValueError):
         StepLaw((-1, 1), (Fraction(1, 3), Fraction(1, 3)))  # exact sum != 1
+
+
+def test_law_with_a_non_integer_atom_is_rejected():
+    # the message names integers; math.gcd would otherwise raise TypeError
+    with pytest.raises(ValueError, match="sorted distinct integers"):
+        StepLaw.from_dict({-1.0: 0.5, 1.0: 0.5})
+    with pytest.raises(ValueError, match="sorted distinct integers"):
+        SceneryLaw.from_dict({-1.5: 0.5, 1.5: 0.5})
+    assert StepLaw.from_dict({np.int64(-1): 0.5, np.int64(1): 0.5}).support == (-1, 1)
 
 
 def test_law_with_every_threshold_dropped_is_rejected():

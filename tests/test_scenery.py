@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rwrs import scenery
+from rwrs import harness, scenery
 from rwrs.cli import _parse_law_text
+from rwrs.exact_oracle import exact_joint_return
 from rwrs.harness import _round_admissible
 from rwrs.simkit import RngStream
 from rwrs.lattice_walk import LocalTimeProfile, StepLaw, simulate_local_times
@@ -61,6 +62,59 @@ def test_lattice_residue_identity_holds_for_asymmetric_support():
     assert law.d == 3
     assert law.d0 == 3
     assert law.sigma2 == pytest.approx((16 + 1 + 25) / 3)
+
+
+def _assert_lattice_identities(law):
+    d, d0 = law.d, law.d0
+    for n in range(1, 4 * d + 1):
+        # one residue on the support: n * x is in dZ for every atom or none,
+        # and for every atom exactly when d0 divides n
+        assert {(n * x) % d == 0 for x in law.support} == {n % d0 == 0}, (law, n)
+    assert abs(law.char(2 * math.pi / d) ** d - 1.0) <= 1e-9, law
+
+
+def test_lattice_constants_meet_the_identities_that_define_them():
+    for a in range(1, 41):
+        for b in range(1, 41):
+            _assert_lattice_identities(
+                SceneryLaw((-a, b), (Fraction(b, a + b), Fraction(a, a + b))))
+    for text in ("-1:1/4,0:1/2,1:1/4", "-4:1/3,-1:1/3,5:1/3", "-6:1/2,2:1/4,10:1/4",
+                 "-3:1/3,0:1/6,2:1/2", "-9:1/3,3:1/3,6:1/3", "-7:1/3,2:1/3,5:1/3"):
+        _assert_lattice_identities(SceneryLaw.from_dict(_parse_law_text(text)))
+
+
+def _scaled_rademacher(a):
+    return SceneryLaw((-a, a), (Fraction(1, 2), Fraction(1, 2)))
+
+
+def _no_walk(*args):
+    raise AssertionError("a walk was drawn")
+
+
+@pytest.mark.parametrize("step", [StepLaw.simple(), StepLaw.lazy()],
+                         ids=["simple", "lazy"])
+@pytest.mark.parametrize("a", [3, 10 ** 3, 10 ** 6, 10 ** 8])
+def test_return_probabilities_do_not_see_the_scale_of_the_atoms(a, step, monkeypatch):
+    # every atom times a: d and the sums scale by a, d0 and P(Z = 0) do not
+    law = _scaled_rademacher(a)
+    assert (law.d, law.d0) == (2 * a, 2)
+    root = RngStream(24, 0)
+    profiles = [simulate_local_times(step, [512], root.substream(i))[0]
+                for i in range(200)]
+    np.testing.assert_allclose(ReturnProbTable(law).evaluate(profiles),
+                               ReturnProbTable(RADEMACHER).evaluate(profiles),
+                               rtol=0.0, atol=1e-15)
+    # these walks share at most 12 sites, so the shared sceneries are
+    # enumerated; a limit of 1 samples them instead
+    for limit in (scenery._ENUMERATE_LIMIT, 1):
+        monkeypatch.setattr(scenery, "_ENUMERATE_LIMIT", limit)
+        for i in range(8):
+            walk = simulate_local_times(step, [64, 128], root.substream(1000 + i))
+            assert (joint_return_prob_sampled(walk, law, root.substream(2000 + i))
+                    == joint_return_prob_sampled(walk, RADEMACHER,
+                                                 root.substream(2000 + i)))
+    assert (exact_joint_return(step, law, [6, 10]).exact
+            == exact_joint_return(step, RADEMACHER, [6, 10]).exact)
 
 
 def test_sample_and_evaluate_direct_sum():
@@ -195,8 +249,6 @@ def test_rao_blackwell_unbiasedness_and_variance_reduction():
         conds[i] = conditional_return_prob(profiles, law)
         (z,) = sample_and_evaluate(profiles, law, sub.substream(1))
         indicators[i] = 1.0 if z == 0 else 0.0
-    from rwrs.exact_oracle import exact_joint_return
-
     exact = exact_joint_return(step, law, [n]).value
     se_cond = conds.std(ddof=1) / math.sqrt(len(conds))
     se_ind = indicators.std(ddof=1) / math.sqrt(len(indicators))
@@ -362,10 +414,43 @@ def test_table_values_barely_depend_on_block_size(text, monkeypatch):
         np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
 
 
+def test_joint_sampled_refuses_walks_past_the_float64_residual_bound(monkeypatch):
+    # max|x| * n reaches 2**53 at a = 2**50 over 8 steps; one unit less on
+    # the atoms stays below it and reads Rademacher's value
+    walk = simulate_local_times(StepLaw.simple(), [4, 8], RngStream(24, 3))
+    below = _scaled_rademacher(2 ** 50 - 1)
+    assert (joint_return_prob_sampled(walk, below, RngStream(24, 4))
+            == joint_return_prob_sampled(walk, RADEMACHER, RngStream(24, 4)))
+    law = _scaled_rademacher(2 ** 50)
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        joint_return_prob_sampled(walk, law, RngStream(24, 4))
+
+    monkeypatch.setattr(harness, "simulate_local_times", _no_walk)
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        harness.estimate_return_curve(StepLaw.simple(), law, [4, 8, 16], k=2,
+                                      T_ratios=[0.5, 1.0], walk_replicas=2,
+                                      stream=RngStream(24, 5))
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        harness.correlation_ratio(4, 1.0, 2, RngStream(24, 5), StepLaw.simple(), law)
+
+
+def test_counting_moments_refuse_sums_past_the_int64_bound(monkeypatch):
+    # max|x| * max(n_list) reaches 2**63 at a = 2**60 and n = 8; one unit
+    # less on the atoms stays below it and counts Rademacher's zeros
+    step = StepLaw.simple()
+    below = harness.counting_moment_curve(step, _scaled_rademacher(2 ** 60 - 1), 1,
+                                          [2, 4, 8], 400, RngStream(24, 6))
+    assert below == harness.counting_moment_curve(step, RADEMACHER, 1, [2, 4, 8],
+                                                  400, RngStream(24, 6))
+
+    monkeypatch.setattr(harness, "_walk_positions", _no_walk)
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        harness.counting_moment_curve(step, _scaled_rademacher(2 ** 60), 1,
+                                      [2, 4, 8], 400, RngStream(24, 6))
+
+
 def test_joint_sampled_estimator_is_unbiased():
     step = StepLaw.simple()
-    from rwrs.exact_oracle import exact_joint_return
-
     exact = exact_joint_return(step, RADEMACHER, [4, 8]).value
     root = RngStream(101, 0)
     vals = np.empty(3000)

@@ -1,10 +1,10 @@
 """Start-up cost: what `import rwrs` loads, the malloc thresholds it sets,
-that `src/` exports nothing only the tests use and holds no result field
-that nothing reads, that `cli.validate_config` names no param, that walk
-steps are drawn in one module, that the exact oracle enumerates no paths,
-that the exact reference enumerates its own paths, that the dict-route
-walk reference builds its own positions and that the references of the
-scenery kernels take no name from `rwrs.scenery`.
+that `src/` exports nothing only the tests use, holds no result field
+that nothing reads and no bare `assert`, that `cli.validate_config` names
+no param, that walk steps are drawn in one module, that the exact oracle
+enumerates no paths, that the exact reference enumerates its own paths,
+that the dict-route walk reference builds its own positions and that the
+references of the scenery kernels take no name from `rwrs.scenery`.
 
 The import checks run in fresh interpreters, since the test process itself
 has loaded scipy.
@@ -181,6 +181,17 @@ def test_every_dataclass_field_is_read():
     unread = [f"{cls}.{name}" for cls, name in fields
               if name not in read and (cls, name) != ("ExactResult", "exact")]
     assert fields and not unread, unread
+
+
+def test_src_has_no_bare_assert():
+    # a documented check must raise, since `python -O` strips an assert
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "rwrs", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        found += [f"{os.path.basename(path)}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found
 
 
 def test_walk_steps_are_drawn_only_in_lattice_walk():
