@@ -83,7 +83,10 @@ def _parse_law_text(text):
         site, _, prob = part.partition(":")
         if not prob:
             raise ValueError(f"bad law atom {part!r}; expected site:prob")
-        pmf[int(site.strip())] = Fraction(prob.strip())
+        site = int(site.strip())
+        if site in pmf:
+            raise ValueError(f"site {site} is given twice")
+        pmf[site] = Fraction(prob.strip())
     return pmf
 
 
@@ -315,18 +318,9 @@ def _oracle(config, p, stream, report):
 def _return_curve(config, p, stream, report):
     if p["n_list"][0] % config.scenery.d0:
         # every n is off the d0 lattice and k = 1 (validated): P(Z_n = 0)
-        # is exactly 0 there, and the run checks that each estimate is
-        rows = []
-        for n in p["n_list"]:
-            est = estimate_from_values(
-                harness._return_values_k1(config.step, config.scenery, n,
-                                          config.replicas, stream))
-            if est.value != 0.0:
-                raise RuntimeError(
-                    f"inadmissible time n={n} has nonzero estimate {est.value}"
-                )
-            rows.append(_row("return_prob_inadmissible", n, est.value, est.std_error))
-        return rows
+        # is exactly 0 there, so the rows are written without drawing a
+        # walk, as `oracle` writes the exact 0 of an off-lattice segment
+        return [_row("return_prob_inadmissible", n, 0.0) for n in p["n_list"]]
     ests, fit = harness.estimate_return_curve(
         config.step, config.scenery, p["n_list"], k=p["k"],
         T_ratios=p.get("t_ratios"), walk_replicas=config.replicas,
@@ -460,16 +454,16 @@ def _check_oracle(p, step, scenery):
 def _check_return_curve(p, step, scenery):
     k, ratios, ns = p["k"], p.get("t_ratios"), p["n_list"]
     # on the d0 lattice the run is a return curve; off it, P(Z_n = 0) is
-    # exactly 0 and the run is the exact-zero check of that, at k = 1
+    # exactly 0 and the run writes that 0, at k = 1
     off = [n for n in ns if n % scenery.d0]
     if off and len(off) < len(ns):
         return [f"params.n_list: length {off[0]} violates the d0-divisibility "
                 f"constraint (d0={scenery.d0}) that other lengths meet; every n "
-                "on the lattice runs a return curve, every n off it checks that "
-                "P(Z_n = 0) is exactly 0"]
+                "on the lattice runs a return curve, every n off it reports the "
+                "exact 0 of P(Z_n = 0)"]
     if off and k != 1:
         return [f"params.k: every n is off the d0 = {scenery.d0} lattice, where "
-                "only P(Z_n = 0) is checked, so k must be 1"]
+                "only the exact 0 of P(Z_n = 0) is reported, so k must be 1"]
     errors = []
     if k == 1 and ratios is not None:
         errors.append("params.t_ratios: unused when k = 1")

@@ -109,9 +109,8 @@ class StepLaw(_FiniteLaw):
         return cls((-1, 1), (Fraction(1, 2), Fraction(1, 2)))
 
     @classmethod
-    def lazy(cls, hold=Fraction(1, 2)):
-        move = (1 - hold) / 2
-        return cls((-1, 0, 1), (move, hold, move))
+    def lazy(cls):
+        return cls((-1, 0, 1), (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))
 
 
 @dataclass(frozen=True)
@@ -131,15 +130,6 @@ class LocalTimeProfile:
             raise ValueError("occupied sites must have positive counts")
         if int(self.counts.sum()) != self.length:
             raise ValueError("counts must sum to the segment length")
-
-    @classmethod
-    def from_dict(cls, counts):
-        sites = np.array(sorted(counts), dtype=np.int64)
-        vals = np.array([counts[int(s)] for s in sites], dtype=np.int64)
-        return cls(sites, vals, int(vals.sum()))
-
-    def as_dict(self):
-        return {int(s): int(c) for s, c in zip(self.sites, self.counts)}
 
 
 def _coin_steps(stream, size):

@@ -1,6 +1,8 @@
 """Test-side helpers and independent samplers for the library modules.
 
-Only the tests call these: profile algebra and statistics of one walk,
+Only the tests call these: profiles built from and read as {site: count}
+dicts (`profile_from_dict`, `profile_as_dict`), profile algebra and
+statistics of one walk,
 scenery evaluation with an explicit or sampled scenery, the tightness and
 agreement helpers of the harness, the mollified local time at one level
 and a bound on its increase, `sample_delta_marginal`, a sampler coded
@@ -53,6 +55,18 @@ from rwrs.harness import _zero_count_trajectory, fit_power_law
 from rwrs.lattice_walk import LocalTimeProfile
 from rwrs.scenery import _LOG_FLOOR, _admissible, _union_counts
 from rwrs.simkit import estimate_from_values, replicate
+
+
+def profile_from_dict(counts):
+    """The `LocalTimeProfile` with counts[y] visits at each site y."""
+    sites = np.array(sorted(counts), dtype=np.int64)
+    vals = np.array([counts[int(s)] for s in sites], dtype=np.int64)
+    return LocalTimeProfile(sites, vals, int(vals.sum()))
+
+
+def profile_as_dict(profile):
+    """{site: visit count} of a `LocalTimeProfile`."""
+    return {int(s): int(c) for s, c in zip(profile.sites, profile.counts)}
 
 
 @dataclass(frozen=True)
@@ -153,7 +167,7 @@ def simulate_local_times_by_dicts(law, breakpoints, stream):
     prev = 0
     out = []
     for i, b in enumerate(breakpoints):
-        prof = LocalTimeProfile.from_dict(seg_counts[i])
+        prof = profile_from_dict(seg_counts[i])
         if prof.length != b - prev:
             raise AssertionError("segment mass mismatch")
         out.append(prof)

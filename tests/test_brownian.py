@@ -158,7 +158,7 @@ def test_small_ball_decay_of_min_eigenvalue():
 
 def test_besq0_absorption_and_atom():
     stream = RngStream(210, 0)
-    assert besq0_step(0.0, 1.0, stream) == 0.0
+    assert besq0_step(0.0, 1.0, stream, size=1)[0] == 0.0
     draws = besq0_step(1.0, 1.0, stream, size=1_000_000)
     atom = float((draws == 0).mean())
     expect = besq0_extinction(1.0, 1.0)
@@ -191,7 +191,8 @@ def test_besq0_chapman_kolmogorov():
     one = besq0_step(1.0, 1.0, stream, size=100_000)
     half = besq0_step(1.0, 0.5, stream, size=100_000)
     two_step = np.array(
-        [besq0_step(y, 0.5, stream) if y > 0 else 0.0 for y in half[:100_000]]
+        [float(besq0_step(y, 0.5, stream, size=1)[0]) if y > 0 else 0.0
+         for y in half[:100_000]]
     )
     assert sps.ks_2samp(one, two_step).statistic < 0.01
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rwrs import __version__, harness
+from rwrs import __version__, harness, lattice_walk
 from rwrs.cli import ExperimentConfig, export_results, main, validate_config
 from rwrs.simkit import file_digest
 
@@ -141,8 +141,13 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
     assert "d0-divisibility" in capsys.readouterr().err
 
 
-def test_return_curve_off_the_lattice_reports_exact_zero(tmp_path):
-    # every n off the d0 lattice: return-curve checks that P(Z_n = 0) is 0
+def test_return_curve_off_the_lattice_reports_exact_zero(tmp_path, monkeypatch):
+    # every n off the d0 lattice: return-curve writes the exact 0 of
+    # P(Z_n = 0) without drawing a walk
+    def no_walk(*args):
+        raise AssertionError("a walk was drawn")
+
+    monkeypatch.setattr(lattice_walk, "_walk_positions", no_walk)
     bad = MINIMAL.replace("n_list = 8 16 32", "n_list = 7 9 11")
     cfg = write_config(tmp_path, bad)
     out = tmp_path / "inad"
@@ -176,15 +181,6 @@ def test_return_curve_off_the_lattice_rejects_a_mix_or_k_above_1(
     assert f"config error: {field}:" in err
     assert field != "params.n_list" or "d0-divisibility" in err
     assert not out.exists()
-
-
-def test_exact_zero_check_fails_on_a_nonzero_estimate(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(harness, "_return_values_k1",
-                        lambda step, scen, n, replicas, stream: np.full(replicas, 0.5))
-    cfg = write_config(tmp_path, MINIMAL.replace("n_list = 8 16 32", "n_list = 7 9 11"))
-    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "runtime error: inadmissible time n=7 has nonzero estimate 0.5" \
-        in capsys.readouterr().err
 
 
 def test_counting_moments_run_off_the_lattice(tmp_path):
@@ -504,6 +500,10 @@ replicas = 5
         (CORRELATION.replace("n = 64", "n = 0"), "params.n"),
         # the ratio runs on the d0 = 2 lattice, so n = 65 would run at 64
         (CORRELATION.replace("n = 64", "n = 65"), "params.n"),
+        # a repeated site would overwrite the earlier atom's probability
+        (MINIMAL.replace("step = simple", "step = -1:1/2,1:1/4,1:1/4"), "laws.step"),
+        (MINIMAL.replace("scenery = rademacher", "scenery = -1:1/2,1:1/2,1:1/2"),
+         "laws.scenery"),
     ],
     ids=["fineness-not-integer", "fineness-below-1000", "n_list-not-positive",
          "scales-too-few", "dt-below-lattice-step", "dt-below-lattice-step-scaling",
@@ -524,7 +524,7 @@ replicas = 5
          "scaling-t-below-dt", "ray-knight-level-negative",
          "ray-knight-offset-negative", "ray-knight-fineness-zero",
          "return-curve-scenery_draws-zero", "correlation-n-zero",
-         "correlation-n-off-lattice"],
+         "correlation-n-off-lattice", "step-site-repeated", "scenery-site-repeated"],
 )
 def test_bad_param_value_rejected_at_validation(tmp_path, capsys, config, field):
     cfg = write_config(tmp_path, config)

@@ -28,6 +28,7 @@ from reference import (
     evaluate_increments,
     pmf_1d_on_coset,
     pmf_1d_on_full_grid,
+    profile_from_dict,
     return_prob_table_complex,
     sample_and_evaluate,
     union_counts_by_union1d,
@@ -118,7 +119,7 @@ def test_return_probabilities_do_not_see_the_scale_of_the_atoms(a, step, monkeyp
 
 
 def test_sample_and_evaluate_direct_sum():
-    prof = LocalTimeProfile.from_dict({0: 3, 1: 1, -1: 1})
+    prof = profile_from_dict({0: 3, 1: 1, -1: 1})
     incs = evaluate_increments([prof], {0: 1, 1: -1, -1: 2})
     assert incs == [3 - 1 + 2]
 
@@ -149,8 +150,8 @@ def test_increments_live_on_the_residue_lattice():
 
 
 def test_shared_scenery_couples_segments():
-    p1 = LocalTimeProfile.from_dict({0: 2, 1: 1})
-    p2 = LocalTimeProfile.from_dict({0: 1, 2: 2})
+    p1 = profile_from_dict({0: 2, 1: 1})
+    p2 = profile_from_dict({0: 1, 2: 2})
     base = evaluate_increments([p1, p2], {0: 1, 1: 1, 2: 1})
     flipped = evaluate_increments([p1, p2], {0: -1, 1: 1, 2: 1})
     assert base[0] - flipped[0] == 2 * 2  # site 0 counted twice in segment 1
@@ -158,11 +159,11 @@ def test_shared_scenery_couples_segments():
 
 
 def test_conditional_return_prob_examples():
-    p = LocalTimeProfile.from_dict({0: 1, 1: 1})
+    p = profile_from_dict({0: 1, 1: 1})
     assert conditional_return_prob([p], RADEMACHER) == 0.5
-    lazy_site = LocalTimeProfile.from_dict({0: 2})
+    lazy_site = profile_from_dict({0: 2})
     assert conditional_return_prob([lazy_site], RADEMACHER) == 0.0
-    odd = LocalTimeProfile.from_dict({0: 2, 1: 1})
+    odd = profile_from_dict({0: 2, 1: 1})
     assert conditional_return_prob([odd], RADEMACHER) == 0.0
     assert ReturnProbTable(RADEMACHER).evaluate([odd])[0] == 0.0
 
@@ -176,7 +177,7 @@ def test_convolution_matches_full_enumeration():
         nsites = int(rng.integers(1, 7))
         sites = rng.choice(np.arange(-6, 7), size=nsites, replace=False)
         counts = rng.integers(1, 4, size=nsites)
-        prof = LocalTimeProfile.from_dict(
+        prof = profile_from_dict(
             {int(s): int(c) for s, c in zip(sites, counts)}
         )
         if prof.length % law.d0:
@@ -231,7 +232,7 @@ def test_quadrature_handles_asymmetric_scenery():
 
 def test_vanishing_off_lattice_for_both_methods():
     law = SceneryLaw.from_dict({-2: 0.5, 2: 0.5})  # d = 4, d0 = 2
-    prof = LocalTimeProfile.from_dict({0: 2, 1: 1})  # length 3, not in 2Z
+    prof = profile_from_dict({0: 2, 1: 1})  # length 3, not in 2Z
     assert conditional_return_prob([prof], law) == 0.0
     assert ReturnProbTable(law).evaluate([prof])[0] == 0.0
 
@@ -259,7 +260,7 @@ def test_rao_blackwell_unbiasedness_and_variance_reduction():
 
 def test_quadrature_integrand_symmetrizes_to_real():
     law = SceneryLaw.from_dict({-2: Fraction(1, 3), 1: Fraction(2, 3)})
-    prof = LocalTimeProfile.from_dict({0: 2, 1: 1, 2: 3})
+    prof = profile_from_dict({0: 2, 1: 1, 2: 3})
     theta = 0.37
     plus = char_given_profiles([prof], law, [theta])
     minus = char_given_profiles([prof], law, [-theta])
@@ -274,7 +275,7 @@ def test_batch_table_matches_convolution():
         simulate_local_times(step, [128], root.substream(i))[0] for i in range(80)
     ]
     # interleave an inadmissible profile to check the zero short-circuit
-    profiles.append(LocalTimeProfile.from_dict({0: 2, 1: 1}))
+    profiles.append(profile_from_dict({0: 2, 1: 1}))
     table_vals = ReturnProbTable(RADEMACHER).evaluate(profiles)
     for p, got in zip(profiles, table_vals):
         want = conditional_return_prob([p], RADEMACHER)
@@ -299,7 +300,7 @@ def _table_profiles(step, n, law, count, seed):
     root = RngStream(seed, n)
     profiles = [simulate_local_times(step, [n], root.substream(i))[0]
                 for i in range(count)]
-    profiles.insert(count // 2, LocalTimeProfile.from_dict({0: 2, 1: 1}))
+    profiles.insert(count // 2, profile_from_dict({0: 2, 1: 1}))
     return profiles
 
 
@@ -463,8 +464,8 @@ def test_joint_sampled_estimator_is_unbiased():
 
 
 def test_joint_sampled_vanishes_off_lattice():
-    p1 = LocalTimeProfile.from_dict({0: 2, 1: 1})  # odd length
-    p2 = LocalTimeProfile.from_dict({0: 2, 1: 2})
+    p1 = profile_from_dict({0: 2, 1: 1})  # odd length
+    p2 = profile_from_dict({0: 2, 1: 2})
     got = joint_return_prob_sampled([p1, p2], RADEMACHER, RngStream(1, 1))
     assert got == 0.0
 
@@ -611,7 +612,7 @@ def test_union_counts_equal_union1d():
         times = np.cumsum(rng.integers(1, n + 1, size=k))
         profiles = simulate_local_times(step, times, RngStream(71, i))
         if i % 10 == 0:  # segments whose site ranges do not touch
-            profiles = [LocalTimeProfile.from_dict({7 * j + 3: 2, 7 * j + 5: 1})
+            profiles = [profile_from_dict({7 * j + 3: 2, 7 * j + 5: 1})
                         for j in range(k)]
         counts = scenery._union_counts(profiles)
         _, ref_counts = union_counts_by_union1d(profiles)

@@ -1,6 +1,6 @@
 """Start-up cost: what `import rwrs` loads, the malloc thresholds it sets,
-that `src/` exports nothing only the tests use, holds no result field
-that nothing reads and no bare `assert`, that `cli.validate_config` names
+that `src/` exports nothing and defines no public method that only the
+tests use, holds no result field that nothing reads and no bare `assert`, that `cli.validate_config` names
 no param, that walk steps are drawn in one module, that the exact oracle
 enumerates no paths, that the exact reference enumerates its own paths,
 that the dict-route walk reference builds its own positions and that the
@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 
 import pytest
 
@@ -120,23 +121,47 @@ def _exports(tree):
     return []
 
 
-def test_every_export_is_used_in_src():
-    # a Name or Attribute node counts; a docstring or an import alone does not
+def _src_trees():
     trees = {}
     for path in sorted(glob.glob(os.path.join(SRC, "rwrs", "*.py"))):
         with open(path, encoding="utf-8") as fh:
             trees[os.path.basename(path)] = ast.parse(fh.read())
-    used = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    return trees
+
+
+def _referenced_names(node):
+    """Counts of the Name ids and Attribute attrs under node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_export_is_used_in_src():
+    # a Name or Attribute node counts; a docstring or an import alone does not
+    trees = _src_trees()
+    used = sum((_referenced_names(tree) for tree in trees.values()), Counter())
     unused = sorted(f"{module}:{name}" for module, tree in trees.items()
                     for name in _exports(tree)
                     if name not in used and name not in CLAIM_FUNCTIONS)
     assert trees and not unused
+
+
+def test_every_public_method_is_used_in_src():
+    # every public method defined on a class in src/rwrs is referenced in
+    # src/ outside its own def, so a method that only the tests call lives
+    # in the tests.  References are matched by name alone, as the dataclass
+    # field guard matches reads, so a method passes whenever its name is
+    # referenced for anything else: a local `d`, another class's `from_dict`.
+    # Exempt: _ZeroSeedSequence.generate_state, which numpy's bit generator
+    # calls, not src/.
+    trees = _src_trees().values()
+    used = sum((_referenced_names(tree) for tree in trees), Counter())
+    methods = [(cls.name, fn) for tree in trees for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for fn in cls.body
+               if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+    unused = [f"{cls}.{fn.name}" for cls, fn in methods
+              if (used - _referenced_names(fn))[fn.name] == 0
+              and (cls, fn.name) != ("_ZeroSeedSequence", "generate_state")]
+    assert methods and not unused, unused
 
 
 def test_validate_config_names_no_param():
