@@ -2,7 +2,9 @@
 
 Local-time fields are built from an embedded simple random walk: the field
 at level x over horizon T is N_[mT]([sqrt(m) x]) / sqrt(m) on the lattice
-grid of spacing m^(-1/2).  This keeps local times exactly integer-valued
+grid of spacing m^(-1/2).  The embedded walk is a `StepLaw.simple()` walk,
+drawn and counted by `lattice_walk` as the walks of the discrete side are:
+one random bit per step.  This keeps local times exactly integer-valued
 (no kernel bandwidth) and is the same coupling that links the discrete and
 continuum sides of the scaling results verified here.
 """
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RejectionRateError
-from .lattice_walk import _coin_steps, _segment_counts, _walk_positions
+from .lattice_walk import _EMBEDDED_STEP, _segment_counts, _walk_positions
 from .simkit import Estimate, estimate_from_values, replicate
 
 __all__ = [
@@ -69,7 +71,7 @@ def sample_local_time_fields(T_list, fineness, stream):
         raise ValueError("horizons must be increasing and positive")
     marks = [int(math.floor(m * T)) for T in T_list]
     total = max(marks[-1], 1)
-    lo, rows = _segment_counts(_walk_positions(_coin_steps, total, stream), marks)
+    lo, rows = _segment_counts(_walk_positions(_EMBEDDED_STEP, total, stream), marks)
     h = 1.0 / math.sqrt(m)
     increments = [LocalTimeField(lo, h, counts * h) for counts in rows]
     cumulative = []
@@ -246,14 +248,19 @@ def ray_knight_profile_fast(level, fineness, stream):
 
 
 def origin_local_time_at_range_exit(fineness, stream):
-    """Origin visit count, over sqrt(m), at the first exit of [-sqrt(m), sqrt(m)]."""
+    """Origin visit count, over sqrt(m), at the first exit of [-sqrt(m), sqrt(m)].
+
+    The embedded walk is drawn in blocks of 2**16 steps, a multiple of the
+    64 steps of one raw word, so the blocks read the stream as one long
+    walk would.
+    """
     m = int(fineness)
     bound = int(math.floor(math.sqrt(m)))
     pos = 0
     zeros = 0
     chunk = 1 << 16
     while True:
-        walk = pos + _walk_positions(_coin_steps, chunk + 1, stream)
+        walk = pos + _walk_positions(_EMBEDDED_STEP, chunk + 1, stream)
         block = walk[:-1]
         out = np.nonzero(np.abs(block) > bound)[0]
         if out.size:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, brownian, delta_process, exact_oracle, harness
 from .errors import BudgetExceededError, DegenerateRatioError
-from .lattice_walk import StepLaw
+from .lattice_walk import _STREAM_LAYOUT, StepLaw
 from .scenery import SceneryLaw
 from .simkit import RngStream, estimate_from_values, replicate, write_manifest
 
@@ -194,12 +194,9 @@ def validate_config(path, overrides=None):
         )
         if replicas <= 0:
             errors.append("run.replicas: must be positive")
-        elif replicas < 2 and entry.spread:
-            errors.append(f"run.replicas: must be at least 2 for {sub} "
-                          "(a standard error or a KS statistic needs two samples)")
     except ValueError:
         errors.append("run.replicas: not an integer")
-        replicas = 1
+        replicas = None
     out_dir = overrides.get("out", get("run", "out", _DEFAULTS["out"]))
 
     raw_params = dict(parser["params"]) if parser.has_section("params") else {}
@@ -215,8 +212,15 @@ def validate_config(path, overrides=None):
         derived["step_variance"] = step.variance
     # a subcommand's own checks relate its params and laws, so they run
     # once every param and law they read is valid
-    if entry.check is not None and not param_errors and len(laws) == len(entry.laws):
+    ready = not param_errors and len(laws) == len(entry.laws)
+    if entry.check is not None and ready:
         errors.extend(entry.check(params, step, scenery))
+    spread = entry.spread
+    if callable(spread):  # it reads only valid params and laws; until then, two
+        spread = not ready or spread(params, step, scenery)
+    if replicas == 1 and spread:
+        errors.append(f"run.replicas: must be at least 2 for {sub} "
+                      "(a standard error or a KS statistic needs two samples)")
 
     if errors:
         return errors
@@ -478,6 +482,11 @@ def _check_return_curve(p, step, scenery):
     return errors if off else errors + _check_fit_points(p)
 
 
+def _return_curve_spread(p, step, scenery):
+    # every n off the d0 lattice writes exact zeros and draws no replica
+    return not all(n % scenery.d0 for n in p["n_list"])
+
+
 def _check_counting_moments(p, step, scenery):
     errors = _check_fit_points(p)
     if p["k"] not in (1, 2, 3):
@@ -510,8 +519,9 @@ class _Subcommand:
     laws: set
     params: set
     handler: object
-    # replicas become a standard error or a KS statistic, which need two
-    spread: bool = True
+    # replicas become a standard error or a KS statistic, which need two;
+    # a predicate of (params, step, scenery) where that depends on them
+    spread: object = True
     # samples Brownian local-time fields, which need 10^3 steps
     fields: bool = False
     # (params, step, scenery) -> errors, for constraints between params
@@ -525,7 +535,8 @@ _SUBCOMMANDS = {
                           spread=False, check=_check_oracle),
     "return-curve": _Subcommand({"step", "scenery"},
                                 {"n_list", "k", "t_ratios", "scenery_draws"},
-                                _return_curve, check=_check_return_curve),
+                                _return_curve, spread=_return_curve_spread,
+                                check=_check_return_curve),
     "counting-moments": _Subcommand({"step", "scenery"}, {"n_list", "k"},
                                     _counting_moments, check=_check_counting_moments),
     "gram": _Subcommand({"step"}, {"n", "t_list", "fineness"}, _gram, fields=True,
@@ -612,7 +623,7 @@ def main(argv=None):
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
     write_manifest(config.snapshot(), outputs, config.seed, __version__,
-                   started, os.path.join(config.out_dir, "manifest.txt"))
+                   _STREAM_LAYOUT, started, os.path.join(config.out_dir, "manifest.txt"))
     for row in rows[:8]:
         print(f"{row['name']} n={row['n']}: {row['value']:.6g} "
               f"+- {row['std_error']:.3g}")

@@ -5,6 +5,7 @@ independent white noise in space.  Conditionally on the local-time
 realization it is Gaussian with covariance given by the Gram matrix of the
 fields, which is exactly how it is sampled here: the embedded-walk field
 supplies L, an independent Gaussian per lattice site supplies the noise.
+The embedded walk is a `StepLaw.simple()` walk, one random bit per step.
 Summed step by step this costs O(1) per time step.  Each path draws a
 fresh walk; `DeltaPath.walk` keeps its positions.  A path holds its values
 on the grid of times j * dt, j = 0, ..., round(horizon / dt).
@@ -17,7 +18,7 @@ import numpy as np
 
 from .brownian import gram_of_fields, sample_local_time_fields
 from .errors import DegenerateRatioError, RejectionRateError
-from .lattice_walk import _coin_steps, _walk_positions
+from .lattice_walk import _EMBEDDED_STEP, _walk_positions
 from .simkit import Estimate, estimate_from_values, replicate
 
 __all__ = [
@@ -56,7 +57,9 @@ def sample_delta_path(horizon, dt, fineness, stream):
 
     The field increment at each walk step touches one site, so the defining
     spatial sum telescopes into a cumulative sum of per-site Gaussian noise
-    along the walk, evaluated at the requested grid times.  A +-1 walk
+    along the walk, evaluated at the requested grid times.  The walk's
+    floor(m * horizon) - 1 steps are one draw of the simple step law, and
+    the normals follow on the next fresh raw word.  A +-1 walk
     visits every site between its minimum and maximum, so a site's offset
     from the minimum is its rank among the occupied sites: one normal per
     site, drawn in ascending site order after the walk.
@@ -66,7 +69,7 @@ def sample_delta_path(horizon, dt, fineness, stream):
         raise ValueError("need at least one lattice step per time-grid cell")
     n_grid = int(round(horizon / dt))
     total = int(math.floor(m * horizon))
-    positions = _walk_positions(_coin_steps, total, stream)
+    positions = _walk_positions(_EMBEDDED_STEP, total, stream)
     off = positions - positions.min()
     noise = stream.gen.standard_normal(int(off.max()) + 1)
     increments = noise[off] * m ** -0.75

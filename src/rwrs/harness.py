@@ -297,7 +297,7 @@ class CountingCurve:
 
 def _zero_count_trajectory(step, scen, marks, stream):
     """Counts of m <= mark with Z_m = 0, at each requested mark."""
-    positions = _walk_positions(step.sample_steps, marks[-1], stream)
+    positions = _walk_positions(step, marks[-1], stream)
     lo = int(positions.min())
     width = int(positions.max()) - lo + 1
     xi = scen.sample(stream, width)
@@ -370,7 +370,7 @@ def _walk_gram_samples(step, n, T_list, replicas, stream):
     sigma = math.sqrt(step.variance)
 
     def task(sub):
-        positions = _walk_positions(step.sample_steps, marks[-1], sub)
+        positions = _walk_positions(step, marks[-1], sub)
         # cumulative visit counts N_[nTi] and their inner products, exact
         # in integers
         counts = np.cumsum(_segment_counts(positions, marks)[1], axis=0)

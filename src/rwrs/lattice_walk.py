@@ -4,7 +4,8 @@ A walk of length n occupies positions S_0, ..., S_{n-1}; its local time at
 site y is the visit count N_n(y).  Every sampled walk of the package,
 the embedded simple walk of `brownian` and `delta_process` included, is
 built whole by `_walk_positions`, and its visits are counted by
-`_segment_counts`.
+`_segment_counts`.  Every step and scenery value of the package is drawn
+by `_FiniteLaw._draw`.
 """
 
 import math
@@ -18,6 +19,11 @@ __all__ = [
     "LocalTimeProfile",
     "simulate_local_times",
 ]
+
+# how the package's draws read a stream, recorded in every manifest; 2 since
+# a uniform two-point law reads one bit per value (`_FiniteLaw._draw`)
+_STREAM_LAYOUT = 2
+
 
 @dataclass(frozen=True)
 class _FiniteLaw:
@@ -58,6 +64,8 @@ class _FiniteLaw:
         if not cuts.size:
             raise ValueError("all probability rounds onto the first atom")
         object.__setattr__(self, "_thresholds", cuts)
+        object.__setattr__(self, "_uniform_pair",
+                           len(self.probs) == 2 and all(p == 0.5 for p in self.probs))
         object.__setattr__(self, "_gaps", np.diff(self.support).tolist())
         object.__setattr__(self, "_variance", float(
             sum(x * x * p for x, p in zip(self.support, self.probs))))
@@ -75,14 +83,30 @@ class _FiniteLaw:
         return np.array([float(p) for p in self.probs])
 
     def _draw(self, stream, size):
-        """`size` i.i.d. values from `stream` (an int or a shape).
+        """`size` i.i.d. int64 values from `stream` (an int or a shape).
 
-        Bit for bit the values of `support[stream.gen.choice(len(support),
-        size, p=float_probs())]`, and the stream ends at the same position:
-        one raw 64-bit word per value, mapped to support[0] plus the sum of
-        gap_j * [raw >= threshold_j].
+        Stream layout 2 (`_STREAM_LAYOUT`).  A uniform two-point law
+        reads one random bit per value: value i of the flat C-order output
+        is support[0] + gap * bit, where bit is bit i % 64, counted from the
+        least significant, of raw 64-bit word i // 64 read little-endian.
+        The draw starts on a fresh word and drops the unused high bits of
+        its last one, so it takes ceil(count / 64) words.
+
+        Every other law reads one raw word per value, mapped to support[0]
+        plus the sum of gap_j * [raw >= threshold_j]: bit for bit the values
+        of `support[stream.gen.choice(len(support), size, p=float_probs())]`,
+        with the stream left where choice leaves it.
         """
-        raw = stream.gen.bit_generator.random_raw(size)
+        bit_generator = stream.gen.bit_generator
+        if self._uniform_pair:
+            count = int(np.prod(size))
+            words = bit_generator.random_raw(-(-count // 64)).astype("<u8", copy=False)
+            bits = np.unpackbits(words.view(np.uint8), count=count, bitorder="little")
+            out = bits.astype(np.int64)
+            out *= self._gaps[0]
+            out += self.support[0]
+            return out.reshape(size)
+        raw = bit_generator.random_raw(size)
         passed = [raw >= cut for cut in self._thresholds]
         del raw  # peak memory stays at two arrays of `size`, as with choice
         out = passed[0] * self._gaps[0]
@@ -113,6 +137,11 @@ class StepLaw(_FiniteLaw):
         return cls((-1, 0, 1), (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))
 
 
+# the step law of the embedded walk of `brownian` and `delta_process`: one
+# random bit per step
+_EMBEDDED_STEP = StepLaw.simple()
+
+
 @dataclass(frozen=True)
 class LocalTimeProfile:
     """Sparse local-time profile of one walk segment, frozen in sorted form."""
@@ -132,23 +161,17 @@ class LocalTimeProfile:
             raise ValueError("counts must sum to the segment length")
 
 
-def _coin_steps(stream, size):
-    """`size` steps of the simple +-1 walk: one `integers(0, 2)` draw each."""
-    return stream.gen.integers(0, 2, size=size) * 2 - 1
+def _walk_positions(law, total, stream):
+    """Positions S_0 = 0, S_1, ..., S_{total-1} of one walk of step law `law`.
 
-
-def _walk_positions(draw, total, stream):
-    """Positions S_0 = 0, S_1, ..., S_{total-1} of one walk.
-
-    The total - 1 steps come from one `draw(stream, total - 1)` call and
-    are summed in place.  Every sampled walk is built here: a step law's
-    with `law.sample_steps`, the embedded simple walk of the continuum
-    side with `_coin_steps`.
+    The total - 1 steps come from one `law.sample_steps(stream, total - 1)`
+    call and are summed in place.  Every sampled walk is built here, the
+    embedded walk of the continuum side with `_EMBEDDED_STEP`.
     """
     positions = np.empty(total, dtype=np.int64)
     positions[:1] = 0
     if total > 1:
-        np.cumsum(draw(stream, total - 1), out=positions[1:])
+        np.cumsum(law.sample_steps(stream, total - 1), out=positions[1:])
     return positions
 
 
@@ -181,7 +204,7 @@ def simulate_local_times(law, breakpoints, stream):
     if any(b2 <= b1 for b1, b2 in zip(breakpoints, breakpoints[1:])):
         raise ValueError("breakpoints must be strictly increasing")
     lo, rows = _segment_counts(
-        _walk_positions(law.sample_steps, breakpoints[-1], stream), breakpoints)
+        _walk_positions(law, breakpoints[-1], stream), breakpoints)
     profiles = []
     for row, first, b in zip(rows, [0] + breakpoints[:-1], breakpoints):
         sites = np.flatnonzero(row)

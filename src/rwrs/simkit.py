@@ -145,15 +145,18 @@ def file_digest(path):
     return h.hexdigest()
 
 
-def write_manifest(config, outputs, master_seed, version, started_at, path):
+def write_manifest(config, outputs, master_seed, version, stream_layout,
+                   started_at, path):
     """Digest output files and write the manifest next to them as INI.
 
-    Three sections: [manifest] (master_seed, version, duration_s), [config]
-    (the snapshot, keys sorted) and [digests] (sha256 per output file name,
+    Three sections: [manifest] (master_seed, version, stream_layout, the
+    version of how the draws read a stream, and duration_s), [config] (the
+    snapshot, keys sorted) and [digests] (sha256 per output file name,
     sorted).  A raw parser leaves any `%` in a value as it is.
     """
     manifest = configparser.RawConfigParser()
     manifest["manifest"] = {"master_seed": int(master_seed), "version": version,
+                            "stream_layout": int(stream_layout),
                             "duration_s": repr(time.time() - started_at)}
     manifest["config"] = dict(sorted(config.items()))
     manifest["digests"] = dict(sorted((os.path.basename(p), file_digest(p))

@@ -24,13 +24,19 @@ walk (against `brownian.ray_knight_profile_fast`).
 before the one occupation kernel, with its one-shot branch, its per-site
 dict branch past 2**20 positions, `_occupation` and `_segment_profiles`;
 `profiles_from_steps` counts through the latter.  It builds its positions
-as the cumsum of `draw_by_choice` steps, not with the walk builder it
+as the cumsum of `draw_by_reference` steps, not with the walk builder it
 checks.
+
+`draw_by_reference` is stream layout 2 drawn independently of
+`lattice_walk._FiniteLaw._draw`: `draw_by_bits` for a uniform two-point
+law, one bit per value taken from the Python int of its raw word, and
+`draw_by_choice`, `Generator.choice`, for every other law.
 
 The pre-fold walk loops stay here as oracles of the one walk builder
 `lattice_walk._walk_positions`: `embedded_positions_by_loop`, the chunked
-`integers(0, 2)` walk, and `origin_local_time_at_range_exit_by_loop`, the
-hand-written block loop of the range-exit local time.  The frozen-walk
+simple walk, and `origin_local_time_at_range_exit_by_loop`, the
+hand-written block loop of the range-exit local time.  Both draw their
+steps with `draw_by_bits` in blocks of whole raw words.  The frozen-walk
 route lives here too: `sample_delta_path_by_unique` takes a `walk` and
 redraws only the noise, and `walk_field` is its local-time field.
 
@@ -38,13 +44,14 @@ The k >= 2 kernels of `scenery` as they were before the coset
 convolution stay here as its oracles, and share no code with it:
 `pmf_1d_on_full_grid`, the dense -A..A pmf over the whole support, read on
 the coset by `pmf_1d_on_coset`; `zero_prob_given_shared_int64`;
-`union_counts_by_union1d`; and `draw_by_choice`, the scenery draw through
-`Generator.choice`.  `_pmf_2d`, the k = 2 oracle, truncates its grid at
+`union_counts_by_union1d`; and `draw_by_reference`, the scenery draw.
+`_pmf_2d`, the k = 2 oracle, truncates its grid at
 `halfwidth_by_numpy`.
 """
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -119,9 +126,8 @@ def _segment_profiles(positions, breakpoints):
     return profiles
 
 
-def _positions_by_choice(law, total, stream):
-    """S_0 = 0, ..., S_{total-1}: the cumsum of `total - 1` choice draws."""
-    steps = draw_by_choice(law, stream, total - 1) if total > 1 else []
+def _positions_by_draws(steps):
+    """S_0 = 0, S_1, ...: 0 and the running sum of `steps`."""
     return np.concatenate(([0], np.cumsum(steps, dtype=np.int64)))
 
 
@@ -138,17 +144,20 @@ def simulate_local_times_by_dicts(law, breakpoints, stream):
         raise ValueError("breakpoints must be strictly increasing")
     total = breakpoints[-1]
     if total <= _PROFILE_CHUNK:
-        return _segment_profiles(_positions_by_choice(law, total, stream),
-                                 breakpoints)
+        steps = draw_by_reference(law, stream, total - 1)
+        return _segment_profiles(_positions_by_draws(steps), breakpoints)
 
-    # chunked accumulation into per-segment dicts
+    # chunked accumulation into per-segment dicts; a chunk before the last
+    # also draws the step into the next one, so it draws 2**20 steps, whole
+    # raw words of the bit layout
     seg_counts = [dict() for _ in breakpoints]
     pos = 0
     t = 0
     seg = 0
     while t < total:
         take = min(_PROFILE_CHUNK, total - t)
-        chunk = pos + _positions_by_choice(law, take, stream)
+        steps = draw_by_reference(law, stream, take if t + take < total else take - 1)
+        chunk = pos + _positions_by_draws(steps[:take - 1])
         lo = 0
         while lo < take:
             hi = min(take, breakpoints[seg] - t)
@@ -162,7 +171,7 @@ def simulate_local_times_by_dicts(law, breakpoints, stream):
                 seg += 1
         # position at the start of the next chunk: one more step past chunk end
         if t + take < total:
-            pos = int(chunk[-1] + draw_by_choice(law, stream, 1)[0])
+            pos = int(chunk[-1] + steps[-1])
         t += take
     prev = 0
     out = []
@@ -301,7 +310,8 @@ def support_increase_bound(path, eps, box_width):
     return observed, bound
 
 
-_EMBEDDED_CHUNK = 1 << 22
+_EMBEDDED_CHUNK = 1 << 22  # steps, whole raw words of the bit layout
+_COIN = SimpleNamespace(support=(-1, 1))  # the simple walk's two steps
 
 
 def embedded_positions_by_loop(total, stream):
@@ -311,7 +321,7 @@ def embedded_positions_by_loop(total, stream):
     done = 1
     while done < total:
         take = min(_EMBEDDED_CHUNK, total - done)
-        steps = stream.gen.integers(0, 2, size=take) * 2 - 1
+        steps = draw_by_bits(_COIN, stream, take)
         np.cumsum(steps, out=out[done : done + take])
         out[done : done + take] += out[done - 1]
         done += take
@@ -326,7 +336,7 @@ def origin_local_time_at_range_exit_by_loop(fineness, stream):
     zeros = 0
     chunk = 1 << 16
     while True:
-        steps = stream.gen.integers(0, 2, size=chunk) * 2 - 1
+        steps = draw_by_bits(_COIN, stream, chunk)
         block = np.empty(chunk, dtype=np.int64)
         block[0] = pos
         np.cumsum(steps[:-1], out=block[1:])
@@ -724,3 +734,29 @@ def draw_by_choice(law, stream, size):
     """`size` values of `law` by `Generator.choice(p=...)` on `stream`."""
     support = np.asarray(law.support, dtype=np.int64)
     return support[stream.gen.choice(len(support), size=size, p=law.float_probs())]
+
+
+def draw_by_bits(law, stream, size):
+    """`size` values of a two-point `law`, one bit of a raw word each.
+
+    Value i of the flat C-order output is support[1] if bit i % 64 of raw
+    word i // 64, counted from the least significant, is set, and
+    support[0] if not; the bit is read from the word's Python int.  The
+    draw takes ceil(count / 64) words.
+    """
+    count = int(np.prod(size))
+    words = stream.gen.bit_generator.random_raw(-(-count // 64)).tolist()
+    low, high = law.support
+    values = [high if (words[i // 64] >> (i % 64)) & 1 else low for i in range(count)]
+    return np.array(values, dtype=np.int64).reshape(size)
+
+
+def draw_by_reference(law, stream, size):
+    """`size` values of `law` in stream layout 2, drawn without `lattice_walk`.
+
+    By bits for a law of two atoms of probability 1/2 each, by
+    `Generator.choice` for every other law.
+    """
+    if len(law.probs) == 2 and law.probs[0] == law.probs[1] == 0.5:
+        return draw_by_bits(law, stream, size)
+    return draw_by_choice(law, stream, size)

@@ -7,7 +7,7 @@ from scipy import stats as sps
 from scipy.integrate import dblquad, quad
 
 from rwrs.errors import BudgetExceededError
-from rwrs.lattice_walk import _coin_steps, _walk_positions
+from rwrs.lattice_walk import StepLaw, _walk_positions
 from rwrs.simkit import RngStream, estimate_from_values
 from rwrs.brownian import (
     besq0_density,
@@ -66,7 +66,7 @@ def test_coinciding_marks_give_a_zero_increment():
     cum, inc = sample_local_time_fields([1.0, 1.0004], m, RngStream(203, 0))
     assert not inc[1].values.any() and inc[1].values.size == inc[0].values.size
     assert np.array_equal(cum[0].values, cum[1].values)
-    positions = _walk_positions(_coin_steps, m, RngStream(203, 0))
+    positions = _walk_positions(StepLaw.simple(), m, RngStream(203, 0))
     lo = int(positions.min())
     assert cum[0].origin == lo
     h = 1.0 / math.sqrt(m)
@@ -282,14 +282,14 @@ def next_draws(stream):
 
 @pytest.mark.parametrize("total", [1, 2, 3, 1000, 1001, (1 << 22) + 3])
 def test_embedded_walk_equals_pre_fold_loop(total):
-    # the one walk builder draws the embedded walk as the chunked
-    # integers(0, 2) loop did, on a fresh stream and after a buffered half
+    # the one walk builder draws the embedded walk as the chunked loop of
+    # one bit per step does, on a fresh stream and after a buffered half
     for buffered in (False, True):
         a, b = RngStream(222, total), RngStream(222, total)
         if buffered:
             a.gen.integers(0, 2, size=1)
             b.gen.integers(0, 2, size=1)
-        assert np.array_equal(_walk_positions(_coin_steps, total, a),
+        assert np.array_equal(_walk_positions(StepLaw.simple(), total, a),
                               embedded_positions_by_loop(total, b))
         assert next_draws(a) == next_draws(b)
 

@@ -122,9 +122,12 @@ def test_manifest_checks_the_output_directory(tmp_path):
     assert main(["--config", cfg, "--out", str(out)]) == 0
     manifest = read_manifest(out)
     assert manifest.sections() == ["manifest", "config", "digests"]
-    assert list(manifest["manifest"]) == ["master_seed", "version", "duration_s"]
+    assert list(manifest["manifest"]) == ["master_seed", "version", "stream_layout",
+                                          "duration_s"]
     assert manifest.getint("manifest", "master_seed") == 777
     assert manifest["manifest"]["version"] == __version__
+    # layout 2: a uniform two-point law reads one bit per value
+    assert manifest.getint("manifest", "stream_layout") == 2
     assert manifest.getfloat("manifest", "duration_s") >= 0
     assert list(manifest["digests"]) == ["report.json", "results.csv"]
     for name, digest in manifest["digests"].items():
@@ -139,6 +142,24 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path, bad)
     assert main(["--config", cfg]) == 1
     assert "d0-divisibility" in capsys.readouterr().err
+
+
+def test_return_curve_off_the_lattice_runs_with_one_replica(tmp_path, capsys):
+    # every n off the lattice draws no replica, so one is enough; one n on
+    # the lattice makes it a return curve again, which needs two
+    off = MINIMAL.replace("n_list = 8 16 32", "n_list = 1023 2047 4095 8191")
+    cfg = write_config(tmp_path, off)
+    out = tmp_path / "off"
+    assert main(["--config", cfg, "--out", str(out), "--replicas", "1"]) == 0
+    body = (out / "results.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[:3] for line in body] == \
+        [["return_prob_inadmissible", n, "0"] for n in ("1023", "2047", "4095", "8191")]
+    on = write_config(tmp_path, MINIMAL, "on.ini")
+    assert main(["--config", on, "--out", str(tmp_path / "on"), "--replicas", "1"]) == 1
+    assert ("config error: run.replicas: must be at least 2 for return-curve (a "
+            "standard error or a KS statistic needs two samples)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "on").exists()
 
 
 def test_return_curve_off_the_lattice_reports_exact_zero(tmp_path, monkeypatch):

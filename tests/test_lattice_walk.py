@@ -13,7 +13,9 @@ from rwrs.lattice_walk import StepLaw, simulate_local_times
 from rwrs.scenery import SceneryLaw
 
 from reference import (
+    draw_by_bits,
     draw_by_choice,
+    draw_by_reference,
     embedded_positions_by_loop,
     merge_profiles,
     mutual_inner,
@@ -66,36 +68,85 @@ DRAW_LAWS = {
 @pytest.mark.parametrize("name", list(DRAW_LAWS))
 def test_draw_matches_generator_choice(name):
     # the threshold draw on raw Philox words is Generator.choice(p=...) bit
-    # for bit, and leaves the stream where choice leaves it
+    # for bit, and leaves the stream where choice leaves it; the simple law,
+    # a uniform two-point law, reads one bit per value instead, and is
+    # checked on the same shapes against draw_by_bits (draw_by_reference
+    # picks the rule), the stream then standing where that leaves it
     law = DRAW_LAWS[name]
-    support = np.asarray(law.support, dtype=np.int64)
     for shape in (0, 1, 8191, (1024, 7)):
         for seed in range(50):
             ref, fast = RngStream(seed, 3), RngStream(seed, 3)
-            expect = support[ref.gen.choice(len(support), size=shape,
-                                            p=law.float_probs())]
+            expect = draw_by_reference(law, ref, shape)
             got = law.sample_steps(fast, shape)
             assert got.dtype == np.int64 and got.shape == expect.shape
             assert np.array_equal(got, expect)
             assert fast.gen.random() == ref.gen.random()
 
 
+def _stub_stream(words):
+    raw = np.array(words, dtype=np.uint64)
+    return SimpleNamespace(gen=SimpleNamespace(
+        bit_generator=SimpleNamespace(random_raw=lambda size: raw)))
+
+
 @pytest.mark.parametrize("name", list(DRAW_LAWS))
 def test_draw_thresholds_at_the_boundary(name):
-    # raw words on and next to each threshold, against choice's own rule:
-    # index = searchsorted(cdf, u, side="right") with u = (raw >> 11) * 2**-53
+    # raw words on and next to each cut of the draw, which random words
+    # never hit.  A threshold law: words on and next to each threshold,
+    # against choice's own rule, index = searchsorted(cdf, u, side="right")
+    # with u = (raw >> 11) * 2**-53.  The simple law: words with one bit set
+    # or one bit cleared, each bit position, against draw_by_bits, so a
+    # value that reads a neighbouring bit or the wrong end of its word fails
     law = DRAW_LAWS[name]
+    if law._uniform_pair:
+        ones = (1 << 64) - 1
+        words = [0, ones] + [1 << j for j in range(64)] + [ones ^ (1 << j) for j in range(64)]
+        size = 64 * len(words)
+        expect = draw_by_bits(law, _stub_stream(words), size)
+        assert np.array_equal(law.sample_steps(_stub_stream(words), size), expect)
+        return
     cdf = law.float_probs().cumsum()
     cdf /= cdf[-1]
     words = [0, (1 << 64) - 1]
     for cut in law._thresholds.tolist():
         words += [cut - 1, cut, cut + 1]
     raw = np.array(words, dtype=np.uint64)
-    stream = SimpleNamespace(gen=SimpleNamespace(
-        bit_generator=SimpleNamespace(random_raw=lambda size: raw)))
     u = (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
     expect = np.asarray(law.support)[np.searchsorted(cdf, u, side="right")]
-    assert np.array_equal(law.sample_steps(stream, raw.size), expect)
+    assert np.array_equal(law.sample_steps(_stub_stream(words), raw.size), expect)
+
+
+UNIFORM_PAIRS = {
+    "simple": StepLaw.simple(),
+    "rademacher": SceneryLaw.rademacher(),
+    "wide-float": SceneryLaw((-3, 3), (0.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", list(UNIFORM_PAIRS))
+def test_uniform_two_point_draw_reads_one_bit_per_value(name):
+    # value i is bit i % 64 (least significant first) of raw word i // 64;
+    # a draw starts on a fresh word, so the stream then stands at word
+    # ceil(size / 64) past its start, on a fresh stream and after a
+    # buffered integers half, whose other half is still served after it
+    law = UNIFORM_PAIRS[name]
+    for i, (shape, buffered) in enumerate(
+            (shape, buffered) for shape in (1, 63, 64, 65, 1000, (33, 7))
+            for buffered in (False, True)):
+        ref, fast = RngStream(61, i), RngStream(61, i)
+        words = RngStream(61, i).gen.bit_generator.random_raw(40)
+        if buffered:
+            ref.gen.integers(0, 2, size=1)
+            fast.gen.integers(0, 2, size=1)
+        expect = draw_by_bits(law, ref, shape)
+        got = law._draw(fast, shape)
+        assert got.dtype == np.int64 and got.shape == np.shape(expect)
+        assert np.array_equal(got, expect)
+        after = int(buffered) + -(-int(np.prod(shape)) // 64)
+        assert fast.gen.bit_generator.random_raw() == words[after]
+        ref.gen.bit_generator.random_raw()
+        assert (fast.gen.integers(0, 2, size=3).tolist()
+                == ref.gen.integers(0, 2, size=3).tolist())
 
 
 def test_profiles_equal_the_dict_reference_on_random_breakpoints():
@@ -166,17 +217,17 @@ def test_segment_counts_share_one_grid_and_count_empty_segments_as_zero():
 
 
 def test_walk_positions_equal_the_loop_and_choice_references():
-    # positions, and the draws after them, are those of the chunked coin
-    # loop for `_coin_steps` and of S_0 = 0 plus the cumsum of
-    # `Generator.choice` steps for a step law, on a fresh stream and on
-    # one with a buffered half
+    # positions, and the draws after them, are those of the chunked bit
+    # loop for the simple law and of S_0 = 0 plus the cumsum of
+    # `Generator.choice` steps for the other step laws, on a fresh stream
+    # and on one with a buffered half
     def by_choice(law):
         def build(total, stream):
             steps = draw_by_choice(law, stream, total - 1)
             return np.concatenate(([0], np.cumsum(steps)))
-        return law.sample_steps, build
+        return law, build
 
-    pairs = [(lattice_walk._coin_steps, embedded_positions_by_loop)] + [
+    pairs = [(StepLaw.simple(), embedded_positions_by_loop)] + [
         by_choice(DRAW_LAWS[name]) for name in ("lazy", "asymmetric", "five-point-float")]
     cases = [(pair, total, buffered) for pair in pairs
              for total in (1, 2, 3, 1000, 1001) for buffered in (False, True)]
@@ -189,9 +240,9 @@ def test_walk_positions_equal_the_loop_and_choice_references():
         return (positions, stream.gen.integers(0, 2, size=3).tolist(),
                 stream.gen.standard_normal())
 
-    for i, ((draw, reference), total, buffered) in enumerate(cases):
+    for i, ((law, reference), total, buffered) in enumerate(cases):
         positions, ints, normal = run(
-            i, partial(lattice_walk._walk_positions, draw), total, buffered)
+            i, partial(lattice_walk._walk_positions, law), total, buffered)
         expect = run(i, reference, total, buffered)
         assert positions.dtype == np.int64
         assert np.array_equal(positions, expect[0])

@@ -54,8 +54,8 @@ CASES = {
         "[experiment]\nsubcommand = return-curve\n" + SIMPLE
         + "[params]\nn_list = 8 16 32 128\nk = 1\n[run]\nreplicas = 50\n",
         [],
-        "a40666cd927e997f176057e102b56c06be4fb02dd83428751ee4c83f8b9c99df",
-        "0fab8f3a1683bcf92cdbcd5c238c4512460ea62ffdbf1bad477d94f5301ddcc6",
+        "5fe2b0dfcba76997fd3a0f3ba1db50b6c4d82f25de7acb18680f3d8f18a76c57",
+        "74da4aebc7423161e462229a97fb0d96c6084c9845c531301ce4b09d59f103e0",
     ),
     "return-curve-k1-asymmetric": (
         "[experiment]\nsubcommand = return-curve\n[laws]\nstep = lazy\n"
@@ -89,16 +89,16 @@ CASES = {
         "scenery = -2:1/2,2:1/2\n[params]\nn_list = 96 192 384\nk = 1\n"
         "[run]\nreplicas = 50\n",
         [],
-        "cffebb9e633e0b5e87c58987504a0e485be8ddedac8c02396569786e0c0be2c7",
-        "314c3ef5f22f39b75ffa0106f52156e556005286ef54c2951d3576d4ab8bcd7e",
+        "9e6608e7427a4d813568c257598df4d99ff07f8db5f25db120a8a51570a59fc3",
+        "e78a5d7de27c36b4d6aeebcbf6181b6896bf021154025d279e72e9f5708f7bab",
     ),
     "return-curve-k2": (
         "[experiment]\nsubcommand = return-curve\n" + SIMPLE
         + "[params]\nn_list = 16 32 64\nk = 2\nt_ratios = 1 2\n"
         "[run]\nreplicas = 30\n",
         [],
-        "ca35af1a549916afa80ca55c1dbf01a93df23a04300bf013a1c3cbd5b39bc37d",
-        "3bc2f2d1a6ee7ee14cc4a4cf2ceeae7ca3b8992bcd35872f457998494f4f7aeb",
+        "7b284d0d9f950b2b23550edcee82b484104603789199e1dc40892951dcaefdbd",
+        "e3a7b109d41f4d4dd760498331182f97e17fcb390701f3fb43125f640d614ba6",
     ),
     "return-curve-k2-zero-atom": (
         "[experiment]\nsubcommand = return-curve\n[laws]\nstep = lazy\n"
@@ -122,8 +122,8 @@ CASES = {
         + "[params]\nn_list = 64 128 256\nk = 3\nt_ratios = 1 2 3\n"
         "[run]\nreplicas = 30\n",
         [],
-        "e3d4ae57599cae74741c1d8adac3c6534867932e3f35c132404e400b84df7ca9",
-        "3c3677ba22891db53f098a724c524087a97353a53b104c8405227f56e33e70b7",
+        "86641e36facb7bb935dc9182efddfe241b33d2ef16b5a593270933f1ea54a2b8",
+        "07f8666d033fba2a6f1687ecf5e78b2b2ff7556712b6b0921ae835bf2607f27b",
     ),
     "return-curve-inadmissible": (
         "[experiment]\nsubcommand = return-curve\n" + SIMPLE
@@ -136,22 +136,22 @@ CASES = {
         "[experiment]\nsubcommand = counting-moments\n" + SIMPLE
         + "[params]\nn_list = 64 128 256\nk = 2\n[run]\nreplicas = 200\n",
         [],
-        "8d48ff993f99e76aec9542dd1c44ca3359681c07b35fcbd3cc22945f78839956",
-        "d237600162b551da94ba9a0191b8193a50fe13acfa0cb151c67756a3933f9af7",
+        "259497c84a180b60af415e011399c53571463463b86daec80d14cb78c822384e",
+        "93a331fa56b2f2565e5a8fe8aa96009a10ed395e459d344c783a93dee7081039",
     ),
     "gram": (
         "[experiment]\nsubcommand = gram\n[laws]\nstep = simple\n"
         "[params]\nn = 1024\nt_list = 1 2\nfineness = 1024\n[run]\nreplicas = 100\n",
         [],
-        "c5182f4ea102388995c14e0a82cca90cbd8480207dfbdce2e56a563b96079f81",
-        "21f75ff58452f8dbcbbf12e78758da60950033fef9ab351ed93e4bf5e44cbc7a",
+        "250ec4499e966d3ce418ea72d34c3dd75dd91e4d70114dc67c756d526b3f19da",
+        "45045eebe9a33fe07df7063d41aefef504b530fa21c6b77c4d0abb88d46f628b",
     ),
     "estimate-c": (
         "[experiment]\nsubcommand = estimate-c\n"
         "[params]\nt_list = 1 2\nfineness = 4096\n[run]\nreplicas = 100\n",
         [],
-        "40eec59b08650a9cdcc3fbc173110ff1e50a9ac180fbe0367e8d5feb51eff502",
-        "d94518c504dd6139bfa561b640ab784c699c8afd0c939fb93c41fb04bd6e8fce",
+        "f7dd798ed6d6fe4a3309548df1dd54b31fa41c7559c8894949b9f9486248c9a1",
+        "999e66366f3ecf64801d6984107ecab5e839a2a2dfe923f4570d6ac065a8279d",
     ),
     "besq-check": (
         "[experiment]\nsubcommand = besq-check\n[params]\ndraws = 1000\n",
@@ -170,28 +170,28 @@ CASES = {
         "[experiment]\nsubcommand = delta-localtime\n"
         "[params]\nt = 1\nfineness = 1024\ndt = 1/256\n[run]\nreplicas = 50\n",
         [],
-        "c0a59157238afc1405c9e20d2103c421ba3f4f7f0f593908d9df42d013162c46",
+        "6aef9edbbea828b9d128f09646139afc2a809ca83f1df5a8b4c8146dac2f08a7",
         "d132bb9fdcef2935fcc5fa6dbef023a3b0ec0318e4e4bb6567325c056a691a75",
     ),
     "scaling-test": (
         "[experiment]\nsubcommand = scaling-test\n"
         "[params]\nt = 2\nfineness = 1024\ndt = 1/512\n[run]\nreplicas = 50\n",
         [],
-        "61d05f3e403eb3a8709c0cb3324ee2338f20f764d65aadf909742384b2b33919",
-        "cac3423577627fbaf74352e6e756f9fce3da11086f3d1435f41b93d7ce03e834",
+        "810351c7e7b219c7fe5d0cca84a8f3529a8459da272ddbff459bec020528475e",
+        "5ede4a5111edbe294b49441db1cc09427869bdb203b160bf5c4f3140d29a312b",
     ),
     "correlation-ratio": (
         "[experiment]\nsubcommand = correlation-ratio\n" + SIMPLE
         + "[params]\nn = 256\nfineness = 4096\n[run]\nreplicas = 100\n",
         [],
-        "7cc0f10898b05c9ec87d86fef574576ac5d69dbcb3db7136b04455744ec434c8",
-        "4cd5d66ffff710a50167accb4fae62cc21e2dc5454dc992389cc4e3797edec16",
+        "74d43b133129ecfbe0f8f4ebbc1885d123372bc2ba65749291df6f164ad0c589",
+        "13e2fb0b96517d57d23ae52777df54be8429b7e7d630bfc0075c71f2a061135c",
     ),
     "boxcount": (
         "[experiment]\nsubcommand = boxcount\n"
         "[params]\nfineness = 4096\ndt = 1/4096\npaths = 20\n",
         [],
-        "86f0dea00eea04d6ba39d3e5a6f0d712f74061b5bc46b1f62c4ebf21e5d62347",
+        "61c26fdfef90a9aaf72403797f46ca9322ffe7b83e40af89570914c5b79da6aa",
         "233e272d8126a23edf14d021af7d2cc5cb9483fbc8cae253ce777bea4698e165",
     ),
     # widths 1, 2, 5, 16, 55, 164, 328 cells: a clamped width of 1, pairwise
@@ -201,7 +201,7 @@ CASES = {
         "scales = 1/20000 1/10000 1/3000 1/1000 1/300 1/100 1/50\n"
         "fineness = 16384\ndt = 1/16384\npaths = 20\n",
         [],
-        "604677aceaeceb33783031b5d71f4fb9b21a52a586d786245d58998c69d5141e",
+        "5bacbc5b2dd020be204f9fda6c1f3b8f69153f5cf6f3803b20a632cf697b67af",
         "233e272d8126a23edf14d021af7d2cc5cb9483fbc8cae253ce777bea4698e165",
     ),
 }

@@ -25,6 +25,7 @@ from reference import (
     char_given_profiles,
     conditional_return_prob,
     draw_by_choice,
+    draw_by_reference,
     evaluate_increments,
     pmf_1d_on_coset,
     pmf_1d_on_full_grid,
@@ -643,7 +644,7 @@ def test_joint_sampled_is_byte_equal_to_the_reference_kernels(times, monkeypatch
                             zero_prob_given_shared_int64)
             patched.setattr(scenery, "_union_counts",
                             lambda profiles: union_counts_by_union1d(profiles)[1])
-            patched.setattr(SceneryLaw, "sample", draw_by_choice)
+            patched.setattr(SceneryLaw, "sample", draw_by_reference)
             ref = _joint_values(law, times, 73, 200)
         values, words = zip(*got)
         ref_values, ref_words = zip(*ref)

@@ -134,12 +134,13 @@ def test_manifest_round_trip(tmp_path):
     out.write_text("a,b\n1,2\n")
     # a `%` in a value is written and read back as it is, not interpolated
     config = {"x": "1", "law": "-1:1/2,1:1/2", "share": "5%"}
-    write_manifest(config, [str(out)], 42, "0.1.0", 0.0, str(tmp_path / "manifest.txt"))
+    write_manifest(config, [str(out)], 42, "0.1.0", 2, 0.0, str(tmp_path / "manifest.txt"))
     parsed = configparser.RawConfigParser()
     with open(tmp_path / "manifest.txt", encoding="utf-8") as fh:
         parsed.read_file(fh)
     assert parsed.getint("manifest", "master_seed") == 42
     assert parsed["manifest"]["version"] == "0.1.0"
+    assert parsed.getint("manifest", "stream_layout") == 2
     assert parsed.getfloat("manifest", "duration_s") > 0
     assert dict(parsed["config"]) == config
     assert dict(parsed["digests"]) == {"data.csv": file_digest(str(out))}

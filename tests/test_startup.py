@@ -1,9 +1,10 @@
 """Start-up cost: what `import rwrs` loads, the malloc thresholds it sets,
 that `src/` exports nothing and defines no public method that only the
-tests use, holds no result field that nothing reads and no bare `assert`, that `cli.validate_config` names
-no param, that walk steps are drawn in one module, that the exact oracle
-enumerates no paths, that the exact reference enumerates its own paths,
-that the dict-route walk reference builds its own positions and that the
+tests use, holds no result field that nothing reads and no bare `assert`,
+that `cli.validate_config` names no param, that walk steps and scenery
+values are drawn in one function, that the exact oracle enumerates no
+paths, that the exact reference enumerates its own paths, that the
+dict-route walk reference builds its own positions and that the
 references of the scenery kernels take no name from `rwrs.scenery`.
 
 The import checks run in fresh interpreters, since the test process itself
@@ -219,23 +220,45 @@ def test_src_has_no_bare_assert():
     assert not found
 
 
+def _calls_by_function(tree):
+    """(enclosing function or class.method, call node) for every call in a module."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                out.append((where, child))
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{where}.{child.name}".lstrip(".") if named else where)
+
+    visit(tree, "")
+    return out
+
+
 def test_walk_steps_are_drawn_only_in_lattice_walk():
-    # every walk step comes from lattice_walk (its builder and its laws'
-    # draws), so a change of the draw path changes one module
+    # every step and scenery value is drawn by _FiniteLaw._draw, the one
+    # caller of random_raw; no walk step comes from integers, and the
+    # embedded walk's own coin draw is gone, so a change of the draw path
+    # changes one function
     paths = sorted(glob.glob(os.path.join(SRC, "rwrs", "*.py")))
     assert os.path.join(SRC, "rwrs", "lattice_walk.py") in paths
-    calls = []
+    raw, integers, names = [], [], set()
     for path in paths:
         module = os.path.basename(path)
-        if module == "lattice_walk.py":
-            continue
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
-        calls += [f"{module}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Attribute)
-                  and node.func.attr in ("integers", "random_raw")]
-    assert not calls
+        for node in ast.walk(tree):
+            names.add(getattr(node, "id", None) or getattr(node, "attr", None)
+                      or getattr(node, "name", None))
+        for where, call in _calls_by_function(tree):
+            attr = getattr(call.func, "attr", None)
+            if attr == "random_raw":
+                raw.append(f"{module}:{where}")
+            elif attr == "integers":
+                integers.append(f"{module}:{call.lineno}")
+    assert raw and set(raw) == {"lattice_walk.py:_FiniteLaw._draw"}
+    assert not integers
+    assert "_coin_steps" not in names
 
 
 def test_visits_are_counted_only_in_lattice_walk():
@@ -304,14 +327,15 @@ def test_exact_reference_enumerates_its_own_paths():
 
 
 # the dict-route walk reference and the helpers it builds its walk with
-DICT_ROUTE = {"simulate_local_times_by_dicts", "_positions_by_choice",
-              "_segment_profiles", "_occupation", "draw_by_choice"}
+DICT_ROUTE = {"simulate_local_times_by_dicts", "_positions_by_draws",
+              "_segment_profiles", "_occupation", "draw_by_reference",
+              "draw_by_bits", "draw_by_choice"}
 
 
 def test_dict_route_reference_builds_its_own_walk():
     # the reference takes only the profile type from rwrs, so it draws its
-    # steps with Generator.choice and counts visits itself instead of
-    # sharing lattice_walk._walk_positions or _segment_counts
+    # steps by bits or with Generator.choice and counts visits itself
+    # instead of sharing lattice_walk._walk_positions or _segment_counts
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reference.py")
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
