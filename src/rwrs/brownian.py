@@ -73,29 +73,25 @@ def sample_local_time_fields(T_list, fineness, stream):
     total = max(marks[-1], 1)
     lo, rows = _segment_counts(_walk_positions(_EMBEDDED_STEP, total, stream), marks)
     h = 1.0 / math.sqrt(m)
-    increments = [LocalTimeField(lo, h, counts * h) for counts in rows]
-    cumulative = []
-    running = np.zeros(rows.shape[1])
-    for inc in increments:
-        running = running + inc.values
-        cumulative.append(LocalTimeField(lo, h, running))
+    inc = rows * h
+    increments = [LocalTimeField(lo, h, row) for row in inc]
+    cumulative = [LocalTimeField(lo, h, row) for row in np.cumsum(inc, axis=0)]
     return cumulative, increments
 
 
 @dataclass(frozen=True)
 class GramSample:
-    """Symmetric PSD matrix of local-time inner products with det and lambda_min."""
+    """Symmetric PSD matrix of local-time inner products with its determinant."""
 
     entries: np.ndarray
     det: float
-    lambda_min: float
 
 
 def gram_of_fields(fields):
     """Gram matrix of the fields' pairwise L2 inner products.
 
     Eigenvalues below 1e-14 * trace are clamped to zero so near-rank-deficient
-    samples do not produce negative round-off determinants.
+    samples give a determinant of exactly 0, not a negative round-off one.
     """
     k = len(fields)
     f0 = fields[0]
@@ -111,7 +107,7 @@ def gram_of_fields(fields):
     floor = _EIG_CLAMP * float(np.trace(mat))
     eig = np.where(eig < floor, 0.0, eig)
     det = float(np.prod(eig))
-    return GramSample(mat, det, float(eig.min()))
+    return GramSample(mat, det)
 
 
 @dataclass(frozen=True)
@@ -127,10 +123,9 @@ class CResult:
 def estimate_C(T_list, replicas, fineness, stream):
     """Monte Carlo E[D^(-1/2)] over increment-field Gram determinants.
 
-    Near-singular Gram samples (any eigenvalue clamped to zero) are
-    rejected and counted rather than clamped; a rejection rate above 0.1%
-    signals that the fineness is too small for the requested horizons and
-    fails the run.
+    Near-singular Gram samples (any eigenvalue clamped to zero, so det 0)
+    are rejected and counted; a rejection rate above 0.1% signals that the
+    fineness is too small for the requested horizons and fails the run.
     """
     T_list = [float(T) for T in T_list]
     durations = np.diff([0.0] + T_list)
@@ -138,7 +133,7 @@ def estimate_C(T_list, replicas, fineness, stream):
     def task(sub):
         _, increments = sample_local_time_fields(T_list, fineness, sub)
         gram = gram_of_fields(increments)
-        if gram.det <= 0.0 or gram.lambda_min == 0.0:
+        if gram.det <= 0.0:
             return np.nan
         return gram.det ** -0.5
 

@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -39,26 +39,33 @@ _DEFAULTS = {
     "out": "out",
 }
 
-# every subcommand accepts [run]; law/param keys are checked per subcommand
-_COMMON_RUN_KEYS = set(_DEFAULTS)
-
 
 @dataclass
 class ExperimentConfig:
-    """Validated, fully-resolved experiment description."""
+    """Validated experiment; `replicas` is None, and unrecorded, where none is drawn."""
 
     subcommand: str
     step: StepLaw | None
     scenery: SceneryLaw | None
     params: dict
     seed: int
-    replicas: int
+    replicas: int | None
     out_dir: str
-    derived: dict = field(default_factory=dict)
+
+    @property
+    def derived(self):
+        """The laws' constants: the scenery's sigma2, d and d0, the step variance."""
+        scen = self.scenery
+        derived = ({} if scen is None
+                   else {"sigma2": scen.sigma2, "d": scen.d, "d0": scen.d0})
+        if self.step is not None:
+            derived["step_variance"] = self.step.variance
+        return derived
 
     def snapshot(self):
-        snap = {"subcommand": self.subcommand, "seed": str(self.seed),
-                "replicas": str(self.replicas)}
+        snap = {"subcommand": self.subcommand, "seed": str(self.seed)}
+        if self.replicas is not None:
+            snap["replicas"] = str(self.replicas)
         for key, value in sorted(self.params.items()):
             snap[f"params.{key}"] = str(value)
         if self.step:
@@ -160,7 +167,7 @@ def validate_config(path, overrides=None):
         allowed = (
             entry.laws if section == "laws"
             else entry.params if section == "params"
-            else _COMMON_RUN_KEYS
+            else _DEFAULTS
         )
         for key in parser[section]:
             if key not in allowed:
@@ -203,13 +210,6 @@ def validate_config(path, overrides=None):
     params, param_errors = _resolve_params(entry, raw_params)
     errors.extend(param_errors)
 
-    derived = {}
-    if scenery is not None:
-        derived.update(
-            {"sigma2": scenery.sigma2, "d": scenery.d, "d0": scenery.d0}
-        )
-    if step is not None:
-        derived["step_variance"] = step.variance
     # a subcommand's own checks relate its params and laws, so they run
     # once every param and law they read is valid
     ready = not param_errors and len(laws) == len(entry.laws)
@@ -230,9 +230,8 @@ def validate_config(path, overrides=None):
         scenery=scenery,
         params=params,
         seed=seed,
-        replicas=replicas,
+        replicas=replicas if spread else None,
         out_dir=out_dir,
-        derived=derived,
     )
 
 
@@ -289,11 +288,6 @@ def _row(name, n, value, std_error=0.0):
     return {"name": name, "n": n, "value": value, "std_error": std_error}
 
 
-def _fit_dict(fit):
-    return {"slope": fit.slope, "intercept": fit.intercept,
-            "slope_ci": fit.slope_ci, "r2": fit.r2}
-
-
 def _abs_dev_test(name, value, expect, se):
     """Report of |value - expect| against three standard errors."""
     dev = abs(value - expect)
@@ -326,11 +320,11 @@ def _return_curve(config, p, stream, report):
         # walk, as `oracle` writes the exact 0 of an off-lattice segment
         return [_row("return_prob_inadmissible", n, 0.0) for n in p["n_list"]]
     ests, fit = harness.estimate_return_curve(
-        config.step, config.scenery, p["n_list"], k=p["k"],
+        config.step, config.scenery, p["n_list"],
         T_ratios=p.get("t_ratios"), walk_replicas=config.replicas,
         stream=stream, scenery_draws=p["scenery_draws"],
     )
-    report["fits"]["return_curve"] = _fit_dict(fit)
+    report["fits"]["return_curve"] = asdict(fit)
     return [_row("return_prob", n, e.value, e.std_error)
             for n, e in zip(p["n_list"], ests)]
 
@@ -339,7 +333,7 @@ def _counting_moments(config, p, stream, report):
     k = p["k"]
     curve = harness.counting_moment_curve(config.step, config.scenery, k,
                                           p["n_list"], config.replicas, stream)
-    report["fits"]["counting_moments"] = _fit_dict(curve.fit)
+    report["fits"]["counting_moments"] = asdict(curve.fit)
     report["values"].update(amplitude=curve.amplitude,
                             amplitude_se=curve.amplitude_se)
     return [_row(f"zero_count_moment_k{k}", n, e.value, e.std_error)
@@ -519,8 +513,9 @@ class _Subcommand:
     laws: set
     params: set
     handler: object
-    # replicas become a standard error or a KS statistic, which need two;
-    # a predicate of (params, step, scenery) where that depends on them
+    # draws config.replicas replicas, which become a standard error or a KS
+    # statistic and need two; a predicate of (params, step, scenery) where
+    # that depends on them
     spread: object = True
     # samples Brownian local-time fields, which need 10^3 steps
     fields: bool = False

@@ -174,10 +174,11 @@ def _return_values_joint(step, scen, times, replicas, stream, scenery_draws):
     return replicate(task, replicas, stream)
 
 
-def estimate_return_curve(step, scen, n_list, k=1, T_ratios=None,
+def estimate_return_curve(step, scen, n_list, T_ratios=None,
                           walk_replicas=1000, *, stream, scenery_draws=64):
     """Conditional-estimator return probabilities over n with a log-log fit.
 
+    The number of return times k is len(T_ratios), or 1 without ratios.
     For k >= 2 the joint times are [n * T_r] rounded down to multiples of
     d0 (the probability is identically zero off that lattice, so requested
     times must land on it).
@@ -192,10 +193,7 @@ def estimate_return_curve(step, scen, n_list, k=1, T_ratios=None,
                 f"n={n} violates the d0-divisibility constraint (d0={d0}); "
                 "the return probability is exactly 0 there"
             )
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > 1 and (T_ratios is None or len(T_ratios) != k):
-        raise ValueError("k >= 2 needs one T ratio per time")
+    k = 1 if T_ratios is None else len(T_ratios)
     if k > 1:  # the longest walk, before any is drawn
         _check_exact_residuals(scen, _joint_times(n_list[-1], T_ratios, d0)[-1])
     estimates = []
@@ -225,7 +223,7 @@ def _ratio_estimate(num, denoms):
     for d in denoms:
         value /= d.value
         rel2 += (d.std_error / d.value) ** 2
-    return Estimate(value, abs(value) * math.sqrt(rel2), num.replicas)
+    return Estimate(value, abs(value) * math.sqrt(rel2))
 
 
 def correlation_ratio(n, t_ratio, replicas, stream, step, scen,

@@ -9,7 +9,7 @@ by `_FiniteLaw._draw`.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -144,11 +144,11 @@ _EMBEDDED_STEP = StepLaw.simple()
 
 @dataclass(frozen=True)
 class LocalTimeProfile:
-    """Sparse local-time profile of one walk segment, frozen in sorted form."""
+    """Sparse local-time profile of one segment, sorted; `length` sums its counts."""
 
     sites: np.ndarray
     counts: np.ndarray
-    length: int
+    length: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sites", np.asarray(self.sites, dtype=np.int64))
@@ -157,8 +157,7 @@ class LocalTimeProfile:
             raise ValueError("sites and counts must match")
         if self.counts.size and int(self.counts.min()) <= 0:
             raise ValueError("occupied sites must have positive counts")
-        if int(self.counts.sum()) != self.length:
-            raise ValueError("counts must sum to the segment length")
+        object.__setattr__(self, "length", int(self.counts.sum()))
 
 
 def _walk_positions(law, total, stream):
@@ -206,7 +205,7 @@ def simulate_local_times(law, breakpoints, stream):
     lo, rows = _segment_counts(
         _walk_positions(law, breakpoints[-1], stream), breakpoints)
     profiles = []
-    for row, first, b in zip(rows, [0] + breakpoints[:-1], breakpoints):
+    for row in rows:
         sites = np.flatnonzero(row)
-        profiles.append(LocalTimeProfile(sites + lo, row[sites], b - first))
+        profiles.append(LocalTimeProfile(sites + lo, row[sites]))
     return profiles

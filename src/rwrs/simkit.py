@@ -86,7 +86,6 @@ class Estimate:
 
     value: float
     std_error: float
-    replicas: int
 
 
 def replicate(task, replicas, stream):
@@ -113,7 +112,7 @@ def estimate_from_values(values):
         se = math.sqrt(var / n)
     else:
         se = 0.0
-    return Estimate(mean, se, n)
+    return Estimate(mean, se)
 
 
 def _fix_malloc_thresholds():

@@ -68,7 +68,7 @@ def profile_from_dict(counts):
     """The `LocalTimeProfile` with counts[y] visits at each site y."""
     sites = np.array(sorted(counts), dtype=np.int64)
     vals = np.array([counts[int(s)] for s in sites], dtype=np.int64)
-    return LocalTimeProfile(sites, vals, int(vals.sum()))
+    return LocalTimeProfile(sites, vals)
 
 
 def profile_as_dict(profile):
@@ -121,7 +121,7 @@ def _segment_profiles(positions, breakpoints):
     for b in breakpoints:
         seg = positions[prev:b]
         sites, counts = _occupation(seg)
-        profiles.append(LocalTimeProfile(sites, counts, b - prev))
+        profiles.append(LocalTimeProfile(sites, counts))
         prev = b
     return profiles
 
@@ -200,7 +200,7 @@ def merge_profiles(p, q):
     counts = np.zeros(sites.size, dtype=np.int64)
     counts[np.searchsorted(sites, p.sites)] += p.counts
     counts[np.searchsorted(sites, q.sites)] += q.counts
-    return LocalTimeProfile(sites, counts, p.length + q.length)
+    return LocalTimeProfile(sites, counts)
 
 
 def profile_stats(p, window=32):

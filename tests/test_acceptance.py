@@ -47,7 +47,7 @@ def return_curve_full():
     started = time.time()
     n_list = [1 << j for j in range(10, 16)]
     ests, fit = harness.estimate_return_curve(
-        STEP, RAD, n_list, k=1, walk_replicas=10_000,
+        STEP, RAD, n_list, walk_replicas=10_000,
         stream=RngStream(9002, 0),
     )
     return n_list, ests, fit, time.time() - started
@@ -113,7 +113,7 @@ def test_criterion_3_return_curve_constant(return_curve_full, inv_norm):
 def test_criterion_4_joint_return_and_uniformity():
     n_list = [1 << j for j in range(8, 13)]
     _, fit = harness.estimate_return_curve(
-        STEP, RAD, n_list, k=2, T_ratios=(1, 2), walk_replicas=1500,
+        STEP, RAD, n_list, T_ratios=(1, 2), walk_replicas=1500,
         stream=RngStream(9104, 0),
     )
     slope_ok = abs(fit.slope + 1.5) <= 0.08

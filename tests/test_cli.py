@@ -578,6 +578,18 @@ def test_zero_seed_override_is_used(tmp_path):
     assert manifest["config"]["seed"] == "0"
 
 
+def test_manifest_records_replicas_only_where_they_are_drawn(tmp_path):
+    # besq-check draws its own sample size and an all-off-lattice
+    # return-curve writes exact zeros, so neither records a replica count
+    off = MINIMAL.replace("n_list = 8 16 32", "n_list = 7 9 11")
+    for name, text in (("besq", BESQ + "\n[run]\nreplicas = 50\n"), ("off", off),
+                       ("on", MINIMAL)):
+        cfg = write_config(tmp_path, text, f"{name}.ini")
+        assert main(["--config", cfg, "--out", str(tmp_path / name)]) == 0
+        config = read_manifest(tmp_path / name)["config"]
+        assert config.get("replicas") == ("50" if name == "on" else None), name
+
+
 def test_zero_replicas_override_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, BESQ)
     out = tmp_path / "o"

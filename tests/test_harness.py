@@ -89,7 +89,7 @@ def test_return_curve_k2_oracle_gate():
     root = RngStream(402, 0)
     exact = exact_joint_return(STEP, RAD, [4, 8]).value
     ests, _ = estimate_return_curve(
-        STEP, RAD, [4], k=2, T_ratios=(1, 2), walk_replicas=4000, stream=root
+        STEP, RAD, [4], T_ratios=(1, 2), walk_replicas=4000, stream=root
     )
     assert abs(ests[0].value - exact) <= 4 * ests[0].std_error
 
@@ -103,7 +103,7 @@ def test_return_curve_matches_exact_past_n_12():
     for n, est in zip((16, 20), ests):
         exact = exact_joint_return(STEP, RAD, [n]).value
         assert abs(est.value - exact) <= 3 * est.std_error, n
-    (est,), _ = estimate_return_curve(STEP, RAD, [8], k=2, T_ratios=(1, 2),
+    (est,), _ = estimate_return_curve(STEP, RAD, [8], T_ratios=(1, 2),
                                       walk_replicas=4000, scenery_draws=64,
                                       stream=RngStream(413, 0))
     exact = exact_joint_return(STEP, RAD, [8, 16]).value

@@ -396,7 +396,7 @@ def test_table_rejects_profiles_past_the_float32_parity_bound():
     # for a profile of 2**23 sites without its memory
     sites = 2 ** 23
     big = LocalTimeProfile(np.broadcast_to(np.int64(0), (sites,)),
-                           np.broadcast_to(np.int64(1), (sites,)), sites)
+                           np.broadcast_to(np.int64(1), (sites,)))
     with pytest.raises(ValueError, match=r"2\*\*23"):
         ReturnProbTable(RADEMACHER).evaluate([big])
 
@@ -429,7 +429,7 @@ def test_joint_sampled_refuses_walks_past_the_float64_residual_bound(monkeypatch
 
     monkeypatch.setattr(harness, "simulate_local_times", _no_walk)
     with pytest.raises(ValueError, match=r"2\*\*53"):
-        harness.estimate_return_curve(StepLaw.simple(), law, [4, 8, 16], k=2,
+        harness.estimate_return_curve(StepLaw.simple(), law, [4, 8, 16],
                                       T_ratios=[0.5, 1.0], walk_replicas=2,
                                       stream=RngStream(24, 5))
     with pytest.raises(ValueError, match=r"2\*\*53"):

@@ -75,7 +75,6 @@ def test_constant_task():
     est = estimate_from_values(replicate(lambda s: 1.0, 100, RngStream(99, 0)))
     assert est.value == 1.0
     assert est.std_error == 0.0
-    assert est.replicas == 100
 
 
 def test_replicas_must_be_positive():
