@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _EIG_CLAMP = 1e-14
+_MIN_FINENESS = 1000  # least lattice steps per unit time of the embedded walk
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,8 @@ def sample_local_time_fields(T_list, fineness, stream):
     over the same levels.
     """
     m = int(fineness)
-    if m < 1000:
-        raise ValueError("fineness must be at least 10^3")
+    if m < _MIN_FINENESS:
+        raise ValueError(f"fineness must be at least {_MIN_FINENESS}")
     T_list = [float(T) for T in T_list]
     if any(t2 <= t1 for t1, t2 in zip(T_list, T_list[1:])) or T_list[0] <= 0:
         raise ValueError("horizons must be increasing and positive")
@@ -90,24 +91,43 @@ class GramSample:
 def gram_of_fields(fields):
     """Gram matrix of the fields' pairwise L2 inner products.
 
-    Eigenvalues below 1e-14 * trace are clamped to zero so near-rank-deficient
-    samples give a determinant of exactly 0, not a negative round-off one.
+    The fields share one spacing h.  A field is 0 outside its range, so each
+    inner product runs over the overlap of two ranges: the whole arrays for
+    fields of one walk, which share a grid.  Eigenvalues below 1e-14 * trace
+    are clamped to zero so near-rank-deficient samples give a determinant
+    of exactly 0, not a negative round-off one.
     """
+    h = fields[0].h
+    if any(f.h != h for f in fields):
+        raise ValueError("fields must share one spacing h")
     k = len(fields)
-    f0 = fields[0]
-    for f in fields[1:]:
-        if f.origin != f0.origin or f.values.size != f0.values.size or f.h != f0.h:
-            raise ValueError("fields must share one grid")
     mat = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            mat[i, j] = mat[j, i] = f0.h * float(np.dot(fields[i].values,
-                                                        fields[j].values))
+    for i, f in enumerate(fields):
+        for j, g in enumerate(fields[i:], i):
+            lo = max(f.origin, g.origin)
+            hi = max(lo, min(f.origin + f.values.size, g.origin + g.values.size))
+            a = f.values[lo - f.origin:hi - f.origin]
+            b = g.values[lo - g.origin:hi - g.origin]
+            mat[i, j] = mat[j, i] = h * float(np.dot(a, b))
     eig = np.linalg.eigvalsh(mat)
     floor = _EIG_CLAMP * float(np.trace(mat))
     eig = np.where(eig < floor, 0.0, eig)
     det = float(np.prod(eig))
     return GramSample(mat, det)
+
+
+def _estimate_nonsingular(values):
+    """(Estimate, rejected) over replica values, NaN marking a singular Gram sample.
+
+    More than 0.1% rejected signals a fineness too small for the horizons.
+    """
+    ok = ~np.isnan(values)
+    rejected = values.size - int(ok.sum())
+    if rejected > 1e-3 * values.size:
+        raise RejectionRateError(
+            f"{rejected}/{values.size} near-singular Gram samples; fineness too small"
+        )
+    return estimate_from_values(values[ok]), rejected
 
 
 @dataclass(frozen=True)
@@ -124,8 +144,8 @@ def estimate_C(T_list, replicas, fineness, stream):
     """Monte Carlo E[D^(-1/2)] over increment-field Gram determinants.
 
     Near-singular Gram samples (any eigenvalue clamped to zero, so det 0)
-    are rejected and counted; a rejection rate above 0.1% signals that the
-    fineness is too small for the requested horizons and fails the run.
+    are rejected and counted; more than 0.1% of them fail the run with
+    `RejectionRateError`, as in every estimator over Gram determinants.
     """
     T_list = [float(T) for T in T_list]
     durations = np.diff([0.0] + T_list)
@@ -137,14 +157,7 @@ def estimate_C(T_list, replicas, fineness, stream):
             return np.nan
         return gram.det ** -0.5
 
-    values = replicate(task, replicas, stream)
-    ok = ~np.isnan(values)
-    rejected = replicas - int(ok.sum())
-    if rejected > 1e-3 * replicas:
-        raise RejectionRateError(
-            f"{rejected}/{replicas} near-singular Gram samples; fineness too small"
-        )
-    est = estimate_from_values(values[ok])
+    est, rejected = _estimate_nonsingular(replicate(task, replicas, stream))
     scale = float(np.prod(durations ** 0.75))
     return CResult(
         estimate=est,

@@ -111,7 +111,10 @@ def _parse_fraction(text):
 
 # param key -> (parser, default text or None when the key is optional,
 # lower bound): an integer, or each entry of a list of integers, must be at
-# least its bound; a real, or each entry of a list of reals, must exceed it
+# least its bound; a real, or each entry of a list of reals, must exceed it.
+# Every subcommand that takes fineness samples the embedded walk, so its
+# bound is the walk's own; dt's default is one lattice step per time-grid
+# cell at the default fineness.
 _PARAMS = {
     "n_list": (_parse_int_list, "1024 2048 4096", 1),
     "times": (_parse_int_list, "2", 1),
@@ -119,10 +122,10 @@ _PARAMS = {
     "k": (int, "1", 1),
     "t_ratios": (_parse_float_list, None, 0.0),
     "t_list": (_parse_float_list, "1.0", 0.0),
-    "fineness": (int, str(1 << 14), 1),
+    "fineness": (int, str(1 << 14), brownian._MIN_FINENESS),
     "n": (int, str(1 << 12), 1),
     "y": (_parse_fraction, "1", 0.0),
-    "dt": (_parse_fraction, "1", 0.0),
+    "dt": (_parse_fraction, "1/16384", 0.0),
     "draws": (int, "100000", 1),
     "level": (_parse_fraction, "1", 0.0),
     "offset": (_parse_fraction, "1/2", 0.0),
@@ -240,6 +243,8 @@ def _resolve_params(entry, raw):
     params, errors = {}, []
     for key in sorted(entry.params):
         parse, default, low = _PARAMS[key]
+        if key == "dt" and "fineness" not in entry.params:
+            default = "1"  # besq-check's transition time, not a time-grid cell
         text = raw.get(key, default)
         if text is None:
             continue
@@ -261,9 +266,6 @@ def _resolve_params(entry, raw):
                 not values or any(b <= a for a, b in zip(values, values[1:]))):
             errors.append(f"params.{key}: must be nonempty and strictly increasing")
             del params[key]
-    if entry.fields and params.get("fineness", 1000) < 1000:
-        errors.append("params.fineness: must be at least 1000 to sample Brownian "
-                      "local-time fields")
     scales = params.get("scales")
     if scales is not None and (len(scales) < 4 or max(scales) / min(scales) < 100.0):
         errors.append("params.scales: need >= 4 scales spanning >= 2 decades")
@@ -517,8 +519,6 @@ class _Subcommand:
     # statistic and need two; a predicate of (params, step, scenery) where
     # that depends on them
     spread: object = True
-    # samples Brownian local-time fields, which need 10^3 steps
-    fields: bool = False
     # (params, step, scenery) -> errors, for constraints between params
     # and laws that no other subcommand shares; it reads only valid ones
     check: object = None
@@ -534,10 +534,8 @@ _SUBCOMMANDS = {
                                 check=_check_return_curve),
     "counting-moments": _Subcommand({"step", "scenery"}, {"n_list", "k"},
                                     _counting_moments, check=_check_counting_moments),
-    "gram": _Subcommand({"step"}, {"n", "t_list", "fineness"}, _gram, fields=True,
-                        check=_check_gram),
-    "estimate-c": _Subcommand(set(), {"t_list", "fineness"}, _estimate_c,
-                              fields=True),
+    "gram": _Subcommand({"step"}, {"n", "t_list", "fineness"}, _gram, check=_check_gram),
+    "estimate-c": _Subcommand(set(), {"t_list", "fineness"}, _estimate_c),
     "besq-check": _Subcommand(set(), {"y", "dt", "draws"}, _besq_check,
                               spread=False),
     "ray-knight": _Subcommand(set(), {"level", "fineness", "offset"}, _ray_knight),
@@ -545,8 +543,7 @@ _SUBCOMMANDS = {
                                    _delta_localtime),
     "scaling-test": _Subcommand(set(), {"t", "eps", "fineness", "dt"}, _scaling_test),
     "correlation-ratio": _Subcommand({"step", "scenery"}, {"n", "t_ratio", "fineness"},
-                                     _correlation_ratio, fields=True,
-                                     check=_check_correlation_ratio),
+                                     _correlation_ratio, check=_check_correlation_ratio),
     "boxcount": _Subcommand(set(), {"scales", "fineness", "dt", "paths"}, _boxcount,
                             spread=False),
 }

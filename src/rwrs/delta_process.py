@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import gram_of_fields, sample_local_time_fields
-from .errors import DegenerateRatioError, RejectionRateError
+from .brownian import _estimate_nonsingular, gram_of_fields, sample_local_time_fields
+from .errors import DegenerateRatioError
 from .lattice_walk import _EMBEDDED_STEP, _walk_positions
-from .simkit import Estimate, estimate_from_values, replicate
+from .simkit import Estimate, replicate
 
 __all__ = [
     "DeltaPath",
@@ -137,6 +137,10 @@ def estimate_Mk(k, t, replicas, fineness, stream, eps=0.0):
     the eps-mollified moment of the occupation density exactly; the
     regularization removes the coinciding-time singularity, so every
     increment is simulated on the shared grid.
+
+    A replica whose determinant is not positive is rejected and counted;
+    more than 0.1% of them fail the run with `RejectionRateError`, the
+    rule of `brownian.estimate_C`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -165,15 +169,7 @@ def estimate_Mk(k, t, replicas, fineness, stream, eps=0.0):
                 det *= gram.det
         return pref * det ** -0.5 / q if det > 0.0 else np.nan
 
-    values = replicate(task, replicas, stream)
-    ok = ~np.isnan(values)
-    rejected = replicas - int(ok.sum())
-    if rejected > max(1e-3 * replicas, 1.0):
-        raise RejectionRateError(
-            f"{rejected}/{replicas} rejected Gram samples in moment estimate"
-        )
-    est = estimate_from_values(values[ok])
-    return MkResult(est, rejected)
+    return MkResult(*_estimate_nonsingular(replicate(task, replicas, stream)))
 
 
 def _box_extrema(vals, width, level):

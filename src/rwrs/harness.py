@@ -232,8 +232,11 @@ def correlation_ratio(n, t_ratio, replicas, stream, step, scen,
 
     lhs: P(increment returns | already at zero) over P(increment returns),
     from walk simulation with conditional evaluation.  rhs: the Gram-
-    functional ratio over two independent Brownian local-time fields.
-    Both are reported with delta-method uncertainties.
+    functional ratio over two independent Brownian local-time fields, of
+    horizons 1 and m/n: E[det^(-1/2)] of their Gram matrix over
+    E[(||L||^2 ||L~||^2)^(-1/2)] of its diagonal.  The numerator rejects
+    singular samples by the rule of `brownian.estimate_C`.  Both sides are
+    reported with delta-method uncertainties.
     """
     d0 = scen.d0
     n = _round_admissible(n, d0)
@@ -248,39 +251,24 @@ def correlation_ratio(n, t_ratio, replicas, stream, step, scen,
     joint = estimate_from_values(joint_vals)
     lhs = _ratio_estimate(joint, [p_n, p_m])
 
-    t = m / n
+    def pair_gram(sub):
+        (f,), _ = brownian.sample_local_time_fields([1.0], fineness, sub.substream(0))
+        (g,), _ = brownian.sample_local_time_fields([m / n], fineness, sub.substream(1))
+        return brownian.gram_of_fields([f, g])
 
     def num_task(sub):
-        a = _field_pair_stats(1.0, t, fineness, sub)
-        det = a[0] * a[1] - a[2] ** 2
+        det = pair_gram(sub).det
         return det ** -0.5 if det > 0 else np.nan
 
     def den_task(sub):
-        b = _field_pair_stats(1.0, t, fineness, sub)
-        return (b[0] * b[1]) ** -0.5
+        entries = pair_gram(sub).entries
+        return (entries[0, 0] * entries[1, 1]) ** -0.5
 
-    num_vals = replicate(num_task, replicas, stream.substream(4))
-    den_vals = replicate(den_task, replicas, stream.substream(5))
-    num = estimate_from_values(num_vals[~np.isnan(num_vals)])
-    den = estimate_from_values(den_vals)
+    num, _ = brownian._estimate_nonsingular(
+        replicate(num_task, replicas, stream.substream(4)))
+    den = estimate_from_values(replicate(den_task, replicas, stream.substream(5)))
     rhs = _ratio_estimate(num, [den])
     return lhs, rhs
-
-
-def _field_pair_stats(t1, t2, fineness, stream):
-    """(||L||^2, ||L~||^2, <L, L~>) for two independent local-time fields."""
-    cum1, _ = brownian.sample_local_time_fields([t1], fineness, stream.substream(0))
-    cum2, _ = brownian.sample_local_time_fields([t2], fineness, stream.substream(1))
-    f, g = cum1[0], cum2[0]
-    lo = max(f.origin, g.origin)
-    hi = min(f.origin + f.values.size, g.origin + g.values.size)
-    if hi > lo:
-        a = f.values[lo - f.origin : hi - f.origin]
-        b = g.values[lo - g.origin : hi - g.origin]
-        cross = f.h * float(np.dot(a, b))
-    else:
-        cross = 0.0
-    return f.norm2_sq(), g.norm2_sq(), cross
 
 
 @dataclass(frozen=True)
@@ -307,6 +295,7 @@ def _zero_count_trajectory(step, scen, marks, stream):
 def counting_moment_curve(step, scen, k, n_list, replicas, stream):
     """Direct-counting moments of the zero-visit count with their scaling fit.
 
+    The n_list must increase (ValueError, before any walk, otherwise).
     One trajectory of length max(n_list) serves every mark, and its int64
     running sum of Z needs max|x| * max(n_list) < 2**63 (ValueError, before
     any walk, otherwise).  The amplitude reported for the n^{k/4} law comes
@@ -317,6 +306,8 @@ def counting_moment_curve(step, scen, k, n_list, replicas, stream):
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
     n_list = [int(n) for n in n_list]
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("n_list must be increasing")
     if scen.max_value * max(n_list) >= 2 ** 63:
         raise ValueError(f"max|x| * max(n_list) = {scen.max_value} * {max(n_list)} "
                          "reaches 2**63, the bound of the int64 running sum of Z")

@@ -10,6 +10,7 @@ from rwrs.errors import BudgetExceededError
 from rwrs.lattice_walk import StepLaw, _walk_positions
 from rwrs.simkit import RngStream, estimate_from_values
 from rwrs.brownian import (
+    LocalTimeField,
     besq0_density,
     besq0_extinction,
     besq0_step,
@@ -100,13 +101,31 @@ def test_gram_examples_and_hadamard():
         assert g.det <= diag * (1 + 1e-9)
 
 
-def test_grid_mismatch_rejected():
+def test_gram_of_fields_on_different_grids_zero_pads_each_field():
+    # fields of two walks: each is 0 outside its range, so the Gram equals
+    # the one built on their common grid with every field padded by zeros
     c1, _ = sample_local_time_fields([1.0], 4096, RngStream(205, 0))
-    c2, _ = sample_local_time_fields([1.0], 4096, RngStream(205, 1))
-    if c1[0].origin == c2[0].origin and c1[0].values.size == c2[0].values.size:
-        pytest.skip("grids coincide by chance")
-    with pytest.raises(ValueError):
-        gram_of_fields([c1[0], c2[0]])
+    c2, _ = sample_local_time_fields([0.5], 4096, RngStream(205, 1))
+    assert c1[0].origin != c2[0].origin
+    h = c1[0].h
+    apart = [LocalTimeField(c1[0].origin + c1[0].values.size + 3, h, np.array([1.0, 2.0])),
+             LocalTimeField(c1[0].origin - 5, h, np.array([4.0]))]
+    for fields in ([c1[0], c2[0]], [c2[0], c1[0]], [c1[0], *apart], apart):
+        lo = min(f.origin for f in fields)
+        hi = max(f.origin + f.values.size for f in fields)
+        padded = np.zeros((len(fields), hi - lo))
+        for row, f in zip(padded, fields):
+            row[f.origin - lo:f.origin - lo + f.values.size] = f.values
+        gram = gram_of_fields(fields)
+        assert np.allclose(gram.entries, h * padded @ padded.T, rtol=1e-12, atol=0)
+    assert gram_of_fields(apart).entries[0, 1] == 0.0
+
+
+def test_gram_of_fields_rejects_a_spacing_mismatch():
+    (f,), _ = sample_local_time_fields([1.0], 4096, RngStream(205, 0))
+    (g,), _ = sample_local_time_fields([1.0], 1024, RngStream(205, 1))
+    with pytest.raises(ValueError, match="spacing"):
+        gram_of_fields([f, g])
 
 
 def test_estimate_c_scaling_identity():

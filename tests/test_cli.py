@@ -466,8 +466,10 @@ replicas = 5
          .replace("dt = 1/256", "dt = 1/4096"), "params.dt"),
         (DELTA.replace("replicas = 5", "replicas = 1"), "run.replicas"),
         (GRAM_TINY.replace("replicas = 6000", "replicas = 1"), "run.replicas"),
-        # dt defaults to 1, above every default scale
-        (BOXCOUNT.replace("dt = 1/256\n", ""), "params.scales"),
+        # dt defaults to 1/16384: under one lattice step per cell at fineness 1024
+        (BOXCOUNT.replace("dt = 1/256\n", ""), "params.dt"),
+        # dt = 1 is above every default scale
+        (BOXCOUNT.replace("dt = 1/256", "dt = 1"), "params.scales"),
         (ORACLE.replace("times = 2 4", "times = 4 2"), "params.times"),
         (ORACLE.replace("times = 2 4", "times = 0 2"), "params.times"),
         (ORACLE.replace("n_max = 4", "n_max = 0"), "params.n_max"),
@@ -517,6 +519,12 @@ replicas = 5
         (RAY_KNIGHT.replace("fineness = 1024", "fineness = 1024\noffset = -1"),
          "params.offset"),
         (RAY_KNIGHT.replace("fineness = 1024", "fineness = 0"), "params.fineness"),
+        # every subcommand that takes fineness samples the embedded walk
+        (RAY_KNIGHT.replace("fineness = 1024", "fineness = 999"), "params.fineness"),
+        (DELTA.replace("fineness = 1024", "fineness = 999"), "params.fineness"),
+        (DELTA.replace("delta-localtime", "scaling-test")
+         .replace("fineness = 1024", "fineness = 999"), "params.fineness"),
+        (BOXCOUNT.replace("fineness = 1024", "fineness = 999"), "params.fineness"),
         (MINIMAL.replace("k = 1", "k = 1\nscenery_draws = 0"), "params.scenery_draws"),
         (CORRELATION.replace("n = 64", "n = 0"), "params.n"),
         # the ratio runs on the d0 = 2 lattice, so n = 65 would run at 64
@@ -529,6 +537,7 @@ replicas = 5
     ids=["fineness-not-integer", "fineness-below-1000", "n_list-not-positive",
          "scales-too-few", "dt-below-lattice-step", "dt-below-lattice-step-scaling",
          "replicas-one-delta", "replicas-one-gram", "boxcount-dt-default",
+         "boxcount-dt-one",
          "oracle-times-decreasing", "oracle-times-not-positive", "oracle-n_max-zero",
          "oracle-times-over-budget", "oracle-n_max-over-budget",
          "return-curve-two-n", "counting-moments-two-n", "return-curve-k-zero",
@@ -544,6 +553,8 @@ replicas = 5
          "delta-t-zero", "scaling-t-negative", "delta-t-below-dt",
          "scaling-t-below-dt", "ray-knight-level-negative",
          "ray-knight-offset-negative", "ray-knight-fineness-zero",
+         "ray-knight-fineness-999", "delta-fineness-999", "scaling-fineness-999",
+         "boxcount-fineness-999",
          "return-curve-scenery_draws-zero", "correlation-n-zero",
          "correlation-n-off-lattice", "step-site-repeated", "scenery-site-repeated"],
 )
@@ -554,6 +565,17 @@ def test_bad_param_value_rejected_at_validation(tmp_path, capsys, config, field)
     assert any(e.startswith(field + ":") for e in errors)
     assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert f"config error: {field}:" in capsys.readouterr().err
+
+
+def test_default_scaling_test_passes(tmp_path):
+    # dt defaults to one lattice step per cell, so the unit-horizon side
+    # has 16384 grid cells, not one cell whose values are all equal
+    cfg = write_config(tmp_path, "[experiment]\nsubcommand = scaling-test\n"
+                       "[run]\nreplicas = 200\n")
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    (test,) = json.loads((out / "report.json").read_text())["tests"]
+    assert test["value"] < test["threshold"]
 
 
 def test_single_replica_flag_rejected_where_a_spread_is_needed(tmp_path, capsys):

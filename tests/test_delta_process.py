@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from rwrs.errors import DegenerateRatioError
+from rwrs import delta_process
+from rwrs.errors import DegenerateRatioError, RejectionRateError
 from rwrs.simkit import RngStream, estimate_from_values
 from rwrs.delta_process import (
     DeltaPath,
@@ -152,6 +154,21 @@ def test_moment_estimator_cross_checks():
     target_se = 4.0 / math.sqrt(2 * math.pi) * direct.std_error
     se = math.hypot(res.estimate.std_error, target_se)
     assert abs(res.estimate.value - target) <= 3 * se
+
+
+def test_moment_estimator_rejects_one_singular_sample_in_500(monkeypatch):
+    # 1 > 1e-3 * 500: the rule of estimate_C, with no floor of one sample
+    real = delta_process.gram_of_fields
+    calls = []
+
+    def first_singular(fields):
+        calls.append(None)
+        gram = real(fields)
+        return dataclasses.replace(gram, det=0.0) if len(calls) == 1 else gram
+
+    monkeypatch.setattr(delta_process, "gram_of_fields", first_singular)
+    with pytest.raises(RejectionRateError, match="1/500"):
+        estimate_Mk(1, 1.0, 500, 1024, RngStream(317, 0))
 
 
 def test_moment_estimator_time_scaling():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from rwrs import cli, harness
-from rwrs.errors import DegenerateRatioError
+from rwrs import brownian, cli, harness
+from rwrs.errors import DegenerateRatioError, RejectionRateError
 from rwrs.simkit import RngStream
 from rwrs.lattice_walk import StepLaw
 from rwrs.scenery import SceneryLaw
@@ -160,6 +161,15 @@ def test_counting_moment_curve_names_a_mark_whose_replicas_agree():
         counting_moment_curve(STEP, RAD, 1, [1, 2, 4, 8], 2, RngStream(3, 0))
 
 
+def test_counting_moment_curve_refuses_marks_out_of_order(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("a walk was drawn")
+
+    monkeypatch.setattr(harness, "_walk_positions", no_walk)
+    with pytest.raises(ValueError, match="n_list must be increasing"):
+        counting_moment_curve(STEP, RAD, 1, [16, 8, 32, 4], 2, RngStream(3, 0))
+
+
 def test_gram_convergence_self_test():
     # two independent walk batches at the same n: identical distributions
     reports = gram_convergence_test(STEP, 1 << 10, [1.0], 2000, 1 << 10,
@@ -183,17 +193,31 @@ def test_correlation_ratio_reduced_scale():
     assert rhs.value - 3 * rhs.std_error > 1.0
 
 
+def test_correlation_ratio_rejects_singular_gram_samples(monkeypatch):
+    # every numerator sample patched singular: the rule of estimate_C fails
+    # the run instead of averaging what is left
+    real = brownian.gram_of_fields
+
+    def singular(fields):
+        return dataclasses.replace(real(fields), det=0.0)
+
+    monkeypatch.setattr(brownian, "gram_of_fields", singular)
+    with pytest.raises(RejectionRateError, match="20/20"):
+        correlation_ratio(64, 1.0, 20, RngStream(409, 1), STEP, RAD, fineness=1024)
+
+
 def test_cauchy_schwarz_forces_ratio_above_one():
     # determinant with a dependent (identical) pair collapses, so the
     # numerator functional strictly exceeds the independent-denominator one
-    from rwrs.harness import _field_pair_stats
-
     root = RngStream(409, 0)
     num, den = np.empty(800), np.empty(800)
     for i in range(800):
-        a, b, cross = _field_pair_stats(1.0, 1.0, 1 << 12, root.substream(i))
-        num[i] = (a * b - cross ** 2) ** -0.5
-        den[i] = (a * b) ** -0.5
+        sub = root.substream(i)
+        (f,), _ = brownian.sample_local_time_fields([1.0], 1 << 12, sub.substream(0))
+        (g,), _ = brownian.sample_local_time_fields([1.0], 1 << 12, sub.substream(1))
+        gram = brownian.gram_of_fields([f, g])
+        num[i] = gram.det ** -0.5
+        den[i] = (gram.entries[0, 0] * gram.entries[1, 1]) ** -0.5
     ratio = num.mean() / den.mean()
     se = ratio * math.hypot(num.std() / num.mean(), den.std() / den.mean()) \
         / math.sqrt(800)

@@ -146,21 +146,26 @@ def test_every_export_is_used_in_src():
     assert trees and not unused
 
 
+def _attribute_names(node):
+    """Counts of the Attribute attrs under node."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
 def test_every_public_method_is_used_in_src():
     # every public method defined on a class in src/rwrs is referenced in
     # src/ outside its own def, so a method that only the tests call lives
-    # in the tests.  References are matched by name alone, as the dataclass
-    # field guard matches reads, so a method passes whenever its name is
-    # referenced for anything else: a local `d`, another class's `from_dict`.
+    # in the tests.  A method is reached as an attribute, `x.name`, so only
+    # attribute references count: a local `d` does not vouch for
+    # SceneryLaw.d.  Another class's attribute of the same name still does.
     # Exempt: _ZeroSeedSequence.generate_state, which numpy's bit generator
     # calls, not src/.
     trees = _src_trees().values()
-    used = sum((_referenced_names(tree) for tree in trees), Counter())
+    used = sum((_attribute_names(tree) for tree in trees), Counter())
     methods = [(cls.name, fn) for tree in trees for cls in ast.walk(tree)
                if isinstance(cls, ast.ClassDef) for fn in cls.body
                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
     unused = [f"{cls}.{fn.name}" for cls, fn in methods
-              if (used - _referenced_names(fn))[fn.name] == 0
+              if (used - _attribute_names(fn))[fn.name] == 0
               and (cls, fn.name) != ("_ZeroSeedSequence", "generate_state")]
     assert methods and not unused, unused
 
